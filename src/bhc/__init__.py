@@ -21,6 +21,7 @@ from .recursion import (
     complex_halving,
     complex_one_step,
     compute_constant,
+    constants_columns,
     constants_table,
     real_halving,
     real_one_step,
@@ -59,6 +60,7 @@ __all__ = [
     "complex_halving",
     "complex_one_step",
     "compute_constant",
+    "constants_columns",
     "constants_table",
     "real_halving",
     "real_one_step",

@@ -8,18 +8,21 @@ Usage:
     bhc verify khinchine --p 2 --n 8 --trials 50
     bhc search --field real --m 2 --dim 2 --budget 100000
 
-Exit codes: 0 all checks passed, 1 a certified check failed, 2 bad arguments.
+Exit codes: 0 all checks passed, 1 a certified check failed, 2 bad arguments
+(including a request beyond a size guard).
 The default seed is 42 and can be overridden by the BHC_SEED environment
 variable, so bare invocations are reproducible.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 import click
 
-from .core import DomainError, Field
+from . import __version__
+from .core import DomainError, Field, SizeLimitError
 from .recursion import Strategy
 from .reports import (
     DEFAULT_SEED,
@@ -74,15 +77,19 @@ def _emit(ctx: click.Context, runner, cfg: RunConfig) -> None:
     started = time.perf_counter()
     try:
         doc: ReportDocument = runner(cfg)
-    except DomainError as exc:
+    except (DomainError, SizeLimitError) as exc:
         raise click.UsageError(str(exc))
     doc.wall_time = time.perf_counter() - started
-    click.echo(doc.render())
+    # An explicit file: left to itself, click.echo keeps every stdout object
+    # it is handed in a cache whose values refer to their keys, so a caller
+    # that runs commands in-process under redirected stdout keeps every
+    # output alive.
+    click.echo(doc.render(), file=sys.stdout)
     ctx.exit(doc.exit_status)
 
 
 @click.group()
-@click.version_option(package_name="bhc")
+@click.version_option(version=__version__)
 def main() -> None:
     """Constants engine and verifier for the Bohnenblust-Hille inequality."""
 

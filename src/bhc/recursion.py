@@ -22,11 +22,22 @@ exponents, carried alongside the float in a :class:`PowerProduct`.  This is
 what makes identities such as C_{R,m} = 2^(1/2) C_{R,m/2} (even m <= 24)
 testable exactly rather than to float tolerance.  Each record also carries a
 derivation trace that can be replayed step by step.
+
+Each strategy is a ladder of levels.  Level k is derived once from its child
+levels (k-1, k-2, or the two halves) and holds its float value, its exact
+closed form and one :class:`TraceStep` with the Blei split and Khinchine
+constants it used.  A ladder lives for one call, and every record that call
+returns reads its value, closed form and trace from the shared levels.  So
+``constants_table`` and ``constants_columns`` derive each level of m = 2..M
+once, O(M) steps in all, and the single-level functions derive only the
+levels that m rests on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -52,6 +63,7 @@ __all__ = [
     "complex_halving",
     "best_constant",
     "compute_constant",
+    "constants_columns",
     "constants_table",
     "replay_trace",
 ]
@@ -177,7 +189,7 @@ def _record(
     strategy: Strategy,
     value: float,
     closed: PowerProduct | None,
-    trace: list[TraceStep],
+    trace: tuple[TraceStep, ...],
     extra_factor: str | None = None,
 ) -> ConstantRecord:
     dyadic = None
@@ -186,30 +198,120 @@ def _record(
             dyadic = closed.two
         elif extra_factor is None:
             extra_factor = closed.describe()
-    return ConstantRecord(m, field, strategy, value, dyadic, extra_factor, closed, tuple(trace))
+    return ConstantRecord(m, field, strategy, value, dyadic, extra_factor, closed, trace)
+
+
+# --------------------------------------------------------------------------
+# Ladders: each level derived once per call
+# --------------------------------------------------------------------------
+
+class _Ladder:
+    """The levels of one (field, strategy), each derived once, on first use.
+
+    Level k is one :class:`TraceStep` and its exact closed form.  A ladder
+    lives for one call: every record the call returns reads its value,
+    closed form and trace from these shared levels, so a table over
+    m = 2..M derives each level once.  Subclasses give the bases, the child
+    levels of a level and the step that derives it from them.
+    """
+
+    strategy: Strategy
+
+    def __init__(self, field: Field, bases: dict[int, tuple[float, PowerProduct]]) -> None:
+        self.field = field
+        self.steps: dict[int, TraceStep] = {}
+        self.closed: dict[int, PowerProduct | None] = {}
+        for k, (value, closed) in bases.items():
+            self.steps[k] = TraceStep("base", k, (), None, (), value)
+            self.closed[k] = closed
+
+    def children(self, k: int) -> tuple[int, ...]:
+        return ()
+
+    def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
+        raise NotImplementedError
+
+    def trace(self, m: int) -> tuple[TraceStep, ...]:
+        raise NotImplementedError
+
+    def value(self, m: int) -> float:
+        """Value of level m, deriving first the levels it rests on."""
+        _require_level(m)
+        pending = [m]
+        while pending:  # a loop, not recursion: a chain descends m levels
+            k = pending[-1]
+            if k in self.steps:
+                pending.pop()
+                continue
+            missing = [c for c in self.children(k) if c not in self.steps]
+            if missing:
+                pending.extend(missing)
+            else:
+                pending.pop()
+                self.steps[k], self.closed[k] = self.derive(k)
+        return self.steps[m].value
+
+    def record(self, m: int) -> ConstantRecord:
+        value = self.value(m)
+        return _record(m, self.field, self.strategy, value, self.closed[m], self.trace(m))
+
+
+class _Chain(_Ladder):
+    """A ladder whose level k rests on level k - stride alone."""
+
+    stride: int
+
+    def children(self, k: int) -> tuple[int, ...]:
+        return (k - self.stride,)
+
+    def trace(self, m: int) -> tuple[TraceStep, ...]:
+        start = m - (m - 2) // self.stride * self.stride  # the chain's base level, 2 or 3
+        return tuple(self.steps[k] for k in range(start, m + 1, self.stride))
 
 
 # --------------------------------------------------------------------------
 # Baselines
 # --------------------------------------------------------------------------
 
-def baseline(m: int, kind: BaselineKind, field: Field = Field.COMPLEX) -> ConstantRecord:
-    """Classical constants: original, Kaijser 2^((m-1)/2), (2/sqrt(pi))^(m-1)."""
-    _require_level(m)
-    if kind is BaselineKind.ORIGINAL:
-        value = m ** ((m + 1) / (2 * m)) * 2.0 ** ((m - 1) / 2)
+class _Baseline(_Ladder):
+    """A classical closed form; no level rests on another."""
+
+    def __init__(self, field: Field, strategy: Strategy) -> None:
+        super().__init__(field, {})
+        self.strategy = strategy
+
+    def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
         closed = None
-        extra = f"{m}^({m + 1}/{2 * m}) * 2^({m - 1}/2)"
-    elif kind is BaselineKind.KAIJSER:
-        closed = PowerProduct(two=Fraction(m - 1, 2))
-        value = 2.0 ** ((m - 1) / 2)
+        try:
+            if self.strategy is Strategy.BASELINE_ORIGINAL:
+                value = k ** ((k + 1) / (2 * k)) * 2.0 ** ((k - 1) / 2)
+            elif self.strategy is Strategy.BASELINE_KAIJSER:
+                closed = PowerProduct(two=Fraction(k - 1, 2))
+                value = 2.0 ** ((k - 1) / 2)
+            else:
+                closed = PowerProduct(tosp=Fraction(k - 1))
+                value = TWO_OVER_SQRT_PI ** (k - 1)
+        except OverflowError:
+            value = math.inf
+        return TraceStep("baseline", k, (), None, (), value), closed
+
+    def record(self, m: int) -> ConstantRecord:
+        value = self.value(m)
+        if math.isinf(value):
+            raise DomainError(f"the {self.strategy.value} constant at m={m} exceeds the double range")
         extra = None
-    else:
-        closed = PowerProduct(tosp=Fraction(m - 1))
-        value = TWO_OVER_SQRT_PI ** (m - 1)
-        extra = None
-    step = TraceStep("baseline", m, (), None, (), value)
-    return _record(m, field, _BASELINE_STRATEGY[kind], value, closed, [step], extra)
+        if self.strategy is Strategy.BASELINE_ORIGINAL:
+            extra = f"{m}^({m + 1}/{2 * m}) * 2^({m - 1}/2)"
+        return _record(m, self.field, self.strategy, value, self.closed[m], (self.steps[m],), extra)
+
+
+def baseline(m: int, kind: BaselineKind, field: Field = Field.COMPLEX) -> ConstantRecord:
+    """Classical constants: original, Kaijser 2^((m-1)/2), (2/sqrt(pi))^(m-1).
+
+    Raises :class:`DomainError` where the constant exceeds the double range
+    (m >= 2039 for the original and m >= 2049 for Kaijser's).
+    """
+    return _Baseline(field, _BASELINE_STRATEGY[kind]).record(m)
 
 
 # --------------------------------------------------------------------------
@@ -226,28 +328,32 @@ def _one_step_split(m: int) -> ExponentSplit:
     )
 
 
-def _one_step(m: int, field: Field) -> ConstantRecord:
-    _require_level(m)
-    if field is Field.REAL:
-        value, closed = math.sqrt(2.0), PowerProduct(two=Fraction(1, 2))
-    else:
-        value, closed = K_G_UPPER, PowerProduct(kg=Fraction(1))
-    steps = [TraceStep("base", 2, (), None, (), value)]
-    for k in range(3, m + 1):
+class _OneStep(_Chain):
+    strategy = Strategy.ONE_STEP
+    stride = 1
+
+    def __init__(self, field: Field) -> None:
+        if field is Field.REAL:
+            base = (math.sqrt(2.0), PowerProduct(two=Fraction(1, 2)))
+        else:
+            base = (K_G_UPPER, PowerProduct(kg=Fraction(1)))
+        super().__init__(field, {2: base})
+
+    def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
         a, use = _a_use(Fraction(2 * k - 2, k), 1)
-        value = 2.0 ** ((k - 1) / (2 * k)) * (value / a.a_p) ** (1.0 - 1.0 / k)
+        value = 2.0 ** ((k - 1) / (2 * k)) * (self.steps[k - 1].value / a.a_p) ** (1.0 - 1.0 / k)
+        closed = self.closed[k - 1]
         if closed is not None and a.branch is Branch.DYADIC_POWER:
             closed = closed.shift_two(-a.a_exponent).scale(Fraction(k - 1, k))
             closed = closed.shift_two(Fraction(k - 1, 2 * k))
         else:
             closed = None
-        steps.append(TraceStep("one-step", k, (k - 1,), _one_step_split(k), (use,), value))
-    return _record(m, field, Strategy.ONE_STEP, value, closed, steps)
+        return TraceStep("one-step", k, (k - 1,), _one_step_split(k), (use,), value), closed
 
 
 def real_one_step(m: int) -> ConstantRecord:
     """One-step real constants; equal to 2^((m^2+m-2)/4m) for 2 <= m <= 13."""
-    return _one_step(m, Field.REAL)
+    return _OneStep(Field.REAL).record(m)
 
 
 def complex_one_step(m: int) -> ConstantRecord:
@@ -255,7 +361,7 @@ def complex_one_step(m: int) -> ConstantRecord:
 
     Equal to 2^((m^2+m-6)/4m) * K_G^(2/m) for 2 <= m <= 13.
     """
-    return _one_step(m, Field.COMPLEX)
+    return _OneStep(Field.COMPLEX).record(m)
 
 
 # --------------------------------------------------------------------------
@@ -272,129 +378,181 @@ def _two_step_split(m: int) -> ExponentSplit:
     )
 
 
+class _TwoStep(_Chain):
+    strategy = Strategy.TWO_STEP
+    stride = 2
+
+    def __init__(self, field: Field) -> None:
+        if field is not Field.REAL:
+            raise DomainError("the two-step strategy is stated for real scalars only")
+        super().__init__(
+            field,
+            {
+                2: (math.sqrt(2.0), PowerProduct(two=Fraction(1, 2))),
+                3: (2.0 ** (5.0 / 6.0), PowerProduct(two=Fraction(5, 6))),
+            },
+        )
+
+    def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
+        a, use = _a_use(Fraction(2 * k - 4, k - 1), 2)
+        value = math.sqrt(2.0) * (self.steps[k - 2].value / a.a_p**2) ** ((k - 2) / k)
+        closed = self.closed[k - 2]
+        if closed is not None and a.branch is Branch.DYADIC_POWER:
+            closed = closed.shift_two(-2 * a.a_exponent).scale(Fraction(k - 2, k))
+            closed = closed.shift_two(Fraction(1, 2))
+        else:
+            closed = None
+        return TraceStep("two-step", k, (k - 2,), _two_step_split(k), (use,), value), closed
+
+
 def real_two_step(m: int) -> ConstantRecord:
     """Two-step real constants over the bases C_2 = 2^(1/2), C_3 = 2^(5/6).
 
     Equal to 2^((m^2+6m-8)/8m) for even and 2^((m^2+6m-7)/8m) for odd m up
     to 14, after which the Gamma branch of A enters.
     """
-    _require_level(m)
-    start = 2 if m % 2 == 0 else 3
-    value = math.sqrt(2.0) if start == 2 else 2.0 ** (5.0 / 6.0)
-    closed = PowerProduct(two=Fraction(1, 2) if start == 2 else Fraction(5, 6))
-    steps = [TraceStep("base", start, (), None, (), value)]
-    for k in range(start + 2, m + 1, 2):
-        a, use = _a_use(Fraction(2 * k - 4, k - 1), 2)
-        value = math.sqrt(2.0) * (value / a.a_p**2) ** ((k - 2) / k)
-        if closed is not None and a.branch is Branch.DYADIC_POWER:
-            closed = closed.shift_two(-2 * a.a_exponent).scale(Fraction(k - 2, k))
-            closed = closed.shift_two(Fraction(1, 2))
-        else:
-            closed = None
-        steps.append(TraceStep("two-step", k, (k - 2,), _two_step_split(k), (use,), value))
-    return _record(m, Field.REAL, Strategy.TWO_STEP, value, closed, steps)
+    return _TwoStep(Field.REAL).record(m)
 
 
 # --------------------------------------------------------------------------
 # Halving recursion (the sharpest strategy)
 # --------------------------------------------------------------------------
 
-_REAL_BASES = {
-    2: Fraction(1, 2),
-    3: Fraction(5, 6),
-}
+class _Halving(_Ladder):
+    strategy = Strategy.HALVING
 
+    def __init__(self, field: Field) -> None:
+        if field is Field.REAL:
+            exponents = {2: Fraction(1, 2), 3: Fraction(5, 6)}
+            bases = {k: (2.0 ** float(e), PowerProduct(two=e)) for k, e in exponents.items()}
+        else:
+            bases = {
+                k: (TWO_OVER_SQRT_PI ** (k - 1), PowerProduct(tosp=Fraction(k - 1)))
+                for k in range(2, 7)
+            }
+        super().__init__(field, bases)
 
-def _halving_bases(field: Field) -> dict[int, tuple[float, PowerProduct]]:
-    if field is Field.REAL:
-        return {k: (2.0 ** float(e), PowerProduct(two=e)) for k, e in _REAL_BASES.items()}
-    return {
-        k: (TWO_OVER_SQRT_PI ** (k - 1), PowerProduct(tosp=Fraction(k - 1)))
-        for k in range(2, 7)
-    }
+    def children(self, k: int) -> tuple[int, ...]:
+        return (k // 2,) if k % 2 == 0 else ((k - 1) // 2, (k + 1) // 2)
 
+    def trace(self, m: int) -> tuple[TraceStep, ...]:
+        """Post-order walk from level m, low child before high, each level once."""
+        out: list[TraceStep] = []
+        seen: set[int] = set()
+        pending = [(m, False)]
+        while pending:
+            k, expanded = pending.pop()
+            if expanded:
+                out.append(self.steps[k])
+            elif k not in seen:
+                seen.add(k)
+                pending.append((k, True))
+                pending.extend((c, False) for c in reversed(self.steps[k].children))
+        return tuple(out)
 
-def _halving(m: int, field: Field) -> ConstantRecord:
-    _require_level(m)
-    bases = _halving_bases(field)
-    memo: dict[int, tuple[float, PowerProduct | None]] = {}
-    steps: list[TraceStep] = []
-
-    def build(k: int) -> tuple[float, PowerProduct | None]:
-        if k in memo:
-            return memo[k]
-        if k in bases:
-            value, closed = bases[k]
-            steps.append(TraceStep("base", k, (), None, (), value))
-        elif k % 2 == 0:
-            child, child_closed = build(k // 2)
+    def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
+        if k % 2 == 0:
+            child = k // 2
             split = even_split(k)
             a, use = _a_use(split.s1, Fraction(k, 2))
-            value = child / a.a_p ** (k / 2)
+            value = self.steps[child].value / a.a_p ** (k / 2)
             closed = None
-            if child_closed is not None and a.branch is Branch.DYADIC_POWER:
-                closed = child_closed.shift_two(-Fraction(k, 2) * a.a_exponent)
-            steps.append(TraceStep("even-halving", k, (k // 2,), split, (use,), value))
-        else:
-            lo, lo_closed = build((k - 1) // 2)
-            hi, hi_closed = build((k + 1) // 2)
-            split = odd_split(k)
-            a1, use1 = _a_use(split.s1, Fraction(k + 1, 2))
-            a2, use2 = _a_use(split.s2, Fraction(k - 1, 2))
-            value = (lo / a1.a_p ** ((k + 1) / 2)) ** float(split.f1) * (
-                hi / a2.a_p ** ((k - 1) / 2)
-            ) ** float(split.f2)
-            closed = None
-            if (
-                lo_closed is not None
-                and hi_closed is not None
-                and a1.branch is Branch.DYADIC_POWER
-                and a2.branch is Branch.DYADIC_POWER
-            ):
-                closed = lo_closed.shift_two(-Fraction(k + 1, 2) * a1.a_exponent).scale(split.f1)
-                closed = closed.combine(
-                    hi_closed.shift_two(-Fraction(k - 1, 2) * a2.a_exponent).scale(split.f2)
-                )
-            steps.append(TraceStep("odd-split", k, ((k - 1) // 2, (k + 1) // 2), split, (use1, use2), value))
-        memo[k] = (value, closed)
-        return memo[k]
-
-    value, closed = build(m)
-    return _record(m, field, Strategy.HALVING, value, closed, steps)
+            if self.closed[child] is not None and a.branch is Branch.DYADIC_POWER:
+                closed = self.closed[child].shift_two(-Fraction(k, 2) * a.a_exponent)
+            return TraceStep("even-halving", k, (child,), split, (use,), value), closed
+        lo_k, hi_k = (k - 1) // 2, (k + 1) // 2
+        lo, hi = self.steps[lo_k].value, self.steps[hi_k].value
+        lo_closed, hi_closed = self.closed[lo_k], self.closed[hi_k]
+        split = odd_split(k)
+        a1, use1 = _a_use(split.s1, Fraction(k + 1, 2))
+        a2, use2 = _a_use(split.s2, Fraction(k - 1, 2))
+        value = (lo / a1.a_p ** ((k + 1) / 2)) ** float(split.f1) * (
+            hi / a2.a_p ** ((k - 1) / 2)
+        ) ** float(split.f2)
+        closed = None
+        if (
+            lo_closed is not None
+            and hi_closed is not None
+            and a1.branch is Branch.DYADIC_POWER
+            and a2.branch is Branch.DYADIC_POWER
+        ):
+            closed = lo_closed.shift_two(-Fraction(k + 1, 2) * a1.a_exponent).scale(split.f1)
+            closed = closed.combine(
+                hi_closed.shift_two(-Fraction(k - 1, 2) * a2.a_exponent).scale(split.f2)
+            )
+        return TraceStep("odd-split", k, (lo_k, hi_k), split, (use1, use2), value), closed
 
 
 def real_halving(m: int) -> ConstantRecord:
     """Halving real constants; satisfies C_m = 2^(1/2) C_{m/2} for even m <= 24."""
-    return _halving(m, Field.REAL)
+    return _Halving(Field.REAL).record(m)
 
 
 def complex_halving(m: int) -> ConstantRecord:
     """Halving complex constants over the bases (2/sqrt(pi))^(m-1), m in {2..6}."""
-    return _halving(m, Field.COMPLEX)
+    return _Halving(Field.COMPLEX).record(m)
 
 
 # --------------------------------------------------------------------------
 # Best-of and tables
 # --------------------------------------------------------------------------
 
-def _candidates(m: int, field: Field) -> list[ConstantRecord]:
-    # Fixed order; ties keep the earliest candidate, so equal-valued baselines
-    # win over the strategies that merely reproduce them.
-    if field is Field.REAL:
-        return [
-            baseline(m, BaselineKind.ORIGINAL, field),
-            baseline(m, BaselineKind.KAIJSER, field),
-            real_halving(m),
-            real_two_step(m),
-            real_one_step(m),
-        ]
-    return [
-        baseline(m, BaselineKind.ORIGINAL, field),
-        baseline(m, BaselineKind.KAIJSER, field),
-        baseline(m, BaselineKind.QUEFFELEC_DS, field),
-        complex_halving(m),
-        complex_one_step(m),
-    ]
+_LADDERS = {
+    Strategy.ONE_STEP: _OneStep,
+    Strategy.TWO_STEP: _TwoStep,
+    Strategy.HALVING: _Halving,
+}
+
+# Fixed order; ties keep the earliest candidate, so equal-valued baselines
+# win over the strategies that merely reproduce them.
+_CANDIDATES = {
+    Field.REAL: (
+        Strategy.BASELINE_ORIGINAL,
+        Strategy.BASELINE_KAIJSER,
+        Strategy.HALVING,
+        Strategy.TWO_STEP,
+        Strategy.ONE_STEP,
+    ),
+    Field.COMPLEX: (
+        Strategy.BASELINE_ORIGINAL,
+        Strategy.BASELINE_KAIJSER,
+        Strategy.BASELINE_QUEFFELEC_DS,
+        Strategy.HALVING,
+        Strategy.ONE_STEP,
+    ),
+}
+
+
+def _best(candidates: list[_Ladder], m: int) -> ConstantRecord:
+    # min keeps the first of equal values, as the tie rule asks; a baseline
+    # beyond the double range reads inf and never wins, since halving stays
+    # finite.
+    return min(candidates, key=lambda ladder: ladder.value(m)).record(m)
+
+
+def _readers(
+    field: Field, strategies: tuple[Strategy, ...]
+) -> list[Callable[[int], ConstantRecord]]:
+    """A level -> record function per strategy, all sharing one ladder per strategy."""
+    ladders: dict[Strategy, _Ladder] = {}
+
+    def ladder(strategy: Strategy) -> _Ladder:
+        if strategy not in ladders:
+            if strategy in _LADDERS:
+                ladders[strategy] = _LADDERS[strategy](field)
+            elif strategy in _BASELINE_STRATEGY.values():
+                ladders[strategy] = _Baseline(field, strategy)
+            else:
+                raise DomainError(f"unknown strategy {strategy!r}")
+        return ladders[strategy]
+
+    readers = []
+    for strategy in strategies:
+        if strategy is Strategy.BEST:
+            readers.append(functools.partial(_best, [ladder(s) for s in _CANDIDATES[field]]))
+        else:
+            readers.append(ladder(strategy).record)
+    return readers
 
 
 def best_constant(m: int, field: Field) -> ConstantRecord:
@@ -404,31 +562,27 @@ def best_constant(m: int, field: Field) -> ConstantRecord:
     The winning record is returned unchanged, trace included; the best-of
     selection is a feature of this tool, not a sharper theorem.
     """
-    _require_level(m)
-    best = None
-    for record in _candidates(m, field):
-        if best is None or record.value < best.value:
-            best = record
-    return best
+    return compute_constant(m, field, Strategy.BEST)
 
 
 def compute_constant(m: int, field: Field, strategy: Strategy) -> ConstantRecord:
-    """Dispatch a single (m, field, strategy) computation."""
-    _require_level(m)
-    if strategy is Strategy.BEST:
-        return best_constant(m, field)
-    if strategy is Strategy.ONE_STEP:
-        return _one_step(m, field)
-    if strategy is Strategy.TWO_STEP:
-        if field is not Field.REAL:
-            raise DomainError("the two-step strategy is stated for real scalars only")
-        return real_two_step(m)
-    if strategy is Strategy.HALVING:
-        return _halving(m, field)
-    for kind, strat in _BASELINE_STRATEGY.items():
-        if strategy is strat:
-            return baseline(m, kind, field)
-    raise DomainError(f"unknown strategy {strategy!r}")
+    """One (m, field, strategy) constant, from the levels that m rests on."""
+    (read,) = _readers(field, (strategy,))
+    return read(m)
+
+
+def constants_columns(
+    field: Field, strategies: tuple[Strategy, ...], m_max: int
+) -> tuple[tuple[ConstantRecord, ...], ...]:
+    """One column of records for m = 2..m_max per strategy, in order.
+
+    The columns share one ladder per strategy, ``BEST`` included, so every
+    level is derived once and the whole call costs O(m_max) steps.
+    """
+    if not isinstance(m_max, int) or m_max < 2:
+        raise DomainError(f"m_max must be an integer >= 2, got {m_max!r}")
+    readers = _readers(field, strategies)
+    return tuple(tuple(read(m) for m in range(2, m_max + 1)) for read in readers)
 
 
 def constants_table(
@@ -436,14 +590,13 @@ def constants_table(
 ) -> tuple[ConstantRecord, ...]:
     """Records for m = 2..m_max; deterministic and identical across runs.
 
-    ``precision`` is the rendering hint echoed to the report layer; the
-    records themselves always carry full-precision floats.
+    Each level of the strategy is derived once, so the table costs O(m_max)
+    steps.  ``precision`` is the rendering hint echoed to the report layer;
+    the records themselves always carry full-precision floats.
     """
-    if not isinstance(m_max, int) or m_max < 2:
-        raise DomainError(f"m_max must be an integer >= 2, got {m_max!r}")
     if not 1 <= precision <= 12:
         raise DomainError(f"precision must lie in [1, 12], got {precision}")
-    return tuple(compute_constant(m, field, strategy) for m in range(2, m_max + 1))
+    return constants_columns(field, (strategy,), m_max)[0]
 
 
 # --------------------------------------------------------------------------

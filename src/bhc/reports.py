@@ -27,9 +27,8 @@ from .recursion import (
     ConstantRecord,
     Strategy,
     baseline,
-    best_constant,
     compute_constant,
-    constants_table,
+    constants_columns,
 )
 from .verify import (
     VerificationReport,
@@ -286,17 +285,20 @@ def trace_row(step) -> dict[str, Any]:
 # --------------------------------------------------------------------------
 
 def run_constants(cfg: RunConfig) -> ReportDocument:
-    records = constants_table(cfg.field, cfg.strategy, cfg.m_max, cfg.precision)
-    rows = []
-    for record in records:
-        compare_with = ()
-        if cfg.compare:
-            compare_with = tuple(
-                (label, compute_constant(record.m, cfg.field, strat))
-                for label, strat in _COMPARE_COLUMNS[cfg.field]
-                if strat is not cfg.strategy
-            )
-        rows.append(constant_row(record, compare_with))
+    compare = []
+    if cfg.compare:
+        compare = [
+            (label, strat) for label, strat in _COMPARE_COLUMNS[cfg.field] if strat is not cfg.strategy
+        ]
+    # one call, so the compare columns read the ladders the main column built
+    records, *columns = constants_columns(
+        cfg.field, (cfg.strategy, *(strat for _, strat in compare)), cfg.m_max
+    )
+    labels = [label for label, _ in compare]
+    rows = [
+        constant_row(record, tuple(zip(labels, others)))
+        for record, *others in zip(records, *columns)
+    ]
     title = f"Bohnenblust-Hille constants, field={cfg.field.value}, strategy={cfg.strategy.value}"
     return ReportDocument(cfg, rows, title=title)
 
@@ -349,17 +351,24 @@ def run_baselines(cfg: RunConfig) -> ReportDocument:
     return ReportDocument(cfg, rows, title="classical baseline constants")
 
 
+def _or_default(value, default):
+    # an explicit 0 is a value to validate, not a missing flag
+    return default if value is None else value
+
+
 def run_verify(cfg: RunConfig) -> ReportDocument:
     trials = cfg.trials if cfg.trials is not None else 100
+    if cfg.field is Field.COMPLEX and cfg.subtarget in ("bh", "summing", "blei"):
+        raise DomainError(f"verify {cfg.subtarget} has no complex suite; use --field real")
     if cfg.subtarget == "khinchine":
         ps = (cfg.p,) if cfg.p is not None else (1.0, 4.0 / 3.0, 1.5, 5.0 / 3.0, 2.0)
-        reports = khinchine_suite(trials, n_max=cfg.n or 10, ps=ps, seed=cfg.seed)
+        reports = khinchine_suite(trials, n_max=_or_default(cfg.n, 10), ps=ps, seed=cfg.seed)
     elif cfg.subtarget == "blei":
         reports = blei_suite(trials, seed=cfg.seed)
     elif cfg.subtarget == "bh":
-        reports = bh_suite(cfg.m or 2, cfg.dim or 2, trials, seed=cfg.seed)
+        reports = bh_suite(_or_default(cfg.m, 2), _or_default(cfg.dim, 2), trials, seed=cfg.seed)
     elif cfg.subtarget == "summing":
-        reports = summing_suite(cfg.m or 2, cfg.dim or 2, trials, seed=cfg.seed)
+        reports = summing_suite(_or_default(cfg.m, 2), _or_default(cfg.dim, 2), trials, seed=cfg.seed)
     else:
         raise DomainError(f"unknown verify subtarget {cfg.subtarget!r}")
     failures = [report_row(r) for r in reports if not r.passed]
@@ -384,10 +393,10 @@ def _suite_summary(name: str, reports: list[VerificationReport]) -> dict[str, An
 
 def run_search(cfg: RunConfig) -> ReportDocument:
     report = extremal_search(
-        cfg.m or 2,
-        cfg.dim or 2,
+        _or_default(cfg.m, 2),
+        _or_default(cfg.dim, 2),
         cfg.field,
-        budget=cfg.budget or 100_000,
+        budget=_or_default(cfg.budget, 100_000),
         seed=cfg.seed,
     )
     row = report_row(report, with_witness=True)

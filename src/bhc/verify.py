@@ -555,13 +555,26 @@ def canonical_family(dimension: int, field: Field = Field.REAL) -> VectorFamily:
 # Property-suite drivers
 # --------------------------------------------------------------------------
 
+def _require_shape(m: int, dim: int) -> None:
+    if m < 1 or dim < 1:
+        raise DomainError(f"need m >= 1 and dim >= 1, got m={m}, dim={dim}")
+
+
 def khinchine_suite(
     trials: int,
     n_max: int = 10,
     ps: tuple[float, ...] = (1.0, 4.0 / 3.0, 1.5, 5.0 / 3.0, 2.0),
     seed: int = 42,
 ) -> list[VerificationReport]:
-    """Random coefficient vectors checked against the exact Rademacher oracle."""
+    """Random coefficient vectors checked against the exact Rademacher oracle.
+
+    The vector length is drawn from 1..n_max, so n_max is checked against
+    the oracle's size guard before any draw.
+    """
+    if n_max < 1:
+        raise DomainError(f"the maximal vector length must be positive, got {n_max}")
+    if n_max > MAX_RADEMACHER_N:
+        raise SizeLimitError(f"exact enumeration limited to N <= {MAX_RADEMACHER_N}, got n_max={n_max}")
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(trials):
@@ -584,6 +597,7 @@ def bh_suite(
     For bilinear runs the first instance is the Littlewood sign matrix, so
     the maximal ratio 2^(1/2) is always exercised.
     """
+    _require_shape(m, dim)
     if constant is None:
         constant = best_constant(m, Field.REAL)
     rng = np.random.default_rng(seed)
@@ -626,6 +640,7 @@ def summing_suite(
     constant: ConstantRecord | None = None,
 ) -> list[VerificationReport]:
     """Random real forms and random vector families for the summing check."""
+    _require_shape(m, dim)
     if constant is None:
         constant = best_constant(m, Field.REAL)
     rng = np.random.default_rng(seed)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import bhc.exponents
+import bhc.recursion
 from bhc.core import DomainError, Field
 from bhc.recursion import (
     K_G_UPPER,
@@ -16,6 +18,7 @@ from bhc.recursion import (
     complex_halving,
     complex_one_step,
     compute_constant,
+    constants_columns,
     constants_table,
     real_halving,
     real_one_step,
@@ -291,6 +294,19 @@ class TestTraces:
         rec = real_halving(12)
         rules = [(s.rule, s.m) for s in rec.trace]
         assert rules == [("base", 3), ("even-halving", 6), ("even-halving", 12)]
+        # post-order from m, low child before high, each level once
+        rules = [(s.rule, s.m) for s in real_halving(23).trace]
+        assert rules == [
+            ("base", 2),
+            ("base", 3),
+            ("odd-split", 5),
+            ("even-halving", 6),
+            ("odd-split", 11),
+            ("even-halving", 12),
+            ("odd-split", 23),
+        ]
+        rules = [(s.rule, s.m) for s in complex_halving(13).trace]
+        assert rules == [("base", 6), ("base", 3), ("base", 4), ("odd-split", 7), ("odd-split", 13)]
         rec9 = real_halving(9)
         odd = [s for s in rec9.trace if s.rule == "odd-split"][-1]
         assert odd.split.f1 == F(4, 9) and odd.split.f2 == F(5, 9)
@@ -299,6 +315,31 @@ class TestTraces:
     def test_best_attaches_winning_trace(self):
         rec = best_constant(9, Field.REAL)
         assert replay_trace(rec.trace) == pytest.approx(rec.value, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "field, strategy",
+        [(Field.REAL, s) for s in Strategy]
+        + [(Field.COMPLEX, s) for s in Strategy if s is not Strategy.TWO_STEP],
+    )
+    def test_every_table_record_replays(self, field, strategy):
+        for rec in constants_table(field, strategy, 64):
+            assert replay_trace(rec.trace) == pytest.approx(rec.value, rel=1e-12)
+
+    def test_replay_does_not_rederive(self, monkeypatch):
+        # replay_trace is the independent check: it must not reach the
+        # derivation code, so break every piece of that code and replay
+        records = [real_halving(37), complex_halving(37), real_two_step(30), complex_one_step(30)]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("replay_trace reached the derivation code")
+
+        for name in ("khinchine_a", "even_split", "odd_split", "blei_f", "blei_w", "_record"):
+            monkeypatch.setattr(bhc.recursion, name, broken)
+        for cls in (bhc.recursion._OneStep, bhc.recursion._TwoStep, bhc.recursion._Halving):
+            monkeypatch.setattr(cls, "derive", broken)
+            monkeypatch.setattr(cls, "trace", broken)
+        for rec in records:
+            assert replay_trace(rec.trace) == pytest.approx(rec.value, rel=1e-12)
 
 
 class TestTableAndDispatch:
@@ -322,3 +363,51 @@ class TestTableAndDispatch:
         rec = compute_constant(5, Field.REAL, Strategy.BASELINE_KAIJSER)
         assert rec.value == 4.0
         assert rec.field is Field.REAL
+
+    def test_columns_share_one_ladder(self):
+        best, one_step, again = constants_columns(
+            Field.REAL, (Strategy.BEST, Strategy.ONE_STEP, Strategy.ONE_STEP), 30
+        )
+        assert [r.value for r in one_step] == [real_one_step(m).value for m in range(2, 31)]
+        # a level's step object is shared by every record that passes through it
+        assert one_step[-1].trace[5] is one_step[10].trace[5] is again[20].trace[5]
+        assert [r.value for r in best] == [best_constant(m, Field.REAL).value for m in range(2, 31)]
+
+
+class TestTableCost:
+    @staticmethod
+    def _blei_calls(monkeypatch, m_max):
+        calls = 0
+        original = bhc.exponents.blei_f
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(bhc.exponents, "blei_f", counted)
+        monkeypatch.setattr(bhc.recursion, "blei_f", counted)
+        constants_table(Field.REAL, Strategy.BEST, m_max)
+        return calls
+
+    def test_best_table_is_linear_in_m_max(self, monkeypatch):
+        # every strategy's level is derived once per table, not once per row
+        small = self._blei_calls(monkeypatch, 100)
+        large = self._blei_calls(monkeypatch, 200)
+        assert 0 < small and large <= 2.5 * small
+
+
+class TestDoubleRange:
+    def test_baselines_beyond_the_double_range(self):
+        assert math.isfinite(baseline(2048, BaselineKind.KAIJSER).value)
+        assert math.isfinite(baseline(2038, BaselineKind.ORIGINAL).value)
+        for m, kind in ((2049, BaselineKind.KAIJSER), (2039, BaselineKind.ORIGINAL)):
+            with pytest.raises(DomainError, match="double range"):
+                baseline(m, kind)
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_best_skips_infinite_candidates(self, field):
+        rec = best_constant(2049, field)
+        assert rec.strategy is Strategy.HALVING
+        assert rec.value == compute_constant(2049, field, Strategy.HALVING).value
+        assert math.isfinite(rec.value)

@@ -1,13 +1,17 @@
 """Report documents, serialization round-trips and the CLI surface."""
 
+import contextlib
 import csv
+import gc
 import io
 import json
 import math
+import weakref
 
 import pytest
 from click.testing import CliRunner
 
+import bhc
 import bhc.reports as reports
 from bhc.cli import main
 from bhc.core import DomainError, Field
@@ -207,3 +211,79 @@ class TestCli:
         header = result.output.splitlines()[0]
         assert header.startswith("m,field,strategy,value")
         assert "1.4142135623730951" in result.output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--m", "3", "--dim", "13"],
+            ["verify", "khinchine", "--n", "25", "--trials", "20"],
+            # rejected before any draw, whatever lengths the seed would draw
+            ["verify", "khinchine", "--n", "25", "--trials", "2"],
+        ],
+    )
+    def test_size_guard_is_a_usage_error(self, argv):
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "Error:" in result.output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "bh", "--dim", "0", "--trials", "2"],
+            ["verify", "summing", "--m", "0", "--trials", "2"],
+            ["verify", "khinchine", "--n", "0", "--trials", "2"],
+        ],
+    )
+    def test_zero_sizes_are_rejected_not_replaced(self, argv):
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 2
+        assert "Error:" in result.output
+
+    @pytest.mark.parametrize("subtarget", ["bh", "summing", "blei"])
+    def test_complex_field_without_a_suite_is_rejected(self, subtarget):
+        result = CliRunner().invoke(
+            main, ["verify", subtarget, "--field", "complex", "--trials", "2"]
+        )
+        assert result.exit_code == 2
+        assert "no complex suite" in result.output
+
+    def test_baselines_beyond_the_double_range_exit_2(self):
+        result = CliRunner().invoke(main, ["baselines", "--max-m", "2100"])
+        assert result.exit_code == 2
+        assert "double range" in result.output
+
+    @pytest.mark.parametrize(
+        "field, m2047",
+        # values printed at the parent commit by --max-m 2047 (best is halving there)
+        [("real", 49.98289912795819), ("complex", 35.90486337408861)],
+    )
+    def test_best_table_beyond_the_double_range(self, field, m2047):
+        result = CliRunner().invoke(
+            main,
+            ["constants", "--field", field, "--strategy", "best", "--max-m", "2100", "--format", "csv"],
+        )
+        assert result.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(result.output)))
+        assert [int(row["m"]) for row in rows] == list(range(2, 2101))
+        assert float(rows[2047 - 2]["value"]) == m2047
+        assert all(math.isfinite(float(row["value"])) for row in rows)
+
+    def test_version_needs_no_installed_metadata(self):
+        result = CliRunner().invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert bhc.__version__ in result.output
+
+    def test_in_process_runs_release_their_stdout(self):
+        # a long-lived caller that redirects stdout per command must not keep
+        # every output alive
+        released = []
+        for _ in range(3):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+                main.main(["constants", "--max-m", "3"], standalone_mode=True)
+            assert "2^(1/2)" in out.getvalue()
+            released.append(weakref.ref(out))
+            del out
+        gc.collect()
+        assert all(ref() is None for ref in released)
