@@ -35,16 +35,8 @@ from .reports import (
     run_verify,
 )
 
-_FIELDS = {"real": Field.REAL, "complex": Field.COMPLEX}
-_STRATEGIES = {
-    "one-step": Strategy.ONE_STEP,
-    "two-step": Strategy.TWO_STEP,
-    "halving": Strategy.HALVING,
-    "best": Strategy.BEST,
-    "baseline-original": Strategy.BASELINE_ORIGINAL,
-    "baseline-kaijser": Strategy.BASELINE_KAIJSER,
-    "baseline-queffelec-ds": Strategy.BASELINE_QUEFFELEC_DS,
-}
+_FIELDS = {f.value: f for f in Field}
+_STRATEGIES = {s.value: s for s in Strategy}
 
 _field_option = click.option(
     "--field", "field_name", type=click.Choice(sorted(_FIELDS)), default="real", show_default=True

@@ -2,42 +2,43 @@
 
 For an m-linear form on l_inf^N the coefficient l_{2m/(m+1)} norm is bounded
 by C_{K,m} times the operator norm.  This module computes upper bounds for
-C_{K,m} (K = R or C) four ways and keeps them comparable:
+C_{K,m} (K = R or C): the three classical closed forms (``baseline``:
+original, Kaijser, Queffelec / Defant-Sevilla-Peris) and three recursions,
+one-step (level m from m-1), two-step (from m-2, real scalars only) and
+halving (from m/2, or from (m-1)/2 and (m+1)/2), the sharpest strategy and
+the source of the reported tables.  Every value is a valid upper bound;
+``best_constant`` takes the minimum.
 
-* ``baseline``       -- the three classical closed forms (original, Kaijser,
-                        Queffelec / Defant-Sevilla-Peris).
-* ``*_one_step``     -- level m from level m-1,
-                        C_m = 2^((m-1)/2m) (C_{m-1} / A_{(2m-2)/m})^(1-1/m).
-* ``real_two_step``  -- level m from level m-2,
-                        C_m = 2^(1/2) (C_{m-2} / A_{(2m-4)/(m-1)}^2)^((m-2)/m).
-* ``*_halving``      -- level m from m/2 (even) or from (m-1)/2 and (m+1)/2
-                        combined with Blei weights f1, f2 (odd); the sharpest
-                        strategy and the source of the reported tables.
+Every recursion takes the same Blei/Khinchine step
 
-Every value is a valid upper bound; ``best_constant`` takes the minimum.
+    C_m <= 2^a * prod_i (C_{m_i} / A_{p_i}^{k_i})^{f_i}
+
+with other parameters.  ``_RULES`` holds them, one entry per rule
+(``one-step``, ``two-step``, ``even-halving``, ``odd-split``): the child
+levels m_i, the Blei split, the (p_i, k_i) of each Khinchine constant, the
+shift a and the weights f_i.  One float update and one exact update read an
+entry; the ladders derive their levels through both, and ``replay_trace``
+recomputes a trace through the float one.
 
 While the consumed Khinchine constants stay on their dyadic branch, each
 constant is exactly of the form 2^a * (2/sqrt(pi))^b * K_G^c with rational
 exponents, carried alongside the float in a :class:`PowerProduct`.  This is
 what makes identities such as C_{R,m} = 2^(1/2) C_{R,m/2} (even m <= 24)
-testable exactly rather than to float tolerance.  Each record also carries a
-derivation trace that can be replayed step by step.
+testable exactly rather than to float tolerance.
 
-Each strategy is a ladder of levels.  Level k is derived once from its child
-levels (k-1, k-2, or the two halves) and holds its float value, its exact
-closed form and one :class:`TraceStep` with the Blei split and Khinchine
-constants it used.  A ladder lives for one call, and every record that call
-returns reads its value, closed form and trace from the shared levels.  So
-``constants_table`` and ``constants_columns`` derive each level of m = 2..M
-once, O(M) steps in all, and the single-level functions derive only the
-levels that m rests on.
+Each strategy is a ladder of levels, each derived once per call from its
+child levels and holding its float value, its exact closed form and one
+:class:`TraceStep`.  Every record a call returns reads its value, closed
+form and trace from the shared levels, so ``constants_table`` and
+``constants_columns`` cost O(M) steps for m = 2..M, and the single-level
+functions derive only the levels that m rests on.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -92,13 +93,6 @@ class Strategy(Enum):
     BASELINE_QUEFFELEC_DS = "baseline-queffelec-ds"
 
 
-_BASELINE_STRATEGY = {
-    BaselineKind.ORIGINAL: Strategy.BASELINE_ORIGINAL,
-    BaselineKind.KAIJSER: Strategy.BASELINE_KAIJSER,
-    BaselineKind.QUEFFELEC_DS: Strategy.BASELINE_QUEFFELEC_DS,
-}
-
-
 @dataclass(frozen=True)
 class PowerProduct:
     """Exact value 2^two * (2/sqrt(pi))^tosp * K_G^kg with rational exponents."""
@@ -151,7 +145,7 @@ class KhinchineUse:
 class TraceStep:
     """One derivation step; ``children`` refer to earlier steps' levels."""
 
-    rule: str  # "base" | "baseline" | "even-halving" | "odd-split" | "one-step" | "two-step"
+    rule: str  # "base" | "baseline" | a key of ``_RULES``
     m: int
     children: tuple[int, ...]
     split: ExponentSplit | None
@@ -167,10 +161,25 @@ class ConstantRecord:
     field: Field
     strategy: Strategy
     value: float
-    dyadic_exponent: Fraction | None
-    extra_factor: str | None
     closed_form: PowerProduct | None
     trace: tuple[TraceStep, ...]
+
+    @property
+    def dyadic_exponent(self) -> Fraction | None:
+        """The rational a when the constant is exactly 2^a."""
+        if self.closed_form is not None and self.closed_form.is_dyadic():
+            return self.closed_form.two
+        return None
+
+    @property
+    def extra_factor(self) -> str | None:
+        """The exact form when it is not a plain power of two."""
+        if self.strategy is Strategy.BASELINE_ORIGINAL:  # no PowerProduct holds m^(...)
+            m = self.m
+            return f"{m}^({m + 1}/{2 * m}) * 2^({m - 1}/2)"
+        if self.closed_form is not None and not self.closed_form.is_dyadic():
+            return self.closed_form.describe()
+        return None
 
 
 def _require_level(m: int) -> None:
@@ -178,27 +187,108 @@ def _require_level(m: int) -> None:
         raise DomainError(f"the level m must be an integer >= 2, got {m!r}")
 
 
-def _a_use(p: Fraction, power: Fraction | int) -> tuple[HaagerupConstants, KhinchineUse]:
-    a = khinchine_a(p)
-    return a, KhinchineUse(a.p, a.a_p, Fraction(power), a.branch)
+# --------------------------------------------------------------------------
+# The rule table: one Blei/Khinchine step, four parameter sets
+# --------------------------------------------------------------------------
+
+def _descent_split(m: int, s1: Fraction, s2: Fraction, kind: SplitKind) -> ExponentSplit:
+    q = Fraction(2)
+    w = blei_w(q, s1, s2)
+    return ExponentSplit(m, q, s1, s2, w, blei_f(q, s1, s2), blei_f(q, s2, s1), kind)
 
 
-def _record(
-    m: int,
-    field: Field,
-    strategy: Strategy,
-    value: float,
-    closed: PowerProduct | None,
-    trace: tuple[TraceStep, ...],
-    extra_factor: str | None = None,
-) -> ConstantRecord:
-    dyadic = None
-    if closed is not None:
-        if closed.is_dyadic():
-            dyadic = closed.two
-        elif extra_factor is None:
-            extra_factor = closed.describe()
-    return ConstantRecord(m, field, strategy, value, dyadic, extra_factor, closed, trace)
+@dataclass(frozen=True)
+class _Rule:
+    """C_k <= 2^shift(k) * prod_i (C_{children(k)_i} / A_{p_i}^{power_i})^{f_i}.
+
+    ``khinchine`` gives the (p_i, power_i) and ``weights`` the exact f_i; the
+    float update takes ``float_weights`` where set, float(f_i) otherwise.
+    ``shift`` and the weights read no more of the split than f1 and f2.
+    """
+
+    children: Callable[[int], tuple[int, ...]]
+    split: Callable[[int], ExponentSplit]
+    khinchine: Callable[[int, ExponentSplit], tuple[tuple[Fraction, Fraction], ...]]
+    shift: Callable[[int], Fraction | int]
+    weights: Callable[[int, ExponentSplit], tuple[Fraction | int, ...]]
+    float_weights: Callable[[int], tuple[float, ...]] | None = None
+
+
+_RULES = {
+    # C_m = 2^((m-1)/2m) (C_{m-1} / A_{(2m-2)/m})^((m-1)/m)
+    "one-step": _Rule(
+        children=lambda k: (k - 1,),
+        # descent via the (1, m-1) partition: s1 = 1, s2 = (2m-2)/m
+        split=lambda k: _descent_split(k, Fraction(1), Fraction(2 * k - 2, k), SplitKind.ONE_STEP),
+        khinchine=lambda k, split: ((split.s2, Fraction(1)),),
+        shift=lambda k: Fraction(k - 1, 2 * k),
+        weights=lambda k, split: (split.f2,),  # f2 = (k-1)/k
+        # the published tables round (k-1)/k this way; float(f2) differs
+        # in the last bit at k = 3, 7, 19, ...
+        float_weights=lambda k: (1.0 - 1.0 / k,),
+    ),
+    # C_m = 2^(1/2) (C_{m-2} / A_{(2m-4)/(m-1)}^2)^((m-2)/m)
+    "two-step": _Rule(
+        children=lambda k: (k - 2,),
+        # descent via the (2, m-2) partition: s1 = 4/3, s2 = (2m-4)/(m-1)
+        split=lambda k: _descent_split(
+            k, Fraction(4, 3), Fraction(2 * k - 4, k - 1), SplitKind.TWO_STEP
+        ),
+        khinchine=lambda k, split: ((split.s2, Fraction(2)),),
+        shift=lambda k: Fraction(1, 2),
+        weights=lambda k, split: (split.f2,),  # f2 = (k-2)/k
+    ),
+    # C_m = C_{m/2} / A_{2m/(m+2)}^(m/2): both halves are level m/2, so
+    # their weights f1 = f2 = 1/2 merge into one factor
+    "even-halving": _Rule(
+        children=lambda k: (k // 2,),
+        split=lambda k: even_split(k),  # by name, so a patched even_split takes effect
+        khinchine=lambda k, split: ((split.s1, Fraction(k, 2)),),
+        shift=lambda k: 0,
+        weights=lambda k, split: (1,),
+    ),
+    # C_m = (C_{(m-1)/2} / A_{s1}^((m+1)/2))^f1 (C_{(m+1)/2} / A_{s2}^((m-1)/2))^f2
+    "odd-split": _Rule(
+        children=lambda k: ((k - 1) // 2, (k + 1) // 2),
+        split=lambda k: odd_split(k),
+        khinchine=lambda k, split: ((split.s1, Fraction(k + 1, 2)), (split.s2, Fraction(k - 1, 2))),
+        shift=lambda k: 0,
+        weights=lambda k, split: (split.f1, split.f2),
+    ),
+}
+
+
+def _float_update(
+    rule: _Rule,
+    k: int,
+    split: ExponentSplit,
+    children: Sequence[float],
+    uses: Sequence[KhinchineUse],
+) -> float:
+    """The float value of level k from its children's values and constants."""
+    weights = rule.float_weights(k) if rule.float_weights else map(float, rule.weights(k, split))
+    return 2.0 ** float(rule.shift(k)) * math.prod(
+        (child / use.value ** float(use.power)) ** w
+        for child, use, w in zip(children, uses, weights)
+    )
+
+
+def _exact_update(
+    rule: _Rule,
+    k: int,
+    split: ExponentSplit,
+    children: Sequence[PowerProduct | None],
+    uses: Sequence[KhinchineUse],
+    constants: Sequence[HaagerupConstants],
+) -> PowerProduct | None:
+    """The closed form of level k, if every child has one and every constant is dyadic."""
+    if None in children or any(a.branch is not Branch.DYADIC_POWER for a in constants):
+        return None
+    terms = (
+        child.shift_two(-use.power * a.a_exponent).scale(w)
+        for child, use, a, w in zip(children, uses, constants, rule.weights(k, split))
+    )
+    return functools.reduce(PowerProduct.combine, terms).shift_two(rule.shift(k))
 
 
 # --------------------------------------------------------------------------
@@ -211,8 +301,8 @@ class _Ladder:
     Level k is one :class:`TraceStep` and its exact closed form.  A ladder
     lives for one call: every record the call returns reads its value,
     closed form and trace from these shared levels, so a table over
-    m = 2..M derives each level once.  Subclasses give the bases, the child
-    levels of a level and the step that derives it from them.
+    m = 2..M derives each level once.  Subclasses give the bases, the rule
+    that derives a level and the trace walk.
     """
 
     strategy: Strategy
@@ -225,14 +315,26 @@ class _Ladder:
             self.steps[k] = TraceStep("base", k, (), None, (), value)
             self.closed[k] = closed
 
+    def rule(self, k: int) -> str:
+        """The key in ``_RULES`` of the rule that derives level k."""
+        raise NotImplementedError
+
     def children(self, k: int) -> tuple[int, ...]:
-        return ()
+        return _RULES[self.rule(k)].children(k)
 
     def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
-        raise NotImplementedError
-
-    def trace(self, m: int) -> tuple[TraceStep, ...]:
-        raise NotImplementedError
+        name = self.rule(k)
+        rule = _RULES[name]
+        children = rule.children(k)
+        split = rule.split(k)
+        pairs = rule.khinchine(k, split)
+        constants = [khinchine_a(p) for p, _ in pairs]
+        uses = tuple(
+            [KhinchineUse(a.p, a.a_p, power, a.branch) for a, (_, power) in zip(constants, pairs)]
+        )
+        value = _float_update(rule, k, split, [self.steps[c].value for c in children], uses)
+        closed = _exact_update(rule, k, split, [self.closed[c] for c in children], uses, constants)
+        return TraceStep(name, k, children, split, uses, value), closed
 
     def value(self, m: int) -> float:
         """Value of level m, deriving first the levels it rests on."""
@@ -253,16 +355,17 @@ class _Ladder:
 
     def record(self, m: int) -> ConstantRecord:
         value = self.value(m)
-        return _record(m, self.field, self.strategy, value, self.closed[m], self.trace(m))
+        return ConstantRecord(m, self.field, self.strategy, value, self.closed[m], self.trace(m))
 
 
 class _Chain(_Ladder):
     """A ladder whose level k rests on level k - stride alone."""
 
+    step_rule: str
     stride: int
 
-    def children(self, k: int) -> tuple[int, ...]:
-        return (k - self.stride,)
+    def rule(self, k: int) -> str:
+        return self.step_rule
 
     def trace(self, m: int) -> tuple[TraceStep, ...]:
         start = m - (m - 2) // self.stride * self.stride  # the chain's base level, 2 or 3
@@ -270,7 +373,7 @@ class _Chain(_Ladder):
 
 
 # --------------------------------------------------------------------------
-# Baselines
+# The strategies
 # --------------------------------------------------------------------------
 
 class _Baseline(_Ladder):
@@ -279,6 +382,9 @@ class _Baseline(_Ladder):
     def __init__(self, field: Field, strategy: Strategy) -> None:
         super().__init__(field, {})
         self.strategy = strategy
+
+    def children(self, k: int) -> tuple[int, ...]:
+        return ()
 
     def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
         closed = None
@@ -295,14 +401,14 @@ class _Baseline(_Ladder):
             value = math.inf
         return TraceStep("baseline", k, (), None, (), value), closed
 
+    def trace(self, m: int) -> tuple[TraceStep, ...]:
+        return (self.steps[m],)
+
     def record(self, m: int) -> ConstantRecord:
-        value = self.value(m)
-        if math.isinf(value):
+        record = super().record(m)
+        if math.isinf(record.value):
             raise DomainError(f"the {self.strategy.value} constant at m={m} exceeds the double range")
-        extra = None
-        if self.strategy is Strategy.BASELINE_ORIGINAL:
-            extra = f"{m}^({m + 1}/{2 * m}) * 2^({m - 1}/2)"
-        return _record(m, self.field, self.strategy, value, self.closed[m], (self.steps[m],), extra)
+        return record
 
 
 def baseline(m: int, kind: BaselineKind, field: Field = Field.COMPLEX) -> ConstantRecord:
@@ -311,44 +417,23 @@ def baseline(m: int, kind: BaselineKind, field: Field = Field.COMPLEX) -> Consta
     Raises :class:`DomainError` where the constant exceeds the double range
     (m >= 2039 for the original and m >= 2049 for Kaijser's).
     """
-    return _Baseline(field, _BASELINE_STRATEGY[kind]).record(m)
+    return _Baseline(field, Strategy(f"baseline-{kind.value}")).record(m)
 
 
-# --------------------------------------------------------------------------
-# One-step recursion (level m from level m-1)
-# --------------------------------------------------------------------------
-
-def _one_step_split(m: int) -> ExponentSplit:
-    # Descent via the (1, m-1) partition: s1 = 1, s2 = (2m-2)/m.
-    q = Fraction(2)
-    s1 = Fraction(1)
-    s2 = Fraction(2 * m - 2, m)
-    return ExponentSplit(
-        m, q, s1, s2, blei_w(q, s1, s2), blei_f(q, s1, s2), blei_f(q, s2, s1), SplitKind.ONE_STEP
-    )
+# The real bases C_2 = 2^(1/2) and C_3 = 2^(5/6)
+_REAL_BASES = {
+    k: (2.0 ** float(e), PowerProduct(two=e)) for k, e in ((2, Fraction(1, 2)), (3, Fraction(5, 6)))
+}
 
 
 class _OneStep(_Chain):
     strategy = Strategy.ONE_STEP
+    step_rule = "one-step"
     stride = 1
 
     def __init__(self, field: Field) -> None:
-        if field is Field.REAL:
-            base = (math.sqrt(2.0), PowerProduct(two=Fraction(1, 2)))
-        else:
-            base = (K_G_UPPER, PowerProduct(kg=Fraction(1)))
+        base = _REAL_BASES[2] if field is Field.REAL else (K_G_UPPER, PowerProduct(kg=Fraction(1)))
         super().__init__(field, {2: base})
-
-    def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
-        a, use = _a_use(Fraction(2 * k - 2, k), 1)
-        value = 2.0 ** ((k - 1) / (2 * k)) * (self.steps[k - 1].value / a.a_p) ** (1.0 - 1.0 / k)
-        closed = self.closed[k - 1]
-        if closed is not None and a.branch is Branch.DYADIC_POWER:
-            closed = closed.shift_two(-a.a_exponent).scale(Fraction(k - 1, k))
-            closed = closed.shift_two(Fraction(k - 1, 2 * k))
-        else:
-            closed = None
-        return TraceStep("one-step", k, (k - 1,), _one_step_split(k), (use,), value), closed
 
 
 def real_one_step(m: int) -> ConstantRecord:
@@ -364,45 +449,15 @@ def complex_one_step(m: int) -> ConstantRecord:
     return _OneStep(Field.COMPLEX).record(m)
 
 
-# --------------------------------------------------------------------------
-# Two-step recursion (level m from level m-2; real scalars only)
-# --------------------------------------------------------------------------
-
-def _two_step_split(m: int) -> ExponentSplit:
-    # Descent via the (2, m-2) partition: s1 = 4/3, s2 = (2m-4)/(m-1).
-    q = Fraction(2)
-    s1 = Fraction(4, 3)
-    s2 = Fraction(2 * m - 4, m - 1)
-    return ExponentSplit(
-        m, q, s1, s2, blei_w(q, s1, s2), blei_f(q, s1, s2), blei_f(q, s2, s1), SplitKind.TWO_STEP
-    )
-
-
 class _TwoStep(_Chain):
     strategy = Strategy.TWO_STEP
+    step_rule = "two-step"
     stride = 2
 
     def __init__(self, field: Field) -> None:
         if field is not Field.REAL:
             raise DomainError("the two-step strategy is stated for real scalars only")
-        super().__init__(
-            field,
-            {
-                2: (math.sqrt(2.0), PowerProduct(two=Fraction(1, 2))),
-                3: (2.0 ** (5.0 / 6.0), PowerProduct(two=Fraction(5, 6))),
-            },
-        )
-
-    def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
-        a, use = _a_use(Fraction(2 * k - 4, k - 1), 2)
-        value = math.sqrt(2.0) * (self.steps[k - 2].value / a.a_p**2) ** ((k - 2) / k)
-        closed = self.closed[k - 2]
-        if closed is not None and a.branch is Branch.DYADIC_POWER:
-            closed = closed.shift_two(-2 * a.a_exponent).scale(Fraction(k - 2, k))
-            closed = closed.shift_two(Fraction(1, 2))
-        else:
-            closed = None
-        return TraceStep("two-step", k, (k - 2,), _two_step_split(k), (use,), value), closed
+        super().__init__(field, _REAL_BASES)
 
 
 def real_two_step(m: int) -> ConstantRecord:
@@ -414,17 +469,14 @@ def real_two_step(m: int) -> ConstantRecord:
     return _TwoStep(Field.REAL).record(m)
 
 
-# --------------------------------------------------------------------------
-# Halving recursion (the sharpest strategy)
-# --------------------------------------------------------------------------
-
 class _Halving(_Ladder):
+    """The sharpest strategy: even levels halve, odd levels split."""
+
     strategy = Strategy.HALVING
 
     def __init__(self, field: Field) -> None:
         if field is Field.REAL:
-            exponents = {2: Fraction(1, 2), 3: Fraction(5, 6)}
-            bases = {k: (2.0 ** float(e), PowerProduct(two=e)) for k, e in exponents.items()}
+            bases = _REAL_BASES
         else:
             bases = {
                 k: (TWO_OVER_SQRT_PI ** (k - 1), PowerProduct(tosp=Fraction(k - 1)))
@@ -432,8 +484,8 @@ class _Halving(_Ladder):
             }
         super().__init__(field, bases)
 
-    def children(self, k: int) -> tuple[int, ...]:
-        return (k // 2,) if k % 2 == 0 else ((k - 1) // 2, (k + 1) // 2)
+    def rule(self, k: int) -> str:
+        return "even-halving" if k % 2 == 0 else "odd-split"
 
     def trace(self, m: int) -> tuple[TraceStep, ...]:
         """Post-order walk from level m, low child before high, each level once."""
@@ -449,38 +501,6 @@ class _Halving(_Ladder):
                 pending.append((k, True))
                 pending.extend((c, False) for c in reversed(self.steps[k].children))
         return tuple(out)
-
-    def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
-        if k % 2 == 0:
-            child = k // 2
-            split = even_split(k)
-            a, use = _a_use(split.s1, Fraction(k, 2))
-            value = self.steps[child].value / a.a_p ** (k / 2)
-            closed = None
-            if self.closed[child] is not None and a.branch is Branch.DYADIC_POWER:
-                closed = self.closed[child].shift_two(-Fraction(k, 2) * a.a_exponent)
-            return TraceStep("even-halving", k, (child,), split, (use,), value), closed
-        lo_k, hi_k = (k - 1) // 2, (k + 1) // 2
-        lo, hi = self.steps[lo_k].value, self.steps[hi_k].value
-        lo_closed, hi_closed = self.closed[lo_k], self.closed[hi_k]
-        split = odd_split(k)
-        a1, use1 = _a_use(split.s1, Fraction(k + 1, 2))
-        a2, use2 = _a_use(split.s2, Fraction(k - 1, 2))
-        value = (lo / a1.a_p ** ((k + 1) / 2)) ** float(split.f1) * (
-            hi / a2.a_p ** ((k - 1) / 2)
-        ) ** float(split.f2)
-        closed = None
-        if (
-            lo_closed is not None
-            and hi_closed is not None
-            and a1.branch is Branch.DYADIC_POWER
-            and a2.branch is Branch.DYADIC_POWER
-        ):
-            closed = lo_closed.shift_two(-Fraction(k + 1, 2) * a1.a_exponent).scale(split.f1)
-            closed = closed.combine(
-                hi_closed.shift_two(-Fraction(k - 1, 2) * a2.a_exponent).scale(split.f2)
-            )
-        return TraceStep("odd-split", k, (lo_k, hi_k), split, (use1, use2), value), closed
 
 
 def real_halving(m: int) -> ConstantRecord:
@@ -540,7 +560,7 @@ def _readers(
         if strategy not in ladders:
             if strategy in _LADDERS:
                 ladders[strategy] = _LADDERS[strategy](field)
-            elif strategy in _BASELINE_STRATEGY.values():
+            elif isinstance(strategy, Strategy) and strategy.name.startswith("BASELINE_"):
                 ladders[strategy] = _Baseline(field, strategy)
             else:
                 raise DomainError(f"unknown strategy {strategy!r}")
@@ -585,17 +605,12 @@ def constants_columns(
     return tuple(tuple(read(m) for m in range(2, m_max + 1)) for read in readers)
 
 
-def constants_table(
-    field: Field, strategy: Strategy, m_max: int, precision: int = 6
-) -> tuple[ConstantRecord, ...]:
+def constants_table(field: Field, strategy: Strategy, m_max: int) -> tuple[ConstantRecord, ...]:
     """Records for m = 2..m_max; deterministic and identical across runs.
 
     Each level of the strategy is derived once, so the table costs O(m_max)
-    steps.  ``precision`` is the rendering hint echoed to the report layer;
-    the records themselves always carry full-precision floats.
+    steps.
     """
-    if not 1 <= precision <= 12:
-        raise DomainError(f"precision must lie in [1, 12], got {precision}")
     return constants_columns(field, (strategy,), m_max)[0]
 
 
@@ -607,34 +622,18 @@ def replay_trace(trace: tuple[TraceStep, ...]) -> float:
     """Recompute the final value of a derivation trace from its steps.
 
     Base and baseline values are taken as recorded (they are the axioms of
-    the derivation); every other step is recomputed from previously replayed
-    levels, so drift in the recursion arithmetic cannot hide.
+    the derivation); every other step is recomputed by the float update of
+    its rule from previously replayed levels and the recorded Khinchine
+    constants, without deriving splits or constants anew.
     """
     values: dict[int, float] = {}
     result = math.nan
     for step in trace:
         if step.rule in ("base", "baseline"):
             result = step.value
-        elif step.rule == "even-halving":
-            use = step.khinchine[0]
-            result = values[step.children[0]] / use.value ** float(use.power)
-        elif step.rule == "odd-split":
-            use1, use2 = step.khinchine
-            lo = values[step.children[0]]
-            hi = values[step.children[1]]
-            result = (lo / use1.value ** float(use1.power)) ** float(step.split.f1) * (
-                hi / use2.value ** float(use2.power)
-            ) ** float(step.split.f2)
-        elif step.rule == "one-step":
-            k = step.m
-            result = 2.0 ** ((k - 1) / (2 * k)) * (
-                values[step.children[0]] / step.khinchine[0].value
-            ) ** (1.0 - 1.0 / k)
-        elif step.rule == "two-step":
-            k = step.m
-            result = math.sqrt(2.0) * (
-                values[step.children[0]] / step.khinchine[0].value ** 2
-            ) ** ((k - 2) / k)
+        elif step.rule in _RULES:
+            children = [values[c] for c in step.children]
+            result = _float_update(_RULES[step.rule], step.m, step.split, children, step.khinchine)
         else:
             raise ValueError(f"unknown trace rule {step.rule!r}")
         values[step.m] = result

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from typing import Any
 
 import numpy as np
@@ -93,28 +93,12 @@ class RunConfig:
             raise DomainError(f"unknown format {self.format!r}")
 
     def echo(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"command": self.command}
-        for key in (
-            "field",
-            "strategy",
-            "m",
-            "m_max",
-            "dim",
-            "n",
-            "p",
-            "trials",
-            "budget",
-            "seed",
-            "format",
-            "precision",
-            "compare",
-            "verbose",
-            "subtarget",
-        ):
-            value = getattr(self, key)
+        out: dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is None:
                 continue
-            out[key] = value.value if isinstance(value, (Field, Strategy)) else value
+            out[f.name] = value.value if isinstance(value, (Field, Strategy)) else value
         return out
 
 
@@ -199,20 +183,17 @@ def _table_cell(value: Any, precision: int) -> str:
 # --------------------------------------------------------------------------
 
 def _exponent_json(record: ConstantRecord) -> dict[str, int] | None:
-    if record.dyadic_exponent is None:
+    exponent = record.dyadic_exponent
+    if exponent is None:
         return None
-    return {
-        "num": record.dyadic_exponent.numerator,
-        "den": record.dyadic_exponent.denominator,
-    }
+    return {"num": exponent.numerator, "den": exponent.denominator}
 
 
 def _exact_label(record: ConstantRecord) -> str:
-    if record.dyadic_exponent is not None:
-        return f"2^({record.dyadic_exponent})"
-    if record.extra_factor is not None:
-        return record.extra_factor
-    return ""
+    exponent = record.dyadic_exponent
+    if exponent is not None:
+        return f"2^({exponent})"
+    return record.extra_factor or ""
 
 
 def constant_row(record: ConstantRecord, compare_with: tuple = ()) -> dict[str, Any]:
@@ -356,10 +337,23 @@ def _or_default(value, default):
     return default if value is None else value
 
 
+# The size flags each verify suite reads; any other is rejected, not ignored.
+_VERIFY_FLAGS = {"khinchine": ("n", "p"), "blei": (), "bh": ("m", "dim"), "summing": ("m", "dim")}
+
+
 def run_verify(cfg: RunConfig) -> ReportDocument:
     trials = cfg.trials if cfg.trials is not None else 100
+    if cfg.subtarget not in _VERIFY_FLAGS:
+        raise DomainError(f"unknown verify subtarget {cfg.subtarget!r}")
     if cfg.field is Field.COMPLEX and cfg.subtarget in ("bh", "summing", "blei"):
         raise DomainError(f"verify {cfg.subtarget} has no complex suite; use --field real")
+    unread = [
+        f"--{name}"
+        for name in ("m", "dim", "n", "p")
+        if getattr(cfg, name) is not None and name not in _VERIFY_FLAGS[cfg.subtarget]
+    ]
+    if unread:
+        raise DomainError(f"verify {cfg.subtarget} does not read {', '.join(unread)}")
     if cfg.subtarget == "khinchine":
         ps = (cfg.p,) if cfg.p is not None else (1.0, 4.0 / 3.0, 1.5, 5.0 / 3.0, 2.0)
         reports = khinchine_suite(trials, n_max=_or_default(cfg.n, 10), ps=ps, seed=cfg.seed)
@@ -367,10 +361,8 @@ def run_verify(cfg: RunConfig) -> ReportDocument:
         reports = blei_suite(trials, seed=cfg.seed)
     elif cfg.subtarget == "bh":
         reports = bh_suite(_or_default(cfg.m, 2), _or_default(cfg.dim, 2), trials, seed=cfg.seed)
-    elif cfg.subtarget == "summing":
-        reports = summing_suite(_or_default(cfg.m, 2), _or_default(cfg.dim, 2), trials, seed=cfg.seed)
     else:
-        raise DomainError(f"unknown verify subtarget {cfg.subtarget!r}")
+        reports = summing_suite(_or_default(cfg.m, 2), _or_default(cfg.dim, 2), trials, seed=cfg.seed)
     failures = [report_row(r) for r in reports if not r.passed]
     if cfg.verbose:
         rows = [report_row(r) for r in reports]

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import weakref
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -15,7 +17,7 @@ import bhc
 import bhc.reports as reports
 from bhc.cli import main
 from bhc.core import DomainError, Field
-from bhc.recursion import Strategy
+from bhc.recursion import Strategy, compute_constant, replay_trace
 from bhc.reports import RunConfig, run_baselines, run_constants, run_explain, run_search, run_verify
 from bhc.verify import VerificationReport
 
@@ -161,6 +163,42 @@ class TestCli:
         assert result.exit_code == 0
         assert "C_R(2)" in result.output
 
+    @pytest.mark.parametrize(
+        "field, strategy, m",
+        [
+            ("real", "one-step", 30),
+            ("complex", "one-step", 30),
+            ("real", "two-step", 31),
+            ("real", "halving", 37),
+            ("complex", "halving", 50),
+            ("real", "best", 257),
+            ("complex", "baseline-original", 9),
+        ],
+    )
+    def test_printed_trace_replays(self, field, strategy, m):
+        argv = ["explain", "--field", field, "--strategy", strategy, "--m", str(m), "--format", "json"]
+        rows = json.loads(CliRunner().invoke(main, argv).output)["rows"]
+
+        def step(row):
+            # only what a reader of the JSON rows can rebuild
+            split = row["split"]
+            if split is not None:
+                split = SimpleNamespace(f1=Fraction(split["f1"]), f2=Fraction(split["f2"]))
+            return SimpleNamespace(
+                rule=row["rule"],
+                m=row["m"],
+                children=tuple(row["children"]),
+                split=split,
+                khinchine=tuple(
+                    SimpleNamespace(value=use["value"], power=Fraction(use["power"]))
+                    for use in row["khinchine"]
+                ),
+                value=row["value"],
+            )
+
+        record = compute_constant(m, Field(field), Strategy(strategy))
+        assert replay_trace(tuple(step(row) for row in rows)) == record.value == rows[-1]["value"]
+
     def test_verify_exit_zero(self):
         runner = CliRunner()
         result = runner.invoke(main, ["verify", "blei", "--trials", "20", "--seed", "7"])
@@ -247,6 +285,21 @@ class TestCli:
         )
         assert result.exit_code == 2
         assert "no complex suite" in result.output
+
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["verify", "blei", "--m", "3", "--dim", "9", "--n", "4"], "--m, --dim, --n"),
+            (["verify", "khinchine", "--m", "5", "--dim", "3"], "--m, --dim"),
+            (["verify", "bh", "--p", "1.5", "--n", "3"], "--n, --p"),
+            (["verify", "summing", "--m", "2", "--n", "3"], "--n"),
+        ],
+    )
+    def test_flags_a_suite_does_not_read_are_rejected(self, argv, unread):
+        result = CliRunner().invoke(main, [*argv, "--trials", "2"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"does not read {unread}" in result.output
 
     def test_baselines_beyond_the_double_range_exit_2(self):
         result = CliRunner().invoke(main, ["baselines", "--max-m", "2100"])
