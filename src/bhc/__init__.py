@@ -23,6 +23,7 @@ from .recursion import (
     compute_constant,
     constants_columns,
     constants_table,
+    is_stated_for,
     real_halving,
     real_one_step,
     real_two_step,
@@ -62,6 +63,7 @@ __all__ = [
     "compute_constant",
     "constants_columns",
     "constants_table",
+    "is_stated_for",
     "real_halving",
     "real_one_step",
     "real_two_step",

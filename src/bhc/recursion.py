@@ -26,10 +26,12 @@ exponents, carried alongside the float in a :class:`PowerProduct`.  This is
 what makes identities such as C_{R,m} = 2^(1/2) C_{R,m/2} (even m <= 24)
 testable exactly rather than to float tolerance.
 
-Each strategy is a ladder of levels, each derived once per call from its
-child levels and holding its float value, its exact closed form and one
-:class:`TraceStep`.  Every record a call returns reads its value, closed
-form and trace from the shared levels, so ``constants_table`` and
+``_STRATEGIES`` is the companion of ``_RULES``: for each strategy, the
+fields it is stated for with their base levels, and the rules that derive
+every other level (none for a baseline, whose levels are closed forms).
+One ``_Ladder`` reads it and derives each level of a (field, strategy) once
+per call, with its float value, closed form and one :class:`TraceStep`.
+Every record reads these shared levels, so ``constants_table`` and
 ``constants_columns`` cost O(M) steps for m = 2..M, and the single-level
 functions derive only the levels that m rests on.
 """
@@ -64,6 +66,7 @@ __all__ = [
     "complex_halving",
     "best_constant",
     "compute_constant",
+    "is_stated_for",
     "constants_columns",
     "constants_table",
     "replay_trace",
@@ -292,38 +295,102 @@ def _exact_update(
 
 
 # --------------------------------------------------------------------------
-# Ladders: each level derived once per call
+# The strategy table, and the ladder that reads it: each level derived once
 # --------------------------------------------------------------------------
+
+def _classical(strategy: Strategy, k: int) -> tuple[float, PowerProduct | None]:
+    """A baseline's closed form at level k; inf beyond the double range."""
+    try:
+        if strategy is Strategy.BASELINE_ORIGINAL:  # no PowerProduct holds m^(...)
+            return k ** ((k + 1) / (2 * k)) * 2.0 ** ((k - 1) / 2), None
+        if strategy is Strategy.BASELINE_KAIJSER:
+            return 2.0 ** ((k - 1) / 2), PowerProduct(two=Fraction(k - 1, 2))
+        return TWO_OVER_SQRT_PI ** (k - 1), PowerProduct(tosp=Fraction(k - 1))
+    except OverflowError:
+        return math.inf, None
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How one strategy derives its levels.
+
+    ``bases``: the base levels of each field the strategy is stated for.
+    ``rules``: the keys in ``_RULES`` that derive every other (even, odd)
+    level, or None for a baseline, whose every level is its closed form.
+    """
+
+    bases: dict[Field, dict[int, tuple[float, PowerProduct]]]
+    rules: tuple[str, str] | None = None
+
+
+# The real bases C_2 = 2^(1/2) and C_3 = 2^(5/6)
+_REAL_BASES = {
+    k: (2.0 ** float(e), PowerProduct(two=e)) for k, e in ((2, Fraction(1, 2)), (3, Fraction(5, 6)))
+}
+
+_STRATEGIES = {
+    Strategy.BASELINE_ORIGINAL: _Plan(dict.fromkeys(Field, {})),
+    Strategy.BASELINE_KAIJSER: _Plan(dict.fromkeys(Field, {})),
+    # (2/sqrt(pi))^(m-1) rests on the complex Khinchine constants; for real
+    # scalars it falls below the lower bound 2^(1-1/m) at m = 2..5
+    Strategy.BASELINE_QUEFFELEC_DS: _Plan({Field.COMPLEX: {}}),
+    Strategy.HALVING: _Plan(
+        {
+            Field.REAL: _REAL_BASES,
+            Field.COMPLEX: {
+                k: (TWO_OVER_SQRT_PI ** (k - 1), PowerProduct(tosp=Fraction(k - 1)))
+                for k in range(2, 7)
+            },
+        },
+        ("even-halving", "odd-split"),
+    ),
+    Strategy.TWO_STEP: _Plan({Field.REAL: _REAL_BASES}, ("two-step", "two-step")),
+    Strategy.ONE_STEP: _Plan(
+        {
+            Field.REAL: {2: _REAL_BASES[2]},
+            Field.COMPLEX: {2: (K_G_UPPER, PowerProduct(kg=Fraction(1)))},
+        },
+        ("one-step", "one-step"),
+    ),
+}
+
+
+def is_stated_for(field: Field, strategy: Strategy) -> bool:
+    """Whether ``strategy`` gives constants for ``field`` (``BEST`` does for both)."""
+    return strategy is Strategy.BEST or field in _STRATEGIES[strategy].bases
+
 
 class _Ladder:
     """The levels of one (field, strategy), each derived once, on first use.
 
     Level k is one :class:`TraceStep` and its exact closed form.  A ladder
-    lives for one call: every record the call returns reads its value,
-    closed form and trace from these shared levels, so a table over
-    m = 2..M derives each level once.  Subclasses give the bases, the rule
-    that derives a level and the trace walk.
+    lives for one call, and every record the call returns reads its value,
+    closed form and trace from these shared levels.
     """
 
-    strategy: Strategy
-
-    def __init__(self, field: Field, bases: dict[int, tuple[float, PowerProduct]]) -> None:
-        self.field = field
+    def __init__(self, field: Field, strategy: Strategy) -> None:
+        plan = _STRATEGIES.get(strategy)
+        if plan is None:
+            raise DomainError(f"unknown strategy {strategy!r}")
+        if field not in plan.bases:
+            stated = " and ".join(f.value for f in plan.bases)
+            raise DomainError(f"the {strategy.value} strategy is stated for {stated} scalars only")
+        self.field, self.strategy, self.rules = field, strategy, plan.rules
         self.steps: dict[int, TraceStep] = {}
         self.closed: dict[int, PowerProduct | None] = {}
-        for k, (value, closed) in bases.items():
+        self.traces: dict[int, tuple[TraceStep, ...]] = {}  # of the levels recorded so far
+        for k, (value, closed) in plan.bases[field].items():
             self.steps[k] = TraceStep("base", k, (), None, (), value)
             self.closed[k] = closed
 
-    def rule(self, k: int) -> str:
-        """The key in ``_RULES`` of the rule that derives level k."""
-        raise NotImplementedError
-
     def children(self, k: int) -> tuple[int, ...]:
-        return _RULES[self.rule(k)].children(k)
+        return _RULES[self.rules[k % 2]].children(k) if self.rules else ()
 
     def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
-        name = self.rule(k)
+        if not self.rules:
+            value, closed = _classical(self.strategy, k)
+            return TraceStep("baseline", k, (), None, (), value), closed
+        name = self.rules[k % 2]
         rule = _RULES[name]
         children = rule.children(k)
         split = rule.split(k)
@@ -353,92 +420,55 @@ class _Ladder:
                 self.steps[k], self.closed[k] = self.derive(k)
         return self.steps[m].value
 
+    def trace(self, m: int) -> tuple[TraceStep, ...]:
+        """Post-order walk from level m, low child before high, each level once.
+
+        A chain yields its levels from the base up to m, a baseline its one
+        step.  A level with one child whose trace was built before extends
+        that trace, so a chain's table walks each level once.
+        """
+        step = self.steps[m]
+        if len(step.children) == 1 and step.children[0] in self.traces:
+            trace = self.traces[step.children[0]] + (step,)
+        else:
+            out, seen, pending = [], set(), [(m, False)]
+            while pending:
+                k, expanded = pending.pop()
+                if expanded:
+                    out.append(self.steps[k])
+                elif k not in seen:
+                    seen.add(k)
+                    pending.append((k, True))
+                    pending.extend((c, False) for c in reversed(self.steps[k].children))
+            trace = tuple(out)
+        self.traces[m] = trace
+        return trace
+
     def record(self, m: int) -> ConstantRecord:
         value = self.value(m)
+        if math.isinf(value):
+            raise DomainError(f"the {self.strategy.value} constant at m={m} exceeds the double range")
         return ConstantRecord(m, self.field, self.strategy, value, self.closed[m], self.trace(m))
 
 
-class _Chain(_Ladder):
-    """A ladder whose level k rests on level k - stride alone."""
-
-    step_rule: str
-    stride: int
-
-    def rule(self, k: int) -> str:
-        return self.step_rule
-
-    def trace(self, m: int) -> tuple[TraceStep, ...]:
-        start = m - (m - 2) // self.stride * self.stride  # the chain's base level, 2 or 3
-        return tuple(self.steps[k] for k in range(start, m + 1, self.stride))
-
-
 # --------------------------------------------------------------------------
-# The strategies
+# Single levels, best-of and tables
 # --------------------------------------------------------------------------
-
-class _Baseline(_Ladder):
-    """A classical closed form; no level rests on another."""
-
-    def __init__(self, field: Field, strategy: Strategy) -> None:
-        super().__init__(field, {})
-        self.strategy = strategy
-
-    def children(self, k: int) -> tuple[int, ...]:
-        return ()
-
-    def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
-        closed = None
-        try:
-            if self.strategy is Strategy.BASELINE_ORIGINAL:
-                value = k ** ((k + 1) / (2 * k)) * 2.0 ** ((k - 1) / 2)
-            elif self.strategy is Strategy.BASELINE_KAIJSER:
-                closed = PowerProduct(two=Fraction(k - 1, 2))
-                value = 2.0 ** ((k - 1) / 2)
-            else:
-                closed = PowerProduct(tosp=Fraction(k - 1))
-                value = TWO_OVER_SQRT_PI ** (k - 1)
-        except OverflowError:
-            value = math.inf
-        return TraceStep("baseline", k, (), None, (), value), closed
-
-    def trace(self, m: int) -> tuple[TraceStep, ...]:
-        return (self.steps[m],)
-
-    def record(self, m: int) -> ConstantRecord:
-        record = super().record(m)
-        if math.isinf(record.value):
-            raise DomainError(f"the {self.strategy.value} constant at m={m} exceeds the double range")
-        return record
-
 
 def baseline(m: int, kind: BaselineKind, field: Field = Field.COMPLEX) -> ConstantRecord:
     """Classical constants: original, Kaijser 2^((m-1)/2), (2/sqrt(pi))^(m-1).
 
     Raises :class:`DomainError` where the constant exceeds the double range
-    (m >= 2039 for the original and m >= 2049 for Kaijser's).
+    (m >= 2039 for the original and m >= 2049 for Kaijser's), and for the
+    Queffelec / Defant-Sevilla-Peris constant with real scalars, for which
+    it is not stated.
     """
-    return _Baseline(field, Strategy(f"baseline-{kind.value}")).record(m)
-
-
-# The real bases C_2 = 2^(1/2) and C_3 = 2^(5/6)
-_REAL_BASES = {
-    k: (2.0 ** float(e), PowerProduct(two=e)) for k, e in ((2, Fraction(1, 2)), (3, Fraction(5, 6)))
-}
-
-
-class _OneStep(_Chain):
-    strategy = Strategy.ONE_STEP
-    step_rule = "one-step"
-    stride = 1
-
-    def __init__(self, field: Field) -> None:
-        base = _REAL_BASES[2] if field is Field.REAL else (K_G_UPPER, PowerProduct(kg=Fraction(1)))
-        super().__init__(field, {2: base})
+    return compute_constant(m, field, Strategy(f"baseline-{kind.value}"))
 
 
 def real_one_step(m: int) -> ConstantRecord:
     """One-step real constants; equal to 2^((m^2+m-2)/4m) for 2 <= m <= 13."""
-    return _OneStep(Field.REAL).record(m)
+    return compute_constant(m, Field.REAL, Strategy.ONE_STEP)
 
 
 def complex_one_step(m: int) -> ConstantRecord:
@@ -446,18 +476,7 @@ def complex_one_step(m: int) -> ConstantRecord:
 
     Equal to 2^((m^2+m-6)/4m) * K_G^(2/m) for 2 <= m <= 13.
     """
-    return _OneStep(Field.COMPLEX).record(m)
-
-
-class _TwoStep(_Chain):
-    strategy = Strategy.TWO_STEP
-    step_rule = "two-step"
-    stride = 2
-
-    def __init__(self, field: Field) -> None:
-        if field is not Field.REAL:
-            raise DomainError("the two-step strategy is stated for real scalars only")
-        super().__init__(field, _REAL_BASES)
+    return compute_constant(m, Field.COMPLEX, Strategy.ONE_STEP)
 
 
 def real_two_step(m: int) -> ConstantRecord:
@@ -466,87 +485,31 @@ def real_two_step(m: int) -> ConstantRecord:
     Equal to 2^((m^2+6m-8)/8m) for even and 2^((m^2+6m-7)/8m) for odd m up
     to 14, after which the Gamma branch of A enters.
     """
-    return _TwoStep(Field.REAL).record(m)
-
-
-class _Halving(_Ladder):
-    """The sharpest strategy: even levels halve, odd levels split."""
-
-    strategy = Strategy.HALVING
-
-    def __init__(self, field: Field) -> None:
-        if field is Field.REAL:
-            bases = _REAL_BASES
-        else:
-            bases = {
-                k: (TWO_OVER_SQRT_PI ** (k - 1), PowerProduct(tosp=Fraction(k - 1)))
-                for k in range(2, 7)
-            }
-        super().__init__(field, bases)
-
-    def rule(self, k: int) -> str:
-        return "even-halving" if k % 2 == 0 else "odd-split"
-
-    def trace(self, m: int) -> tuple[TraceStep, ...]:
-        """Post-order walk from level m, low child before high, each level once."""
-        out: list[TraceStep] = []
-        seen: set[int] = set()
-        pending = [(m, False)]
-        while pending:
-            k, expanded = pending.pop()
-            if expanded:
-                out.append(self.steps[k])
-            elif k not in seen:
-                seen.add(k)
-                pending.append((k, True))
-                pending.extend((c, False) for c in reversed(self.steps[k].children))
-        return tuple(out)
+    return compute_constant(m, Field.REAL, Strategy.TWO_STEP)
 
 
 def real_halving(m: int) -> ConstantRecord:
     """Halving real constants; satisfies C_m = 2^(1/2) C_{m/2} for even m <= 24."""
-    return _Halving(Field.REAL).record(m)
+    return compute_constant(m, Field.REAL, Strategy.HALVING)
 
 
 def complex_halving(m: int) -> ConstantRecord:
     """Halving complex constants over the bases (2/sqrt(pi))^(m-1), m in {2..6}."""
-    return _Halving(Field.COMPLEX).record(m)
+    return compute_constant(m, Field.COMPLEX, Strategy.HALVING)
 
 
-# --------------------------------------------------------------------------
-# Best-of and tables
-# --------------------------------------------------------------------------
-
-_LADDERS = {
-    Strategy.ONE_STEP: _OneStep,
-    Strategy.TWO_STEP: _TwoStep,
-    Strategy.HALVING: _Halving,
-}
-
-# Fixed order; ties keep the earliest candidate, so equal-valued baselines
-# win over the strategies that merely reproduce them.
-_CANDIDATES = {
-    Field.REAL: (
-        Strategy.BASELINE_ORIGINAL,
-        Strategy.BASELINE_KAIJSER,
-        Strategy.HALVING,
-        Strategy.TWO_STEP,
-        Strategy.ONE_STEP,
-    ),
-    Field.COMPLEX: (
-        Strategy.BASELINE_ORIGINAL,
-        Strategy.BASELINE_KAIJSER,
-        Strategy.BASELINE_QUEFFELEC_DS,
-        Strategy.HALVING,
-        Strategy.ONE_STEP,
-    ),
-}
+# The candidates of ``BEST``, each where it is stated.  Ties keep the
+# earliest, so equal-valued baselines win over the strategies that merely
+# reproduce them.
+_CANDIDATES = (
+    Strategy.BASELINE_ORIGINAL, Strategy.BASELINE_KAIJSER, Strategy.BASELINE_QUEFFELEC_DS,
+    Strategy.HALVING, Strategy.TWO_STEP, Strategy.ONE_STEP,
+)
 
 
 def _best(candidates: list[_Ladder], m: int) -> ConstantRecord:
-    # min keeps the first of equal values, as the tie rule asks; a baseline
-    # beyond the double range reads inf and never wins, since halving stays
-    # finite.
+    # min keeps the first of equal values, as the tie rule asks; a candidate
+    # beyond the double range reads inf and never wins: halving stays finite
     return min(candidates, key=lambda ladder: ladder.value(m)).record(m)
 
 
@@ -558,18 +521,14 @@ def _readers(
 
     def ladder(strategy: Strategy) -> _Ladder:
         if strategy not in ladders:
-            if strategy in _LADDERS:
-                ladders[strategy] = _LADDERS[strategy](field)
-            elif isinstance(strategy, Strategy) and strategy.name.startswith("BASELINE_"):
-                ladders[strategy] = _Baseline(field, strategy)
-            else:
-                raise DomainError(f"unknown strategy {strategy!r}")
+            ladders[strategy] = _Ladder(field, strategy)
         return ladders[strategy]
 
     readers = []
     for strategy in strategies:
         if strategy is Strategy.BEST:
-            readers.append(functools.partial(_best, [ladder(s) for s in _CANDIDATES[field]]))
+            candidates = [ladder(s) for s in _CANDIDATES if is_stated_for(field, s)]
+            readers.append(functools.partial(_best, candidates))
         else:
             readers.append(ladder(strategy).record)
     return readers

@@ -23,12 +23,11 @@ import numpy as np
 
 from .core import DomainError, Field
 from .recursion import (
-    BaselineKind,
     ConstantRecord,
     Strategy,
-    baseline,
     compute_constant,
     constants_columns,
+    is_stated_for,
 )
 from .verify import (
     VerificationReport,
@@ -54,14 +53,16 @@ __all__ = [
 SCHEMA_VERSION = "1"
 DEFAULT_SEED = 42
 
+_BASELINE_COLUMNS = (
+    ("queffelec_ds", Strategy.BASELINE_QUEFFELEC_DS),
+    ("kaijser", Strategy.BASELINE_KAIJSER),
+    ("original", Strategy.BASELINE_ORIGINAL),
+)
+
 _COMPARE_COLUMNS = {
     # side-by-side columns mirroring the published comparison tables
     Field.REAL: (("one_step", Strategy.ONE_STEP), ("kaijser", Strategy.BASELINE_KAIJSER)),
-    Field.COMPLEX: (
-        ("queffelec_ds", Strategy.BASELINE_QUEFFELEC_DS),
-        ("kaijser", Strategy.BASELINE_KAIJSER),
-        ("original", Strategy.BASELINE_ORIGINAL),
-    ),
+    Field.COMPLEX: _BASELINE_COLUMNS,
 }
 
 
@@ -319,15 +320,14 @@ def _explain_text(record: ConstantRecord, precision: int) -> str:
 
 
 def run_baselines(cfg: RunConfig) -> ReportDocument:
+    # each baseline where it is stated: Queffelec / Defant-Sevilla-Peris for
+    # complex scalars only
+    columns = [(label, strat) for label, strat in _BASELINE_COLUMNS if is_stated_for(cfg.field, strat)]
     rows = []
     for m in range(2, cfg.m_max + 1):
         row: dict[str, Any] = {"m": m}
-        for label, kind in (
-            ("queffelec_ds", BaselineKind.QUEFFELEC_DS),
-            ("kaijser", BaselineKind.KAIJSER),
-            ("original", BaselineKind.ORIGINAL),
-        ):
-            row[label] = baseline(m, kind, cfg.field).value
+        for label, strat in columns:
+            row[label] = compute_constant(m, cfg.field, strat).value
         rows.append(row)
     return ReportDocument(cfg, rows, title="classical baseline constants")
 

@@ -71,19 +71,16 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class HaagerupConstants:
-    """Khinchine constants at exponent p.
+    """The lower Khinchine constant A_p, as :func:`khinchine_a` returns it.
 
-    Exactly one of ``a_p`` / ``b_p`` is populated by :func:`khinchine_a` and
-    :func:`khinchine_b` respectively; ``branch`` records the closed form that
-    produced ``a_p``.  When the dyadic branch wins and ``p`` was given as a
-    rational, ``a_exponent`` holds the exact base-2 exponent 1/2 - 1/p.
+    ``branch`` records the closed form that produced ``a_p``.  When the
+    dyadic branch wins and ``p`` was given as a rational, ``a_exponent``
+    holds the exact base-2 exponent 1/2 - 1/p.
     """
 
     p: float
-    a_p: float | None
-    b_p: float | None
+    a_p: float
     branch: Branch
-    p_exact: Fraction | None = None
     a_exponent: Fraction | None = None
 
 
@@ -136,29 +133,25 @@ def khinchine_a(p: float | Fraction | int) -> HaagerupConstants:
     :func:`crossover_p0`); ties go to the dyadic branch so its exact
     exponent survives.
     """
-    p_exact = Fraction(p) if isinstance(p, Rational) else None
     pf = float(p)
     if pf <= 0.0:
         raise DomainError(f"Khinchine exponent must be positive, got {p}")
     if pf >= 2.0:
-        return HaagerupConstants(pf, 1.0, None, Branch.UNIT, p_exact)
+        return HaagerupConstants(pf, 1.0, Branch.UNIT)
     dyadic = a_dyadic(pf)
     gamma = a_gamma(pf)
     if dyadic <= gamma:
-        exponent = Fraction(1, 2) - 1 / p_exact if p_exact is not None else None
-        return HaagerupConstants(pf, dyadic, None, Branch.DYADIC_POWER, p_exact, exponent)
-    return HaagerupConstants(pf, gamma, None, Branch.GAMMA_FORMULA, p_exact)
+        exponent = Fraction(1, 2) - 1 / Fraction(p) if isinstance(p, Rational) else None
+        return HaagerupConstants(pf, dyadic, Branch.DYADIC_POWER, exponent)
+    return HaagerupConstants(pf, gamma, Branch.GAMMA_FORMULA)
 
 
-def khinchine_b(p: float | Fraction | int) -> HaagerupConstants:
+def khinchine_b(p: float | Fraction | int) -> float:
     """Optimal upper Khinchine constant B_p: 1 for p <= 2, Gamma form above."""
-    p_exact = Fraction(p) if isinstance(p, Rational) else None
     pf = float(p)
     if pf <= 0.0:
         raise DomainError(f"Khinchine exponent must be positive, got {p}")
-    if pf <= 2.0:
-        return HaagerupConstants(pf, None, 1.0, Branch.UNIT, p_exact)
-    return HaagerupConstants(pf, None, a_gamma(pf), Branch.GAMMA_FORMULA, p_exact)
+    return 1.0 if pf <= 2.0 else a_gamma(pf)
 
 
 def a2r_bound(r: float | Fraction | int) -> float:

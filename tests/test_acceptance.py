@@ -122,7 +122,7 @@ def test_criterion_07_complex_crossover():
 def test_criterion_08_khinchine_property_suite():
     with criterion(8, "Khinchine property suite"):
         ps = (1.0, 4.0 / 3.0, 1.5, 5.0 / 3.0, 2.0)
-        bounds = {p: (khinchine_a(p).a_p, khinchine_b(p).b_p) for p in ps}
+        bounds = {p: (khinchine_a(p).a_p, khinchine_b(p)) for p in ps}
         rng = np.random.default_rng(42)
         for _ in range(500):
             n = int(rng.integers(1, 11))

@@ -1,14 +1,17 @@
-"""An independent oracle for the recursions: the paper's formulas at 50 digits.
+"""Independent oracles at 50 digits: the paper's formulas and Gamma.
 
 The ladders and ``replay_trace`` share one float update, so a replayed trace
 cannot catch an error in that update.  This oracle writes the formulas out
 again in mpmath and checks the float values where no exact closed form
 exists, because the Khinchine constants have left their dyadic branch.
+The Gamma function behind that branch, its Khinchine closed form and the
+crossover between the branches are checked against mpmath as well.
 """
 
 import pytest
 
 from bhc.recursion import complex_halving, real_halving, real_one_step, real_two_step
+from bhc.special import a_gamma, crossover_p0, log_gamma
 
 mpmath = pytest.importorskip("mpmath")
 mpf = mpmath.mpf
@@ -91,3 +94,28 @@ def test_gamma_branch_levels(case, m):
     with mpmath.workdps(50):
         expected = float(oracle(m))
     assert record.value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.05, 0.3, 0.5, 1.0, 1.4237, 2.5, 10.0, 50.0, 150.0, 200.0])
+def test_log_gamma(x):
+    # the contract: exp(log_gamma) to rel 1e-12, i.e. log_gamma to abs 1e-12
+    with mpmath.workdps(50):
+        expected = mpmath.loggamma(x)
+        assert abs(log_gamma(x) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 1.8, 1.9, 3.0, 4.0])
+def test_a_gamma(p):
+    with mpmath.workdps(50):
+        p_ = mpf(p)
+        expected = mpmath.sqrt(2) * (mpmath.gamma((p_ + 1) / 2) / mpmath.sqrt(mpmath.pi)) ** (1 / p_)
+        assert a_gamma(p) == pytest.approx(float(expected), rel=1e-13)
+
+
+def test_crossover_p0():
+    # where Gamma((p+1)/2) = sqrt(pi)/2, i.e. the two closed forms for A_p meet
+    with mpmath.workdps(50):
+        root = mpmath.findroot(
+            lambda p: mpmath.gamma((p + 1) / 2) - mpmath.sqrt(mpmath.pi) / 2, (1.5, 1.95), solver="bisect"
+        )
+        assert abs(crossover_p0().p0 - root) <= 1e-11

@@ -21,12 +21,14 @@ from bhc.recursion import (
     compute_constant,
     constants_columns,
     constants_table,
+    is_stated_for,
     real_halving,
     real_one_step,
     real_two_step,
     replay_trace,
 )
 from bhc.special import Branch, khinchine_a
+from bhc.verify import bh_check, littlewood_form
 
 F = Fraction
 
@@ -319,8 +321,7 @@ class TestTraces:
 
     @pytest.mark.parametrize(
         "field, strategy",
-        [(Field.REAL, s) for s in Strategy]
-        + [(Field.COMPLEX, s) for s in Strategy if s is not Strategy.TWO_STEP],
+        [(f, s) for f in Field for s in Strategy if is_stated_for(f, s)],
     )
     def test_every_table_record_replays(self, field, strategy):
         for rec in constants_table(field, strategy, 64):
@@ -329,18 +330,30 @@ class TestTraces:
     def test_replay_does_not_rederive(self, monkeypatch):
         # replay_trace is the independent check: it must not reach the
         # derivation code, so break every piece of that code and replay
-        records = [real_halving(37), complex_halving(37), real_two_step(30), complex_one_step(30)]
+        records = [
+            real_halving(37),
+            complex_halving(37),
+            real_two_step(30),
+            complex_one_step(30),
+            baseline(30, BaselineKind.KAIJSER),
+        ]
 
         def broken(*args, **kwargs):
             raise AssertionError("replay_trace reached the derivation code")
 
-        for name in ("khinchine_a", "even_split", "odd_split", "blei_f", "blei_w", "_descent_split"):
+        for name in (
+            "khinchine_a",
+            "even_split",
+            "odd_split",
+            "blei_f",
+            "blei_w",
+            "_descent_split",
+            "_exact_update",
+            "_classical",
+        ):
             monkeypatch.setattr(bhc.recursion, name, broken)
-        monkeypatch.setattr(bhc.recursion, "_exact_update", broken)
-        for cls in (bhc.recursion._Ladder, bhc.recursion._Baseline):
-            monkeypatch.setattr(cls, "derive", broken)
-        for cls in (bhc.recursion._Chain, bhc.recursion._Halving, bhc.recursion._Baseline):
-            monkeypatch.setattr(cls, "trace", broken)
+        for name in ("derive", "trace"):
+            monkeypatch.setattr(bhc.recursion._Ladder, name, broken)
         # the rule table shares its float update with replay, but not the
         # parts that derive a level's children, split and Khinchine constants
         for name, rule in bhc.recursion._RULES.items():
@@ -364,6 +377,18 @@ class TestTableAndDispatch:
     def test_two_step_is_real_only(self):
         with pytest.raises(DomainError):
             compute_constant(6, Field.COMPLEX, Strategy.TWO_STEP)
+
+    def test_queffelec_is_complex_only(self):
+        assert not is_stated_for(Field.REAL, Strategy.BASELINE_QUEFFELEC_DS)
+        assert is_stated_for(Field.COMPLEX, Strategy.BASELINE_QUEFFELEC_DS)
+        with pytest.raises(DomainError, match="complex scalars only"):
+            compute_constant(2, Field.REAL, Strategy.BASELINE_QUEFFELEC_DS)
+        with pytest.raises(DomainError, match="complex scalars only"):
+            baseline(2, BaselineKind.QUEFFELEC_DS, Field.REAL)
+
+    def test_unknown_strategy(self):
+        with pytest.raises(DomainError, match="unknown strategy"):
+            compute_constant(2, Field.REAL, "halving")
 
     def test_dispatch_covers_baselines(self):
         rec = compute_constant(5, Field.REAL, Strategy.BASELINE_KAIJSER)
@@ -417,3 +442,29 @@ class TestDoubleRange:
         assert rec.strategy is Strategy.HALVING
         assert rec.value == compute_constant(2049, field, Strategy.HALVING).value
         assert math.isfinite(rec.value)
+
+    def test_chains_beyond_the_double_range(self):
+        assert math.isfinite(complex_one_step(4094).value)
+        with pytest.raises(DomainError, match="one-step constant at m=4095 exceeds the double range"):
+            complex_one_step(4095)
+        # best reads the infinite one-step candidate and passes it over
+        rec = best_constant(4095, Field.COMPLEX)
+        assert rec.strategy is Strategy.HALVING and math.isfinite(rec.value)
+
+
+# Diniz, Munoz-Fernandez, Pellegrino and Seoane-Sepulveda (Proc. AMS 2014):
+# for real scalars C_m >= 2^(1 - 1/m), attained by explicit +-1 forms.
+REAL_STRATEGIES = [s for s in Strategy if is_stated_for(Field.REAL, s)]
+
+
+class TestRealLowerBound:
+    @pytest.mark.parametrize("strategy", REAL_STRATEGIES)
+    def test_no_real_constant_undercuts_the_lower_bound(self, strategy):
+        for rec in constants_table(Field.REAL, strategy, 64):
+            assert rec.value >= 2.0 ** (1.0 - 1.0 / rec.m)
+
+    @pytest.mark.parametrize("strategy", REAL_STRATEGIES)
+    def test_littlewood_form_passes(self, strategy):
+        # the real bilinear form that attains the ratio 2^(1/2)
+        report = bh_check(littlewood_form(2), compute_constant(2, Field.REAL, strategy))
+        assert report.passed

@@ -306,6 +306,31 @@ class TestCli:
         assert result.exit_code == 2
         assert "double range" in result.output
 
+    def test_chain_beyond_the_double_range_exits_2(self):
+        # one-step reads inf from m = 4095, which JSON cannot hold
+        argv = ["constants", "--strategy", "one-step", "--max-m", "4100", "--format", "json"]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 2
+        assert "the one-step constant at m=4095 exceeds the double range" in result.output
+        assert "Infinity" not in result.output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "--field", "real", "--strategy", "baseline-queffelec-ds"],
+            ["explain", "--field", "real", "--strategy", "baseline-queffelec-ds", "--m", "2"],
+        ],
+    )
+    def test_real_queffelec_is_a_usage_error(self, argv):
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 2
+        assert "stated for complex scalars only" in result.output
+
+    def test_real_baselines_leave_out_queffelec(self):
+        result = CliRunner().invoke(main, ["baselines", "--field", "real", "--max-m", "5", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[0] == "m,kaijser,original"
+
     @pytest.mark.parametrize(
         "field, m2047",
         # values printed at the parent commit by --max-m 2047 (best is halving there)

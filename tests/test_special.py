@@ -87,7 +87,7 @@ class TestKhinchineLower:
         for p in (0.5, 1.0, 1.8, 1.999):
             assert khinchine_a(p).a_p < 1.0 - 1e-12 or p > 1.999
         assert abs(khinchine_a(2.0).a_p - 1.0) <= 1e-12
-        assert abs(khinchine_b(2.0).b_p - 1.0) <= 1e-12
+        assert abs(khinchine_b(2.0) - 1.0) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -98,13 +98,13 @@ class TestKhinchineLower:
 
 class TestKhinchineUpper:
     def test_unit_below_two(self):
-        assert khinchine_b(2.0).b_p == 1.0
-        assert khinchine_b(1.0).b_p == 1.0
-        assert khinchine_b(0.3).b_p == 1.0
+        assert khinchine_b(2.0) == 1.0
+        assert khinchine_b(1.0) == 1.0
+        assert khinchine_b(0.3) == 1.0
 
     def test_fourth_moment_constant(self):
         # Gamma(5/2) = (3/4) sqrt(pi), so B_4 = sqrt(2) (3/4)^(1/4) = 3^(1/4)
-        b4 = khinchine_b(4.0).b_p
+        b4 = khinchine_b(4.0)
         assert b4 == pytest.approx(math.sqrt(2.0) * 0.75**0.25, rel=1e-13)
         assert b4 == pytest.approx(3.0**0.25, rel=1e-13)
 
@@ -114,11 +114,11 @@ class TestKhinchineUpper:
         n = 12
         ratio = rademacher_moment(np.ones(n), 4.0) / math.sqrt(n)
         assert ratio == pytest.approx((3.0 - 2.0 / n) ** 0.25, rel=1e-12)
-        assert ratio <= khinchine_b(4.0).b_p
+        assert ratio <= khinchine_b(4.0)
 
     def test_monotone(self):
         grid = np.linspace(0.2, 8.0, 300)
-        values = [khinchine_b(float(p)).b_p for p in grid]
+        values = [khinchine_b(float(p)) for p in grid]
         assert all(b >= 1.0 for b in values)
         assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(values, values[1:]))
 
@@ -181,4 +181,4 @@ def test_oracle_consistency_small_sample():
             continue
         for p in (1.0, 4.0 / 3.0, 1.5, 5.0 / 3.0, 2.0):
             ratio = rademacher_moment(a, p) / l2
-            assert khinchine_a(p).a_p - 1e-12 <= ratio <= khinchine_b(p).b_p + 1e-12
+            assert khinchine_a(p).a_p - 1e-12 <= ratio <= khinchine_b(p) + 1e-12
