@@ -10,7 +10,7 @@
 """
 
 from .core import DomainError, Field, SizeLimitError
-from .exponents import ExponentSplit, SplitKind, blei_f, blei_w, even_split, odd_split
+from .exponents import ExponentSplit, blei_f, blei_w
 from .recursion import (
     BaselineKind,
     ConstantRecord,
@@ -31,9 +31,7 @@ from .recursion import (
 )
 from .special import (
     Branch,
-    Crossover,
     HaagerupConstants,
-    a2r_bound,
     crossover_p0,
     khinchine_a,
     khinchine_b,
@@ -47,11 +45,8 @@ __all__ = [
     "Field",
     "SizeLimitError",
     "ExponentSplit",
-    "SplitKind",
     "blei_f",
     "blei_w",
-    "even_split",
-    "odd_split",
     "BaselineKind",
     "ConstantRecord",
     "PowerProduct",
@@ -69,9 +64,7 @@ __all__ = [
     "real_two_step",
     "replay_trace",
     "Branch",
-    "Crossover",
     "HaagerupConstants",
-    "a2r_bound",
     "crossover_p0",
     "khinchine_a",
     "khinchine_b",

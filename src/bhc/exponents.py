@@ -6,32 +6,25 @@ row/column mixed norms through
     w(x, y) = (q^2 (x+y) - 2 q x y) / (q^2 - x y)
     f(x, y) = (q^2 x - q x y) / (q^2 (x+y) - 2 q x y)
 
-with q > max(x, y) >= 1.  Every induction step used by the constants engine
-fixes q = 2 and picks (s1, s2) so that w(s1, s2) = 2m/(m+1): halving an even
-level uses s1 = s2 = 2m/(m+2), an odd level splits into (m-1)/2 and (m+1)/2,
-one-step descends via (1, m-1) and two-step via (2, m-2).  Splits are plain
-data so the recursion can log them into derivation traces.
+with q > max(x, y) >= 1.  Every induction step of the constants engine
+splits level m into two parts m = m1 + m2, fixes q = 2 and takes each
+part's own Bohnenblust-Hille exponent s_i = 2m_i/(m_i+1); then
+w(s1, s2) = 2m/(m+1) and f_i = m_i/m.  The recursion builds these splits
+from its rule table; :class:`ExponentSplit` is plain data so it can be
+logged into derivation traces.
 
 Both functions are exact on ``fractions.Fraction`` inputs, which is how the
-split constructors call them.
+recursion calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .core import DomainError
 
-__all__ = ["SplitKind", "ExponentSplit", "blei_w", "blei_f", "even_split", "odd_split"]
-
-
-class SplitKind(Enum):
-    EVEN_HALVING = "even-halving"
-    ODD_SPLIT = "odd-split"
-    ONE_STEP = "one-step"
-    TWO_STEP = "two-step"
+__all__ = ["ExponentSplit", "blei_w", "blei_f"]
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,6 @@ class ExponentSplit:
     w: Fraction
     f1: Fraction
     f2: Fraction
-    kind: SplitKind
 
 
 def _check_args(q, x, y) -> None:
@@ -72,46 +64,3 @@ def blei_f(q, x, y):
     """Factor weight f(x, y) in (0, 1); f(x, y) + f(y, x) = 1."""
     _check_args(q, x, y)
     return (q * q * x - q * x * y) / (q * q * (x + y) - 2 * q * x * y)
-
-
-def even_split(m: int) -> ExponentSplit:
-    """Symmetric split of an even level m into two copies of m/2.
-
-    q = 2, s1 = s2 = 2m/(m+2), hence w = 2m/(m+1) and f1 = f2 = 1/2.
-    """
-    if m < 2 or m % 2:
-        raise DomainError(f"even_split requires an even m >= 2, got {m}")
-    q = Fraction(2)
-    s = Fraction(2 * m, m + 2)
-    return ExponentSplit(
-        m=m,
-        q=q,
-        s1=s,
-        s2=s,
-        w=blei_w(q, s, s),
-        f1=blei_f(q, s, s),
-        f2=blei_f(q, s, s),
-        kind=SplitKind.EVEN_HALVING,
-    )
-
-
-def odd_split(m: int) -> ExponentSplit:
-    """Asymmetric split of an odd level m into (m-1)/2 and (m+1)/2.
-
-    q = 2, s1 = (2m-2)/(m+1), s2 = (2m+2)/(m+3); again w = 2m/(m+1).
-    """
-    if m < 3 or m % 2 == 0:
-        raise DomainError(f"odd_split requires an odd m >= 3, got {m}")
-    q = Fraction(2)
-    s1 = Fraction(2 * m - 2, m + 1)
-    s2 = Fraction(2 * m + 2, m + 3)
-    return ExponentSplit(
-        m=m,
-        q=q,
-        s1=s1,
-        s2=s2,
-        w=blei_w(q, s1, s2),
-        f1=blei_f(q, s1, s2),
-        f2=blei_f(q, s2, s1),
-        kind=SplitKind.ODD_SPLIT,
-    )

@@ -13,10 +13,14 @@ Every recursion takes the same Blei/Khinchine step
 
     C_m <= 2^a * prod_i (C_{m_i} / A_{p_i}^{k_i})^{f_i}
 
-with other parameters.  ``_RULES`` holds them, one entry per rule
-(``one-step``, ``two-step``, ``even-halving``, ``odd-split``): the child
-levels m_i, the Blei split, the (p_i, k_i) of each Khinchine constant, the
-shift a and the weights f_i.  One float update and one exact update read an
+with other parameters.  As in the Defant-Popa-Schwarting proof, each step
+splits level m into two parts m = m1 + m2 and applies Blei's inequality at
+each part's own exponent s_i = 2m_i/(m_i+1).  ``_RULES`` holds one entry
+per rule (``one-step``, ``two-step``, ``even-halving``, ``odd-split``): its
+partition of m, whether the first part is folded into the shift a, and the
+shift.  Everything else follows from the partition: the children m_i are
+the other parts, each consumes A_{s_i}^(m - m_i), and its weight f_i = m_i/m
+comes from the Blei split.  One float update and one exact update read an
 entry; the ladders derive their levels through both, and ``replay_trace``
 recomputes a trace through the float one.
 
@@ -46,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import DomainError, Field
-from .exponents import ExponentSplit, SplitKind, blei_f, blei_w, even_split, odd_split
+from .exponents import ExponentSplit, blei_f, blei_w
 from .special import Branch, HaagerupConstants, khinchine_a
 
 __all__ = [
@@ -194,84 +198,75 @@ def _require_level(m: int) -> None:
 # The rule table: one Blei/Khinchine step, four parameter sets
 # --------------------------------------------------------------------------
 
-def _descent_split(m: int, s1: Fraction, s2: Fraction, kind: SplitKind) -> ExponentSplit:
+def _split(k: int, parts: tuple[int, int]) -> ExponentSplit:
+    """Blei's split of level k = m1 + m2 at the parts' own exponents 2m_i/(m_i+1)."""
     q = Fraction(2)
-    w = blei_w(q, s1, s2)
-    return ExponentSplit(m, q, s1, s2, w, blei_f(q, s1, s2), blei_f(q, s2, s1), kind)
+    m1, m2 = parts
+    s1, s2 = Fraction(2 * m1, m1 + 1), Fraction(2 * m2, m2 + 1)
+    f1 = blei_f(q, s1, s2)
+    f2 = f1 if m1 == m2 else blei_f(q, s2, s1)  # equal parts: the same call
+    return ExponentSplit(k, q, s1, s2, blei_w(q, s1, s2), f1, f2)
 
 
 @dataclass(frozen=True)
 class _Rule:
-    """C_k <= 2^shift(k) * prod_i (C_{children(k)_i} / A_{p_i}^{power_i})^{f_i}.
+    """C_k <= 2^shift(k) * prod_i (C_{c_i} / A_{s_i}^(k - c_i))^{f_i}.
 
-    ``khinchine`` gives the (p_i, power_i) and ``weights`` the exact f_i; the
-    float update takes ``float_weights`` where set, float(f_i) otherwise.
-    ``shift`` and the weights read no more of the split than f1 and f2.
+    ``parts`` splits level k into (m1, m2); the Blei split is taken at the
+    parts' exponents s_i = 2m_i/(m_i+1).  With ``folded`` the first part is
+    no child: its factor is folded into ``shift``.  The children c_i are the
+    other parts, equal parts merged, each with its part's s_i and weight
+    f_i (merged weights add up).  The float update takes ``float_weights``
+    where set, float(f_i) otherwise.
     """
 
-    children: Callable[[int], tuple[int, ...]]
-    split: Callable[[int], ExponentSplit]
-    khinchine: Callable[[int, ExponentSplit], tuple[tuple[Fraction, Fraction], ...]]
-    shift: Callable[[int], Fraction | int]
-    weights: Callable[[int, ExponentSplit], tuple[Fraction | int, ...]]
+    parts: Callable[[int], tuple[int, int]]
+    folded: bool = False
+    shift: Callable[[int], Fraction | int] = lambda k: 0
     float_weights: Callable[[int], tuple[float, ...]] | None = None
+
+    def children(self, k: int) -> tuple[int, ...]:
+        parts = self.parts(k)
+        return tuple(dict.fromkeys(parts[1:] if self.folded else parts))
+
+    def weights(self, split: ExponentSplit, children: Sequence) -> tuple[Fraction, ...]:
+        """The exact f_i of the children; reads no more of the split than f1 and f2."""
+        if self.folded:
+            return (split.f2,)
+        return (split.f1, split.f2) if len(children) == 2 else (split.f1 + split.f2,)
 
 
 _RULES = {
     # C_m = 2^((m-1)/2m) (C_{m-1} / A_{(2m-2)/m})^((m-1)/m)
     "one-step": _Rule(
-        children=lambda k: (k - 1,),
-        # descent via the (1, m-1) partition: s1 = 1, s2 = (2m-2)/m
-        split=lambda k: _descent_split(k, Fraction(1), Fraction(2 * k - 2, k), SplitKind.ONE_STEP),
-        khinchine=lambda k, split: ((split.s2, Fraction(1)),),
+        parts=lambda k: (1, k - 1),
+        folded=True,
         shift=lambda k: Fraction(k - 1, 2 * k),
-        weights=lambda k, split: (split.f2,),  # f2 = (k-1)/k
-        # the published tables round (k-1)/k this way; float(f2) differs
-        # in the last bit at k = 3, 7, 19, ...
+        # the published tables round f2 = (k-1)/k this way; float(f2)
+        # differs in the last bit at k = 3, 7, 19, ...
         float_weights=lambda k: (1.0 - 1.0 / k,),
     ),
     # C_m = 2^(1/2) (C_{m-2} / A_{(2m-4)/(m-1)}^2)^((m-2)/m)
-    "two-step": _Rule(
-        children=lambda k: (k - 2,),
-        # descent via the (2, m-2) partition: s1 = 4/3, s2 = (2m-4)/(m-1)
-        split=lambda k: _descent_split(
-            k, Fraction(4, 3), Fraction(2 * k - 4, k - 1), SplitKind.TWO_STEP
-        ),
-        khinchine=lambda k, split: ((split.s2, Fraction(2)),),
-        shift=lambda k: Fraction(1, 2),
-        weights=lambda k, split: (split.f2,),  # f2 = (k-2)/k
-    ),
-    # C_m = C_{m/2} / A_{2m/(m+2)}^(m/2): both halves are level m/2, so
-    # their weights f1 = f2 = 1/2 merge into one factor
-    "even-halving": _Rule(
-        children=lambda k: (k // 2,),
-        split=lambda k: even_split(k),  # by name, so a patched even_split takes effect
-        khinchine=lambda k, split: ((split.s1, Fraction(k, 2)),),
-        shift=lambda k: 0,
-        weights=lambda k, split: (1,),
-    ),
+    "two-step": _Rule(parts=lambda k: (2, k - 2), folded=True, shift=lambda k: Fraction(1, 2)),
+    # C_m = C_{m/2} / A_{2m/(m+2)}^(m/2)
+    "even-halving": _Rule(parts=lambda k: (k // 2, k // 2)),
     # C_m = (C_{(m-1)/2} / A_{s1}^((m+1)/2))^f1 (C_{(m+1)/2} / A_{s2}^((m-1)/2))^f2
-    "odd-split": _Rule(
-        children=lambda k: ((k - 1) // 2, (k + 1) // 2),
-        split=lambda k: odd_split(k),
-        khinchine=lambda k, split: ((split.s1, Fraction(k + 1, 2)), (split.s2, Fraction(k - 1, 2))),
-        shift=lambda k: 0,
-        weights=lambda k, split: (split.f1, split.f2),
-    ),
+    "odd-split": _Rule(parts=lambda k: ((k - 1) // 2, (k + 1) // 2)),
 }
 
 
 def _float_update(
     rule: _Rule,
     k: int,
-    split: ExponentSplit,
+    weights: Sequence[Fraction],
     children: Sequence[float],
     uses: Sequence[KhinchineUse],
 ) -> float:
-    """The float value of level k from its children's values and constants."""
-    weights = rule.float_weights(k) if rule.float_weights else map(float, rule.weights(k, split))
+    """The float value of level k from its children's values, weights and constants."""
+    if rule.float_weights:
+        weights = rule.float_weights(k)
     return 2.0 ** float(rule.shift(k)) * math.prod(
-        (child / use.value ** float(use.power)) ** w
+        (child / use.value ** float(use.power)) ** float(w)
         for child, use, w in zip(children, uses, weights)
     )
 
@@ -279,7 +274,7 @@ def _float_update(
 def _exact_update(
     rule: _Rule,
     k: int,
-    split: ExponentSplit,
+    weights: Sequence[Fraction],
     children: Sequence[PowerProduct | None],
     uses: Sequence[KhinchineUse],
     constants: Sequence[HaagerupConstants],
@@ -289,7 +284,7 @@ def _exact_update(
         return None
     terms = (
         child.shift_two(-use.power * a.a_exponent).scale(w)
-        for child, use, a, w in zip(children, uses, constants, rule.weights(k, split))
+        for child, use, a, w in zip(children, uses, constants, weights)
     )
     return functools.reduce(PowerProduct.combine, terms).shift_two(rule.shift(k))
 
@@ -337,10 +332,7 @@ _STRATEGIES = {
     Strategy.HALVING: _Plan(
         {
             Field.REAL: _REAL_BASES,
-            Field.COMPLEX: {
-                k: (TWO_OVER_SQRT_PI ** (k - 1), PowerProduct(tosp=Fraction(k - 1)))
-                for k in range(2, 7)
-            },
+            Field.COMPLEX: {k: _classical(Strategy.BASELINE_QUEFFELEC_DS, k) for k in range(2, 7)},
         },
         ("even-halving", "odd-split"),
     ),
@@ -392,15 +384,17 @@ class _Ladder:
             return TraceStep("baseline", k, (), None, (), value), closed
         name = self.rules[k % 2]
         rule = _RULES[name]
+        parts = rule.parts(k)
+        split = _split(k, parts)
         children = rule.children(k)
-        split = rule.split(k)
-        pairs = rule.khinchine(k, split)
-        constants = [khinchine_a(p) for p, _ in pairs]
+        # each child's Khinchine exponent is its part's s_i
+        constants = [khinchine_a(split.s1 if c == parts[0] else split.s2) for c in children]
         uses = tuple(
-            [KhinchineUse(a.p, a.a_p, power, a.branch) for a, (_, power) in zip(constants, pairs)]
+            [KhinchineUse(a.p, a.a_p, Fraction(k - c), a.branch) for a, c in zip(constants, children)]
         )
-        value = _float_update(rule, k, split, [self.steps[c].value for c in children], uses)
-        closed = _exact_update(rule, k, split, [self.closed[c] for c in children], uses, constants)
+        weights = rule.weights(split, children)
+        value = _float_update(rule, k, weights, [self.steps[c].value for c in children], uses)
+        closed = _exact_update(rule, k, weights, [self.closed[c] for c in children], uses, constants)
         return TraceStep(name, k, children, split, uses, value), closed
 
     def value(self, m: int) -> float:
@@ -592,7 +586,9 @@ def replay_trace(trace: tuple[TraceStep, ...]) -> float:
             result = step.value
         elif step.rule in _RULES:
             children = [values[c] for c in step.children]
-            result = _float_update(_RULES[step.rule], step.m, step.split, children, step.khinchine)
+            rule = _RULES[step.rule]
+            weights = rule.weights(step.split, children)
+            result = _float_update(rule, step.m, weights, children, step.khinchine)
         else:
             raise ValueError(f"unknown trace rule {step.rule!r}")
         values[step.m] = result

@@ -234,11 +234,12 @@ def report_row(report: VerificationReport, with_witness: bool = False) -> dict[s
     return row
 
 
-def _split_json(split) -> dict[str, str] | None:
+def _split_json(step) -> dict[str, str] | None:
+    split = step.split
     if split is None:
         return None
     return {
-        "kind": split.kind.value,
+        "kind": step.rule,  # the split's kind is the rule that took it
         "q": str(split.q),
         "s1": str(split.s1),
         "s2": str(split.s2),
@@ -253,7 +254,7 @@ def trace_row(step) -> dict[str, Any]:
         "rule": step.rule,
         "m": step.m,
         "children": list(step.children),
-        "split": _split_json(step.split),
+        "split": _split_json(step),
         "khinchine": [
             {"p": use.p, "value": use.value, "power": str(use.power), "branch": use.branch.value}
             for use in step.khinchine

@@ -14,8 +14,8 @@ above it (and up to 2) it switches to the Gamma-quotient closed form
 Both closed forms are evaluated here and the minimum is taken, so a single
 total function covers the whole range (0, 2]; the branch actually attained is
 recorded, and the dyadic branch carries an exact rational base-2 exponent
-whenever the input exponent is rational.  The reciprocal bound 1/A_r on the
-mixed constant A_{2,r} is what the recursion strategies consume.
+whenever the input exponent is rational.  The recursion strategies consume
+A_p at the exponents of their Blei splits.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from .core import DomainError
 __all__ = [
     "Branch",
     "HaagerupConstants",
-    "Crossover",
     "log_gamma",
     "a_dyadic",
     "a_gamma",
     "khinchine_a",
     "khinchine_b",
-    "a2r_bound",
     "crossover_p0",
 ]
 
@@ -84,13 +82,6 @@ class HaagerupConstants:
     a_exponent: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class Crossover:
-    """Exponent where the dyadic and Gamma closed forms for A_p meet."""
-
-    p0: float
-
-
 def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0.
 
@@ -125,6 +116,13 @@ def a_gamma(p: float) -> float:
     return math.exp(LN_SQRT_2 + (log_gamma((p + 1.0) / 2.0) - LN_SQRT_PI) / p)
 
 
+def _khinchine_exponent(p: float | Fraction | int) -> float:
+    pf = float(p)
+    if not 0.0 < pf < math.inf:  # NaN fails both comparisons
+        raise DomainError(f"Khinchine exponent must be positive and finite, got {p}")
+    return pf
+
+
 def khinchine_a(p: float | Fraction | int) -> HaagerupConstants:
     """Optimal lower Khinchine constant A_p.
 
@@ -133,9 +131,7 @@ def khinchine_a(p: float | Fraction | int) -> HaagerupConstants:
     :func:`crossover_p0`); ties go to the dyadic branch so its exact
     exponent survives.
     """
-    pf = float(p)
-    if pf <= 0.0:
-        raise DomainError(f"Khinchine exponent must be positive, got {p}")
+    pf = _khinchine_exponent(p)
     if pf >= 2.0:
         return HaagerupConstants(pf, 1.0, Branch.UNIT)
     dyadic = a_dyadic(pf)
@@ -148,21 +144,11 @@ def khinchine_a(p: float | Fraction | int) -> HaagerupConstants:
 
 def khinchine_b(p: float | Fraction | int) -> float:
     """Optimal upper Khinchine constant B_p: 1 for p <= 2, Gamma form above."""
-    pf = float(p)
-    if pf <= 0.0:
-        raise DomainError(f"Khinchine exponent must be positive, got {p}")
+    pf = _khinchine_exponent(p)
     return 1.0 if pf <= 2.0 else a_gamma(pf)
 
 
-def a2r_bound(r: float | Fraction | int) -> float:
-    """Bound 1/A_r on the mixed Khinchine constant A_{2,r}, for r in [1, 2]."""
-    rf = float(r)
-    if not 1.0 <= rf <= 2.0:
-        raise DomainError(f"a2r_bound requires 1 <= r <= 2, got {r}")
-    return 1.0 / khinchine_a(r).a_p
-
-
-def crossover_p0(tol: float = 1e-12) -> Crossover:
+def crossover_p0(tol: float = 1e-12) -> float:
     """Exponent p0 where the two closed forms for A_p intersect on (1.5, 2).
 
     Bisection on the equivalent condition Gamma((p+1)/2) = sqrt(pi)/2; the
@@ -183,4 +169,4 @@ def crossover_p0(tol: float = 1e-12) -> Crossover:
             lo = mid
         else:
             hi = mid
-    return Crossover(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)

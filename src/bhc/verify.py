@@ -153,8 +153,8 @@ def rademacher_moment(a, p: float) -> float:
 
     Enumerates all sign patterns by iterative doubling; N <= 20.
     """
-    if p <= 0:
-        raise DomainError(f"moment exponent must be positive, got {p}")
+    if not 0 < p < math.inf:  # NaN fails both comparisons
+        raise DomainError(f"moment exponent must be positive and finite, got {p}")
     a = np.asarray(a)
     if a.ndim != 1:
         raise DomainError("coefficients must form a vector")

@@ -1,4 +1,4 @@
-"""Blei exponent functions and the even/odd split parameters."""
+"""Blei exponent functions and the split of each recursion step."""
 
 from fractions import Fraction
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bhc.core import DomainError
-from bhc.exponents import SplitKind, blei_f, blei_w, even_split, odd_split
+from bhc.exponents import blei_f, blei_w
+from bhc.recursion import _RULES, _split
 
 F = Fraction
 
@@ -66,43 +67,67 @@ class TestBleiF:
 
 
 class TestSplits:
+    """The Blei split of each recursion step, built from its partition of level k."""
+
+    LEVELS = {
+        "one-step": range(2, 301),
+        "two-step": range(3, 301),
+        "even-halving": range(2, 301, 2),
+        "odd-split": range(3, 301, 2),
+    }
+
+    @staticmethod
+    def split(rule: str, k: int):
+        return _split(k, _RULES[rule].parts(k))
+
     def test_even_examples(self):
-        s = even_split(4)
+        s = self.split("even-halving", 4)
         assert (s.q, s.s1, s.s2) == (F(2), F(4, 3), F(4, 3))
         assert s.w == F(8, 5) and s.f1 == s.f2 == F(1, 2)
-        assert s.kind is SplitKind.EVEN_HALVING
 
-        base = even_split(2)
+        base = self.split("even-halving", 2)
         assert base.s1 == base.s2 == F(1) and base.w == F(4, 3)
 
-        top = even_split(24)
+        top = self.split("even-halving", 24)
         assert top.s1 == F(24, 13) and top.w == F(48, 25)
 
     def test_odd_examples(self):
-        s7 = odd_split(7)
+        s7 = self.split("odd-split", 7)
         assert (s7.s1, s7.s2, s7.f1, s7.f2) == (F(3, 2), F(8, 5), F(3, 7), F(4, 7))
-        s5 = odd_split(5)
+        s5 = self.split("odd-split", 5)
         assert (s5.s1, s5.s2, s5.f1, s5.f2) == (F(4, 3), F(3, 2), F(2, 5), F(3, 5))
-        s9 = odd_split(9)
+        s9 = self.split("odd-split", 9)
         assert (s9.s1, s9.s2, s9.f1, s9.f2) == (F(8, 5), F(5, 3), F(4, 9), F(5, 9))
-        assert s9.kind is SplitKind.ODD_SPLIT
 
-    def test_joint_exponent_is_defining_identity(self):
-        # both split families target w = 2m/(m+1), exactly
-        for m in range(2, 51, 2):
-            assert even_split(m).w == F(2 * m, m + 1)
-        for m in range(3, 51, 2):
-            assert odd_split(m).w == F(2 * m, m + 1)
+    def test_descent_examples(self):
+        one = self.split("one-step", 5)
+        assert (one.s1, one.s2, one.f1, one.f2) == (F(1), F(8, 5), F(1, 5), F(4, 5))
+        two = self.split("two-step", 6)
+        assert (two.s1, two.s2, two.f1, two.f2) == (F(4, 3), F(8, 5), F(1, 3), F(2, 3))
 
-    def test_weights_sum_to_one_exactly(self):
-        for m in range(3, 51, 2):
-            s = odd_split(m)
+    @pytest.mark.parametrize("rule", list(LEVELS))
+    def test_blei_identities_for_every_rule(self, rule):
+        # w = 2k/(k+1) and f_i = m_i/k, exactly, so f1 + f2 = 1
+        for k in self.LEVELS[rule]:
+            m1, m2 = _RULES[rule].parts(k)
+            assert m1 + m2 == k
+            s = self.split(rule, k)
+            assert s.q == 2 and s.w == F(2 * k, k + 1)
+            assert (s.f1, s.f2) == (F(m1, k), F(m2, k))
             assert s.f1 + s.f2 == 1
 
-    def test_parity_domain(self):
-        for bad in (0, 1, 3, 7):
-            with pytest.raises(DomainError):
-                even_split(bad)
-        for bad in (1, 2, 4, 10):
-            with pytest.raises(DomainError):
-                odd_split(bad)
+    @pytest.mark.parametrize("rule", list(LEVELS))
+    def test_children_and_weights_from_the_parts(self, rule):
+        # the children are the unfolded parts, equal parts merged, and their
+        # weights the unfolded f_i, merged weights added
+        for k in self.LEVELS[rule]:
+            parts = _RULES[rule].parts(k)
+            unfolded = parts[1:] if _RULES[rule].folded else parts
+            children = _RULES[rule].children(k)
+            assert children == tuple(sorted(set(unfolded)))
+            weights = _RULES[rule].weights(self.split(rule, k), children)
+            assert weights == tuple(F(unfolded.count(c) * c, k) for c in children)
+
+    def test_part_below_one_is_rejected(self):
+        with pytest.raises(DomainError):
+            _split(1, (0, 1))

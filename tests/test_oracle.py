@@ -118,4 +118,4 @@ def test_crossover_p0():
         root = mpmath.findroot(
             lambda p: mpmath.gamma((p + 1) / 2) - mpmath.sqrt(mpmath.pi) / 2, (1.5, 1.95), solver="bisect"
         )
-        assert abs(crossover_p0().p0 - root) <= 1e-11
+        assert abs(crossover_p0() - root) <= 1e-11

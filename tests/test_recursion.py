@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bhc.exponents
 import bhc.recursion
@@ -341,26 +343,26 @@ class TestTraces:
         def broken(*args, **kwargs):
             raise AssertionError("replay_trace reached the derivation code")
 
-        for name in (
-            "khinchine_a",
-            "even_split",
-            "odd_split",
-            "blei_f",
-            "blei_w",
-            "_descent_split",
-            "_exact_update",
-            "_classical",
-        ):
+        for name in ("khinchine_a", "_split", "blei_f", "blei_w", "_exact_update", "_classical"):
             monkeypatch.setattr(bhc.recursion, name, broken)
         for name in ("derive", "trace"):
             monkeypatch.setattr(bhc.recursion._Ladder, name, broken)
         # the rule table shares its float update with replay, but not the
-        # parts that derive a level's children, split and Khinchine constants
+        # partition from which a level's children, split and constants follow
         for name, rule in bhc.recursion._RULES.items():
-            derivation = dict(children=broken, split=broken, khinchine=broken)
-            monkeypatch.setitem(bhc.recursion._RULES, name, dataclasses.replace(rule, **derivation))
+            monkeypatch.setitem(bhc.recursion._RULES, name, dataclasses.replace(rule, parts=broken))
         for rec in records:
             assert replay_trace(rec.trace) == pytest.approx(rec.value, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        stated=st.sampled_from([(f, s) for f in Field for s in Strategy if is_stated_for(f, s)]),
+        m=st.integers(2, 500),
+    )
+    def test_any_record_replays_exactly(self, stated, m):
+        field, strategy = stated
+        rec = compute_constant(m, field, strategy)
+        assert replay_trace(rec.trace) == rec.value
 
 
 class TestTableAndDispatch:

@@ -278,6 +278,15 @@ class TestCli:
         assert result.exit_code == 2
         assert "Error:" in result.output
 
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_khinchine_exponent_exits_2(self, p):
+        argv = ["verify", "khinchine", "--p", p, "--n", "3", "--trials", "2", "--format", "json"]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "positive and finite" in result.output
+        assert "NaN" not in result.output
+
     @pytest.mark.parametrize("subtarget", ["bh", "summing", "blei"])
     def test_complex_field_without_a_suite_is_rejected(self, subtarget):
         result = CliRunner().invoke(

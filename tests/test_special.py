@@ -9,7 +9,6 @@ import pytest
 from bhc.core import DomainError
 from bhc.special import (
     Branch,
-    a2r_bound,
     a_dyadic,
     a_gamma,
     crossover_p0,
@@ -94,6 +93,9 @@ class TestKhinchineLower:
             khinchine_a(0.0)
         with pytest.raises(DomainError):
             khinchine_a(-1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="positive and finite"):
+                khinchine_a(bad)
 
 
 class TestKhinchineUpper:
@@ -125,43 +127,28 @@ class TestKhinchineUpper:
     def test_domain(self):
         with pytest.raises(DomainError):
             khinchine_b(-0.5)
-
-
-class TestA2rBound:
-    def test_values(self):
-        assert a2r_bound(Fraction(4, 3)) == pytest.approx(2.0**0.25, rel=1e-14)
-        assert a2r_bound(2.0) == 1.0
-        # r = 2m/(m+2) at m = 6 gives 2^(1/m)
-        assert a2r_bound(Fraction(3, 2)) == pytest.approx(2.0 ** (1.0 / 6.0), rel=1e-14)
-
-    def test_reciprocal_identity(self):
-        for r in np.linspace(1.0, 2.0, 101):
-            assert a2r_bound(float(r)) * khinchine_a(float(r)).a_p == pytest.approx(1.0, abs=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            a2r_bound(0.9)
-        with pytest.raises(DomainError):
-            a2r_bound(2.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="positive and finite"):
+                khinchine_b(bad)
 
 
 class TestCrossover:
     def test_location(self):
-        p0 = crossover_p0().p0
+        p0 = crossover_p0()
         assert 1.847 <= p0 <= 1.848
 
     def test_branches_meet(self):
-        p0 = crossover_p0().p0
+        p0 = crossover_p0()
         assert abs(a_dyadic(p0) - a_gamma(p0)) <= 1e-10
 
     def test_gamma_characterization(self):
         # at the crossover Gamma((p0+1)/2) = sqrt(pi)/2
-        p0 = crossover_p0().p0
+        p0 = crossover_p0()
         gamma_val = math.exp(log_gamma((p0 + 1.0) / 2.0))
         assert gamma_val == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-10)
 
     def test_dyadic_exact_below_crossover(self):
-        p0 = crossover_p0().p0
+        p0 = crossover_p0()
         for num, den in ((1, 1), (4, 3), (3, 2), (5, 3), (9, 5), (24, 13)):
             p = Fraction(num, den)
             if float(p) <= p0:

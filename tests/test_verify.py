@@ -62,6 +62,9 @@ class TestRademacherMoment:
     def test_errors(self):
         with pytest.raises(DomainError):
             rademacher_moment([1.0], 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="positive and finite"):
+                rademacher_moment([1.0], bad)
         with pytest.raises(SizeLimitError):
             rademacher_moment(np.ones(21), 2.0)
 
