@@ -35,19 +35,21 @@ fields it is stated for with their base levels, and the rules that derive
 every other level (none for a baseline, whose levels are closed forms).
 One ``_Ladder`` reads it and derives each level of a (field, strategy) once
 per call, with its float value, closed form and one :class:`TraceStep`.
-Every record reads these shared levels, so ``constants_table`` and
-``constants_columns`` cost O(M) steps for m = 2..M, and the single-level
-functions derive only the levels that m rests on.
+Every record reads these shared levels and walks its trace from them when
+the trace is first read, so ``constants_table`` and ``constants_columns``
+hold and cost O(M) steps for m = 2..M, and the single-level functions derive
+only the levels that m rests on.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 
 from .core import DomainError, Field
 from .exponents import ExponentSplit, blei_f, blei_w
@@ -169,7 +171,21 @@ class ConstantRecord:
     strategy: Strategy
     value: float
     closed_form: PowerProduct | None
-    trace: tuple[TraceStep, ...]
+    _steps: Mapping[int, TraceStep] = dataclass_field(compare=False, repr=False)
+
+    @functools.cached_property
+    def trace(self) -> tuple[TraceStep, ...]:
+        """Post-order walk from level m, low child before high, each level once."""
+        steps, out, seen, pending = self._steps, [], set(), [(self.m, False)]
+        while pending:
+            k, expanded = pending.pop()
+            if expanded:
+                out.append(steps[k])
+            elif k not in seen:
+                seen.add(k)
+                pending.append((k, True))
+                pending.extend((c, False) for c in reversed(steps[k].children))
+        return tuple(out)
 
     @property
     def dyadic_exponent(self) -> Fraction | None:
@@ -370,7 +386,7 @@ class _Ladder:
         self.field, self.strategy, self.rules = field, strategy, plan.rules
         self.steps: dict[int, TraceStep] = {}
         self.closed: dict[int, PowerProduct | None] = {}
-        self.traces: dict[int, tuple[TraceStep, ...]] = {}  # of the levels recorded so far
+        self.view = MappingProxyType(self.steps)
         for k, (value, closed) in plan.bases[field].items():
             self.steps[k] = TraceStep("base", k, (), None, (), value)
             self.closed[k] = closed
@@ -414,35 +430,11 @@ class _Ladder:
                 self.steps[k], self.closed[k] = self.derive(k)
         return self.steps[m].value
 
-    def trace(self, m: int) -> tuple[TraceStep, ...]:
-        """Post-order walk from level m, low child before high, each level once.
-
-        A chain yields its levels from the base up to m, a baseline its one
-        step.  A level with one child whose trace was built before extends
-        that trace, so a chain's table walks each level once.
-        """
-        step = self.steps[m]
-        if len(step.children) == 1 and step.children[0] in self.traces:
-            trace = self.traces[step.children[0]] + (step,)
-        else:
-            out, seen, pending = [], set(), [(m, False)]
-            while pending:
-                k, expanded = pending.pop()
-                if expanded:
-                    out.append(self.steps[k])
-                elif k not in seen:
-                    seen.add(k)
-                    pending.append((k, True))
-                    pending.extend((c, False) for c in reversed(self.steps[k].children))
-            trace = tuple(out)
-        self.traces[m] = trace
-        return trace
-
     def record(self, m: int) -> ConstantRecord:
         value = self.value(m)
         if math.isinf(value):
             raise DomainError(f"the {self.strategy.value} constant at m={m} exceeds the double range")
-        return ConstantRecord(m, self.field, self.strategy, value, self.closed[m], self.trace(m))
+        return ConstantRecord(m, self.field, self.strategy, value, self.closed[m], self.view)
 
 
 # --------------------------------------------------------------------------

@@ -324,12 +324,11 @@ def run_baselines(cfg: RunConfig) -> ReportDocument:
     # each baseline where it is stated: Queffelec / Defant-Sevilla-Peris for
     # complex scalars only
     columns = [(label, strat) for label, strat in _BASELINE_COLUMNS if is_stated_for(cfg.field, strat)]
-    rows = []
-    for m in range(2, cfg.m_max + 1):
-        row: dict[str, Any] = {"m": m}
-        for label, strat in columns:
-            row[label] = compute_constant(m, cfg.field, strat).value
-        rows.append(row)
+    records = constants_columns(cfg.field, tuple(strat for _, strat in columns), cfg.m_max)
+    rows = [
+        {"m": level[0].m, **{label: rec.value for (label, _), rec in zip(columns, level)}}
+        for level in zip(*records)
+    ]
     return ReportDocument(cfg, rows, title="classical baseline constants")
 
 
@@ -356,8 +355,8 @@ def run_verify(cfg: RunConfig) -> ReportDocument:
     if unread:
         raise DomainError(f"verify {cfg.subtarget} does not read {', '.join(unread)}")
     if cfg.subtarget == "khinchine":
-        ps = (cfg.p,) if cfg.p is not None else (1.0, 4.0 / 3.0, 1.5, 5.0 / 3.0, 2.0)
-        reports = khinchine_suite(trials, n_max=_or_default(cfg.n, 10), ps=ps, seed=cfg.seed)
+        ps = {} if cfg.p is None else {"ps": (cfg.p,)}
+        reports = khinchine_suite(trials, n_max=_or_default(cfg.n, 10), seed=cfg.seed, **ps)
     elif cfg.subtarget == "blei":
         reports = blei_suite(trials, seed=cfg.seed)
     elif cfg.subtarget == "bh":

@@ -163,7 +163,13 @@ def rademacher_moment(a, p: float) -> float:
     sums = np.zeros(1, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     for coef in a:
         sums = np.concatenate([sums + coef, sums - coef])
-    return float(np.mean(np.abs(sums) ** p) ** (1.0 / p))
+    sums = np.abs(sums)
+    with np.errstate(over="ignore"):
+        mean = np.mean(sums**p)
+    if not np.finfo(float).tiny <= mean < math.inf and (top := sums.max()) > 0:
+        # |s|^p under- or overflowed: the same moment over |s| / max|s|
+        return float(top * np.mean((sums / top) ** p) ** (1.0 / p))
+    return float(mean ** (1.0 / p))
 
 
 def khinchine_check(a, p: float, seed: int = 0) -> VerificationReport:

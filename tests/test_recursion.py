@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,10 @@ class TestTraces:
         assert odd.split.f1 == F(4, 9) and odd.split.f2 == F(5, 9)
         assert odd.children == (4, 5)
 
+    def test_trace_is_walked_once(self):
+        rec = real_halving(23)
+        assert rec.trace is rec.trace
+
     def test_best_attaches_winning_trace(self):
         rec = best_constant(9, Field.REAL)
         assert replay_trace(rec.trace) == pytest.approx(rec.value, rel=1e-12)
@@ -339,20 +344,22 @@ class TestTraces:
             complex_one_step(30),
             baseline(30, BaselineKind.KAIJSER),
         ]
+        # the trace walk is derivation code too: take each trace first
+        traces = [(rec.trace, rec.value) for rec in records]
 
         def broken(*args, **kwargs):
             raise AssertionError("replay_trace reached the derivation code")
 
         for name in ("khinchine_a", "_split", "blei_f", "blei_w", "_exact_update", "_classical"):
             monkeypatch.setattr(bhc.recursion, name, broken)
-        for name in ("derive", "trace"):
-            monkeypatch.setattr(bhc.recursion._Ladder, name, broken)
+        monkeypatch.setattr(bhc.recursion._Ladder, "derive", broken)
+        monkeypatch.setattr(bhc.recursion.ConstantRecord, "trace", property(broken))
         # the rule table shares its float update with replay, but not the
         # partition from which a level's children, split and constants follow
         for name, rule in bhc.recursion._RULES.items():
             monkeypatch.setitem(bhc.recursion._RULES, name, dataclasses.replace(rule, parts=broken))
-        for rec in records:
-            assert replay_trace(rec.trace) == pytest.approx(rec.value, rel=1e-12)
+        for trace, value in traces:
+            assert replay_trace(trace) == pytest.approx(value, rel=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -428,6 +435,20 @@ class TestTableCost:
         small = self._blei_calls(monkeypatch, 100)
         large = self._blei_calls(monkeypatch, 200)
         assert 0 < small and large <= 2.5 * small
+
+    def test_chain_table_memory_is_linear_in_m_max(self):
+        # the records share their ladder's steps; a trace tuple per record
+        # would hold O(m_max^2) step references
+        def held(m_max):
+            tracemalloc.start()
+            try:
+                table = constants_table(Field.REAL, Strategy.ONE_STEP, m_max)
+                assert len(table) == m_max - 1
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        assert held(2000) <= 2.5 * held(1000)
 
 
 class TestDoubleRange:

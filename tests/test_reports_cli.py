@@ -287,6 +287,14 @@ class TestCli:
         assert "positive and finite" in result.output
         assert "NaN" not in result.output
 
+    @pytest.mark.parametrize("p", ["400", "1500"])
+    def test_large_khinchine_exponent_passes(self, p):
+        # |s|^p leaves the double range here, while the inequality holds
+        argv = ["verify", "khinchine", "--p", p, "--n", "3", "--trials", "1", "--format", "json"]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["rows"][0]["failed"] == 0
+
     @pytest.mark.parametrize("subtarget", ["bh", "summing", "blei"])
     def test_complex_field_without_a_suite_is_rejected(self, subtarget):
         result = CliRunner().invoke(
@@ -309,6 +317,13 @@ class TestCli:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert f"does not read {unread}" in result.output
+
+    @pytest.mark.parametrize("m_max", ["1", "-3"])
+    def test_baselines_without_levels_exit_2(self, m_max):
+        result = CliRunner().invoke(main, ["baselines", "--max-m", m_max])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"m_max must be an integer >= 2, got {m_max}" in result.output
 
     def test_baselines_beyond_the_double_range_exit_2(self):
         result = CliRunner().invoke(main, ["baselines", "--max-m", "2100"])

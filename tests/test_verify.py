@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,31 @@ class TestRademacherMoment:
     def test_complex_coefficients(self):
         a = np.array([1.0 + 1.0j, 0.5 - 0.25j])
         assert rademacher_moment(a, 2.0) == pytest.approx(float(np.linalg.norm(a)), rel=1e-12)
+
+    @staticmethod
+    def _exact_moment(a, p: int) -> float:
+        # the mean of |s|^p over all sign patterns in exact rationals
+        coefs = [Fraction(x) for x in a]
+        mean = sum(
+            abs(sum(e * c for e, c in zip(eps, coefs))) ** p
+            for eps in itertools.product((1, -1), repeat=len(coefs))
+        ) / 2 ** len(coefs)
+        return math.exp((math.log(mean.numerator) - math.log(mean.denominator)) / p)
+
+    @pytest.mark.parametrize(
+        "a, p",
+        [
+            ([0.05, 0.03, 0.01], 400),  # every |s|^p underflows to 0
+            ([0.3, -0.2, 0.1], 1500),
+            # the mean of |s|^p is subnormal, with most of its bits lost
+            ([0.05, 0.03, 0.01], 305),
+            ([3.0, 2.0, -1.0], 400),  # the largest |s|^p overflows
+            ([0.9, 0.5, 0.25], 1500),
+            ([0.5, -0.3, 0.1], 400),  # in range: the direct mean
+        ],
+    )
+    def test_large_exponents(self, a, p):
+        assert rademacher_moment(a, float(p)) == pytest.approx(self._exact_moment(a, p), rel=1e-13)
 
     def test_errors(self):
         with pytest.raises(DomainError):
