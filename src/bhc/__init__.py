@@ -12,21 +12,12 @@
 from .core import DomainError, Field, SizeLimitError
 from .exponents import ExponentSplit, blei_f, blei_w
 from .recursion import (
-    BaselineKind,
     ConstantRecord,
     PowerProduct,
     Strategy,
-    baseline,
-    best_constant,
-    complex_halving,
-    complex_one_step,
     compute_constant,
     constants_columns,
-    constants_table,
     is_stated_for,
-    real_halving,
-    real_one_step,
-    real_two_step,
     replay_trace,
 )
 from .special import (
@@ -47,21 +38,12 @@ __all__ = [
     "ExponentSplit",
     "blei_f",
     "blei_w",
-    "BaselineKind",
     "ConstantRecord",
     "PowerProduct",
     "Strategy",
-    "baseline",
-    "best_constant",
-    "complex_halving",
-    "complex_one_step",
     "compute_constant",
     "constants_columns",
-    "constants_table",
     "is_stated_for",
-    "real_halving",
-    "real_one_step",
-    "real_two_step",
     "replay_trace",
     "Branch",
     "HaagerupConstants",

@@ -2,12 +2,13 @@
 
 For an m-linear form on l_inf^N the coefficient l_{2m/(m+1)} norm is bounded
 by C_{K,m} times the operator norm.  This module computes upper bounds for
-C_{K,m} (K = R or C): the three classical closed forms (``baseline``:
-original, Kaijser, Queffelec / Defant-Sevilla-Peris) and three recursions,
-one-step (level m from m-1), two-step (from m-2, real scalars only) and
-halving (from m/2, or from (m-1)/2 and (m+1)/2), the sharpest strategy and
-the source of the reported tables.  Every value is a valid upper bound;
-``best_constant`` takes the minimum.
+C_{K,m} (K = R or C): the three classical closed forms (original, Kaijser,
+Queffelec / Defant-Sevilla-Peris) and three recursions, one-step (level m
+from m-1), two-step (from m-2, real scalars only) and halving (from m/2, or
+from (m-1)/2 and (m+1)/2), the sharpest strategy and the source of the
+reported tables.  Every value is a valid upper bound; ``Strategy.BEST``
+takes the minimum.  ``compute_constant`` gives one level and
+``constants_columns`` the levels 2..M of several strategies.
 
 Every recursion takes the same Blei/Khinchine step
 
@@ -32,13 +33,14 @@ testable exactly rather than to float tolerance.
 
 ``_STRATEGIES`` is the companion of ``_RULES``: for each strategy, the
 fields it is stated for with their base levels, and the rules that derive
-every other level (none for a baseline, whose levels are closed forms).
+every other level (none for a baseline, whose levels are closed forms).  A
+new strategy needs its ``Strategy`` member and its entry there, no more.
 One ``_Ladder`` reads it and derives each level of a (field, strategy) once
 per call, with its float value, closed form and one :class:`TraceStep`.
 Every record reads these shared levels and walks its trace from them when
-the trace is first read, so ``constants_table`` and ``constants_columns``
-hold and cost O(M) steps for m = 2..M, and the single-level functions derive
-only the levels that m rests on.
+the trace is first read, so ``constants_columns`` holds and costs O(M)
+steps for m = 2..M, and ``compute_constant`` derives only the levels that m
+rests on.
 """
 
 from __future__ import annotations
@@ -58,23 +60,14 @@ from .special import Branch, HaagerupConstants, khinchine_a
 __all__ = [
     "K_G_UPPER",
     "TWO_OVER_SQRT_PI",
-    "BaselineKind",
     "Strategy",
     "PowerProduct",
     "KhinchineUse",
     "TraceStep",
     "ConstantRecord",
-    "baseline",
-    "real_one_step",
-    "real_two_step",
-    "real_halving",
-    "complex_one_step",
-    "complex_halving",
-    "best_constant",
     "compute_constant",
     "is_stated_for",
     "constants_columns",
-    "constants_table",
     "replay_trace",
 ]
 
@@ -86,16 +79,14 @@ K_G_UPPER = 1.4049
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
-class BaselineKind(Enum):
-    ORIGINAL = "original"
-    KAIJSER = "kaijser"
-    QUEFFELEC_DS = "queffelec-ds"
-
-
 class Strategy(Enum):
     ONE_STEP = "one-step"
     TWO_STEP = "two-step"
     HALVING = "halving"
+    # The smallest of ``_CANDIDATES`` stated for the field.  Each candidate
+    # is a valid upper bound, so the minimum is one as well, and the winning
+    # record is returned unchanged, trace included: the best-of choice is a
+    # feature of this tool, not a sharper theorem.
     BEST = "best"
     BASELINE_ORIGINAL = "baseline-original"
     BASELINE_KAIJSER = "baseline-kaijser"
@@ -441,52 +432,9 @@ class _Ladder:
 # Single levels, best-of and tables
 # --------------------------------------------------------------------------
 
-def baseline(m: int, kind: BaselineKind, field: Field = Field.COMPLEX) -> ConstantRecord:
-    """Classical constants: original, Kaijser 2^((m-1)/2), (2/sqrt(pi))^(m-1).
-
-    Raises :class:`DomainError` where the constant exceeds the double range
-    (m >= 2039 for the original and m >= 2049 for Kaijser's), and for the
-    Queffelec / Defant-Sevilla-Peris constant with real scalars, for which
-    it is not stated.
-    """
-    return compute_constant(m, field, Strategy(f"baseline-{kind.value}"))
-
-
-def real_one_step(m: int) -> ConstantRecord:
-    """One-step real constants; equal to 2^((m^2+m-2)/4m) for 2 <= m <= 13."""
-    return compute_constant(m, Field.REAL, Strategy.ONE_STEP)
-
-
-def complex_one_step(m: int) -> ConstantRecord:
-    """One-step complex constants from the base K_G <= 1.4049.
-
-    Equal to 2^((m^2+m-6)/4m) * K_G^(2/m) for 2 <= m <= 13.
-    """
-    return compute_constant(m, Field.COMPLEX, Strategy.ONE_STEP)
-
-
-def real_two_step(m: int) -> ConstantRecord:
-    """Two-step real constants over the bases C_2 = 2^(1/2), C_3 = 2^(5/6).
-
-    Equal to 2^((m^2+6m-8)/8m) for even and 2^((m^2+6m-7)/8m) for odd m up
-    to 14, after which the Gamma branch of A enters.
-    """
-    return compute_constant(m, Field.REAL, Strategy.TWO_STEP)
-
-
-def real_halving(m: int) -> ConstantRecord:
-    """Halving real constants; satisfies C_m = 2^(1/2) C_{m/2} for even m <= 24."""
-    return compute_constant(m, Field.REAL, Strategy.HALVING)
-
-
-def complex_halving(m: int) -> ConstantRecord:
-    """Halving complex constants over the bases (2/sqrt(pi))^(m-1), m in {2..6}."""
-    return compute_constant(m, Field.COMPLEX, Strategy.HALVING)
-
-
 # The candidates of ``BEST``, each where it is stated.  Ties keep the
 # earliest, so equal-valued baselines win over the strategies that merely
-# reproduce them.
+# reproduce them.  A candidate beyond the double range never wins.
 _CANDIDATES = (
     Strategy.BASELINE_ORIGINAL, Strategy.BASELINE_KAIJSER, Strategy.BASELINE_QUEFFELEC_DS,
     Strategy.HALVING, Strategy.TWO_STEP, Strategy.ONE_STEP,
@@ -520,18 +468,16 @@ def _readers(
     return readers
 
 
-def best_constant(m: int, field: Field) -> ConstantRecord:
-    """Smallest constant over all applicable strategies and baselines.
-
-    Each candidate is a valid upper bound, so the minimum is one as well.
-    The winning record is returned unchanged, trace included; the best-of
-    selection is a feature of this tool, not a sharper theorem.
-    """
-    return compute_constant(m, field, Strategy.BEST)
-
-
 def compute_constant(m: int, field: Field, strategy: Strategy) -> ConstantRecord:
-    """One (m, field, strategy) constant, from the levels that m rests on."""
+    """One (m, field, strategy) constant, from the levels that m rests on.
+
+    Raises :class:`DomainError` for a strategy not stated for ``field`` (the
+    two-step recursion is real only, the Queffelec / Defant-Sevilla-Peris
+    baseline complex only) and for a constant beyond the double range: the
+    original baseline from m = 2039, Kaijser's from m = 2049, the one-step
+    chain from m = 4095 and the two-step chain from m = 8186.  ``BEST``
+    passes over such candidates; halving stays finite.
+    """
     (read,) = _readers(field, (strategy,))
     return read(m)
 
@@ -548,15 +494,6 @@ def constants_columns(
         raise DomainError(f"m_max must be an integer >= 2, got {m_max!r}")
     readers = _readers(field, strategies)
     return tuple(tuple(read(m) for m in range(2, m_max + 1)) for read in readers)
-
-
-def constants_table(field: Field, strategy: Strategy, m_max: int) -> tuple[ConstantRecord, ...]:
-    """Records for m = 2..m_max; deterministic and identical across runs.
-
-    Each level of the strategy is derived once, so the table costs O(m_max)
-    steps.
-    """
-    return constants_columns(field, (strategy,), m_max)[0]
 
 
 # --------------------------------------------------------------------------

@@ -345,7 +345,7 @@ def run_verify(cfg: RunConfig) -> ReportDocument:
     trials = cfg.trials if cfg.trials is not None else 100
     if cfg.subtarget not in _VERIFY_FLAGS:
         raise DomainError(f"unknown verify subtarget {cfg.subtarget!r}")
-    if cfg.field is Field.COMPLEX and cfg.subtarget in ("bh", "summing", "blei"):
+    if cfg.field is Field.COMPLEX:
         raise DomainError(f"verify {cfg.subtarget} has no complex suite; use --field real")
     unread = [
         f"--{name}"

@@ -148,12 +148,13 @@ def khinchine_b(p: float | Fraction | int) -> float:
     return 1.0 if pf <= 2.0 else a_gamma(pf)
 
 
-def crossover_p0(tol: float = 1e-12) -> float:
+def crossover_p0() -> float:
     """Exponent p0 where the two closed forms for A_p intersect on (1.5, 2).
 
-    Bisection on the equivalent condition Gamma((p+1)/2) = sqrt(pi)/2; the
-    Gamma branch exceeds the dyadic one below the root and drops under it
-    above (the second intersection sits exactly at p = 2).
+    Bisection to a bracket of width 1e-12 on the equivalent condition
+    Gamma((p+1)/2) = sqrt(pi)/2; the Gamma branch exceeds the dyadic one
+    below the root and drops under it above (the second intersection sits
+    exactly at p = 2).
     """
     target = LN_SQRT_PI - math.log(2.0)
 
@@ -163,7 +164,7 @@ def crossover_p0(tol: float = 1e-12) -> float:
     lo, hi = 1.5, 1.95
     if not (h(lo) > 0.0 > h(hi)):  # bracket sanity; cannot fail for this fixed h
         raise RuntimeError("crossover bracket lost")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if h(mid) > 0.0:
             lo = mid

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import DomainError, Field, SizeLimitError, digest_bytes
 from .exponents import blei_f, blei_w
-from .recursion import ConstantRecord, best_constant
+from .recursion import ConstantRecord, Strategy, compute_constant
 from .special import khinchine_a, khinchine_b
 
 __all__ = [
@@ -269,7 +269,7 @@ def sup_norm_complex_lb(form: MultilinearForm, restarts: int = 16, seed: int = 0
                         z_new *= b / abs(b)
                     total = b + v * z_new
                     zs[k][i] = z_new
-            value = abs(np.dot(_contract_except(form.coeffs, zs, 0), zs[0]))
+            value = float(abs(np.dot(_contract_except(form.coeffs, zs, 0), zs[0])))
             if value <= current * (1.0 + 1e-12) + 1e-300:
                 current = max(current, value)
                 break
@@ -347,11 +347,11 @@ def multiple_summing_check(
     form: MultilinearForm,
     families: list[VectorFamily],
     constant: ConstantRecord,
-    p: float | None = None,
     seed: int = 0,
 ) -> VerificationReport:
     """Check the multiple (p;1)-summing inequality on given vector families.
 
+    The exponent is the Bohnenblust-Hille one, p = 2m/(m+1):
     lhs = ( sum_{j_1..j_m} |U(x^(1)_{j_1}, .., x^(m)_{j_m})|^p )^(1/p),
     rhs = C * ||U|| * prod_k weak1_norm(family_k).  With canonical-basis
     families this reduces to the plain coefficient-norm check.
@@ -365,8 +365,7 @@ def multiple_summing_check(
             raise DomainError(
                 f"slot {k + 1} has dimension {form.dims[k]} but its family lives in l_inf^{family.dimension}"
             )
-    if p is None:
-        p = 2.0 * form.m / (form.m + 1.0)
+    p = 2.0 * form.m / (form.m + 1.0)
     values = form.coeffs
     for family in families:
         # consumes axis 0, appends the family index last; after m rounds the
@@ -506,7 +505,7 @@ def extremal_search(
 
     best_form = MultilinearForm(best_tensor, field)
     ratio = _search_ratio(best_form, 4 * lb_restarts, seed)  # final re-evaluation
-    reference = best_constant(m, field) if m >= 2 else None
+    reference = compute_constant(m, field, Strategy.BEST) if m >= 2 else None
     certified = field is Field.REAL
     upper = reference.value if reference is not None else 1.0
     passed = True if not certified else ratio <= upper * (1.0 + CERTIFIED_SLACK)
@@ -596,7 +595,6 @@ def bh_suite(
     dim: int,
     trials: int,
     seed: int = 42,
-    constant: ConstantRecord | None = None,
 ) -> list[VerificationReport]:
     """Random real forms certified against the exact oracles.
 
@@ -604,8 +602,7 @@ def bh_suite(
     the maximal ratio 2^(1/2) is always exercised.
     """
     _require_shape(m, dim)
-    if constant is None:
-        constant = best_constant(m, Field.REAL)
+    constant = compute_constant(m, Field.REAL, Strategy.BEST)
     rng = np.random.default_rng(seed)
     reports = []
     for t in range(trials):
@@ -619,21 +616,21 @@ def bh_suite(
 
 def blei_suite(
     trials: int,
-    max_rows: int = 6,
-    max_cols: int = 8,
-    s_low: float = 1.0,
-    s_high: float = 1.9,
     seed: int = 42,
 ) -> list[VerificationReport]:
-    """Random positive matrices with random Blei parameters at q = 2."""
+    """Random positive matrices with random Blei parameters at q = 2.
+
+    Each matrix has 1..6 rows and 1..8 columns; s1 and s2 are uniform on
+    [1, 1.9).
+    """
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(trials):
-        rows = int(rng.integers(1, max_rows + 1))
-        cols = int(rng.integers(1, max_cols + 1))
+        rows = int(rng.integers(1, 7))
+        cols = int(rng.integers(1, 9))
         matrix = 1.0 - rng.random((rows, cols))  # entries in (0, 1]
-        s1 = float(rng.uniform(s_low, s_high))
-        s2 = float(rng.uniform(s_low, s_high))
+        s1 = float(rng.uniform(1.0, 1.9))
+        s2 = float(rng.uniform(1.0, 1.9))
         reports.append(blei_check(matrix, 2.0, s1, s2, seed=seed))
     return reports
 
@@ -643,12 +640,10 @@ def summing_suite(
     dim: int,
     trials: int,
     seed: int = 42,
-    constant: ConstantRecord | None = None,
 ) -> list[VerificationReport]:
     """Random real forms and random vector families for the summing check."""
     _require_shape(m, dim)
-    if constant is None:
-        constant = best_constant(m, Field.REAL)
+    constant = compute_constant(m, Field.REAL, Strategy.BEST)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(trials):

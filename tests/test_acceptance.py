@@ -15,13 +15,8 @@ from bhc.core import Field
 from bhc.exponents import blei_f, blei_w
 from bhc.recursion import (
     TWO_OVER_SQRT_PI,
-    BaselineKind,
-    baseline,
-    best_constant,
-    complex_halving,
-    real_halving,
-    real_one_step,
-    real_two_step,
+    Strategy,
+    compute_constant,
 )
 from bhc.special import Branch, khinchine_a, khinchine_b
 from bhc.verify import (
@@ -56,19 +51,22 @@ def test_criterion_01_real_constants_table():
     with criterion(1, "real constants table"):
         printed = [1.782, 2.0, 2.298, 2.520, 2.6918, 2.8284, 3.055, 3.249, 3.4174, 3.563]
         for m, expected in zip(range(3, 13), printed):
-            assert abs(real_halving(m).value - expected) <= 5e-3
+            rec = compute_constant(m, Field.REAL, Strategy.HALVING)
+            assert abs(rec.value - expected) <= 5e-3
         one_step_column = [
             F(5, 6), F(18, 16), F(28, 20), F(40, 24), F(54, 28),
             F(70, 32), F(88, 36), F(108, 40), F(130, 44), F(154, 48),
         ]
         for m, exponent in zip(range(3, 13), one_step_column):
-            assert real_one_step(m).dyadic_exponent == exponent
+            assert compute_constant(m, Field.REAL, Strategy.ONE_STEP).dyadic_exponent == exponent
 
 
 def test_criterion_02_even_halving_identity():
     with criterion(2, "even halving identity"):
         for m in range(4, 25, 2):
-            assert real_halving(m).dyadic_exponent == F(1, 2) + real_halving(m // 2).dyadic_exponent
+            parent = compute_constant(m, Field.REAL, Strategy.HALVING)
+            child = compute_constant(m // 2, Field.REAL, Strategy.HALVING)
+            assert parent.dyadic_exponent == F(1, 2) + child.dyadic_exponent
 
 
 def test_criterion_03_dyadic_khinchine_identity():
@@ -85,38 +83,44 @@ def test_criterion_03_dyadic_khinchine_identity():
 def test_criterion_04_closed_forms():
     with criterion(4, "one-step and two-step closed forms"):
         for m in range(2, 14):
-            assert real_one_step(m).dyadic_exponent == F(m * m + m - 2, 4 * m)
+            rec = compute_constant(m, Field.REAL, Strategy.ONE_STEP)
+            assert rec.dyadic_exponent == F(m * m + m - 2, 4 * m)
         for m in range(2, 15):
+            rec = compute_constant(m, Field.REAL, Strategy.TWO_STEP)
             if m % 2 == 0:
-                assert real_two_step(m).dyadic_exponent == F(m * m + 6 * m - 8, 8 * m)
+                assert rec.dyadic_exponent == F(m * m + 6 * m - 8, 8 * m)
             else:
-                assert real_two_step(m).dyadic_exponent == F(m * m + 6 * m - 7, 8 * m)
+                assert rec.dyadic_exponent == F(m * m + 6 * m - 7, 8 * m)
 
 
 def test_criterion_05_complex_constants_table():
     with criterion(5, "complex constants table"):
         printed = [2.031, 2.172, 2.292, 2.449, 2.587, 2.662, 2.728, 2.805, 2.873]
         for m, expected in zip(range(8, 17), printed):
-            assert abs(complex_halving(m).value - expected) <= 5e-3
-        assert abs(complex_halving(7).value - 1.9293) <= 1e-4
+            rec = compute_constant(m, Field.COMPLEX, Strategy.HALVING)
+            assert abs(rec.value - expected) <= 5e-3
+        rec7 = compute_constant(7, Field.COMPLEX, Strategy.HALVING)
+        assert abs(rec7.value - 1.9293) <= 1e-4
 
 
 def test_criterion_06_baselines():
     with criterion(6, "classical baselines"):
-        qds = baseline(50, BaselineKind.QUEFFELEC_DS).value
+        qds = compute_constant(50, Field.COMPLEX, Strategy.BASELINE_QUEFFELEC_DS).value
         assert abs(qds - 372.0) <= 1e-2 * 372.0
-        kaijser = baseline(100, BaselineKind.KAIJSER).value
+        kaijser = compute_constant(100, Field.COMPLEX, Strategy.BASELINE_KAIJSER).value
         assert abs(kaijser - 7.96131459e14) <= 1e-6 * 7.96131459e14
-        original = baseline(3, BaselineKind.ORIGINAL).value
+        original = compute_constant(3, Field.COMPLEX, Strategy.BASELINE_ORIGINAL).value
         assert abs(original - 4.160) <= 5e-3
 
 
 def test_criterion_07_complex_crossover():
     with criterion(7, "complex crossover at m = 7"):
         for m in range(7, 17):
-            assert complex_halving(m).value < TWO_OVER_SQRT_PI ** (m - 1)
+            rec = compute_constant(m, Field.COMPLEX, Strategy.HALVING)
+            assert rec.value < TWO_OVER_SQRT_PI ** (m - 1)
         for m in (4, 5, 6):
-            assert complex_halving(m).value >= TWO_OVER_SQRT_PI ** (m - 1) * (1.0 - 1e-14)
+            rec = compute_constant(m, Field.COMPLEX, Strategy.HALVING)
+            assert rec.value >= TWO_OVER_SQRT_PI ** (m - 1) * (1.0 - 1e-14)
 
 
 def test_criterion_08_khinchine_property_suite():
@@ -163,20 +167,20 @@ def test_criterion_10_bh_certification_suite():
     with criterion(10, "Bohnenblust-Hille certification suite"):
         rng = np.random.default_rng(42)
         for m in (2, 3):
-            constant = best_constant(m, Field.REAL)
+            constant = compute_constant(m, Field.REAL, Strategy.BEST)
             for dim in (2, 3, 4):
                 for _ in range(200):
                     form = random_form((dim,) * m, Field.REAL, rng)
                     report = bh_check(form, constant)
                     assert report.lhs <= report.rhs + 1e-9
-        littlewood = bh_check(littlewood_form(2), best_constant(2, Field.REAL))
+        littlewood = bh_check(littlewood_form(2), compute_constant(2, Field.REAL, Strategy.BEST))
         assert abs(littlewood.ratio - SQRT2) <= 1e-9
 
 
 def test_criterion_11_summing_reformulation():
     with criterion(11, "multiple-summing reformulation"):
         rng = np.random.default_rng(42)
-        constant = best_constant(2, Field.REAL)
+        constant = compute_constant(2, Field.REAL, Strategy.BEST)
         for _ in range(50):
             form = random_form((3, 3), Field.REAL, rng)
             families = [canonical_family(3), canonical_family(3)]

@@ -10,7 +10,8 @@ crossover between the branches are checked against mpmath as well.
 
 import pytest
 
-from bhc.recursion import complex_halving, real_halving, real_one_step, real_two_step
+from bhc.core import Field
+from bhc.recursion import Strategy, compute_constant
 from bhc.special import a_gamma, crossover_p0, log_gamma
 
 mpmath = pytest.importorskip("mpmath")
@@ -69,27 +70,28 @@ def test_oracle_reproduces_exact_levels():
         assert float(halving(12, False)) == pytest.approx(2.0 ** (11 / 6), rel=1e-15)
 
 
-CASES = {
-    "real-one-step": (real_one_step, one_step),
-    "real-two-step": (real_two_step, two_step),
-    "real-halving": (real_halving, lambda m: halving(m, complex_field=False)),
-    "complex-halving": (complex_halving, lambda m: halving(m, complex_field=True)),
+ORACLES = {
+    (Field.REAL, Strategy.ONE_STEP): one_step,
+    (Field.REAL, Strategy.TWO_STEP): two_step,
+    (Field.REAL, Strategy.HALVING): lambda m: halving(m, complex_field=False),
+    (Field.COMPLEX, Strategy.HALVING): lambda m: halving(m, complex_field=True),
 }
 
 
 @pytest.mark.parametrize(
-    "case, m",
+    "field, strategy, m",
     [
-        ("real-one-step", 14),
-        ("real-one-step", 30),
-        ("real-two-step", 30),
-        *(("real-halving", m) for m in (26, 37, 50)),
-        *(("complex-halving", m) for m in (26, 37, 50)),
+        (Field.REAL, Strategy.ONE_STEP, 14),
+        (Field.REAL, Strategy.ONE_STEP, 30),
+        (Field.REAL, Strategy.TWO_STEP, 30),
+        *((Field.REAL, Strategy.HALVING, m) for m in (26, 37, 50)),
+        *((Field.COMPLEX, Strategy.HALVING, m) for m in (26, 37, 50)),
     ],
+    ids=lambda v: getattr(v, "value", v),
 )
-def test_gamma_branch_levels(case, m):
-    derive, oracle = CASES[case]
-    record = derive(m)
+def test_gamma_branch_levels(field, strategy, m):
+    oracle = ORACLES[field, strategy]
+    record = compute_constant(m, field, strategy)
     assert record.closed_form is None  # no exact check reaches this level
     with mpmath.workdps(50):
         expected = float(oracle(m))

@@ -15,25 +15,19 @@ from bhc.core import DomainError, Field
 from bhc.recursion import (
     K_G_UPPER,
     TWO_OVER_SQRT_PI,
-    BaselineKind,
     Strategy,
-    baseline,
-    best_constant,
-    complex_halving,
-    complex_one_step,
     compute_constant,
     constants_columns,
-    constants_table,
     is_stated_for,
-    real_halving,
-    real_one_step,
-    real_two_step,
     replay_trace,
 )
 from bhc.special import Branch, khinchine_a
 from bhc.verify import bh_check, littlewood_form
 
 F = Fraction
+
+# every (field, strategy) pair that gives constants, BEST included
+STATED = [(f, s) for f in Field for s in Strategy if is_stated_for(f, s)]
 
 # published rounded values of the halving column (real case, m = 3..12)
 REAL_TABLE = {
@@ -65,29 +59,30 @@ COMPLEX_TABLE = {
 
 class TestBases:
     def test_all_real_strategies_share_bases(self):
-        for fn in (real_one_step, real_two_step, real_halving):
-            rec2 = fn(2)
+        for strategy in (Strategy.ONE_STEP, Strategy.TWO_STEP, Strategy.HALVING):
+            rec2 = compute_constant(2, Field.REAL, strategy)
             assert rec2.value == pytest.approx(math.sqrt(2.0), rel=1e-15)
             assert rec2.dyadic_exponent == F(1, 2)
-        for fn in (real_two_step, real_halving):
-            assert fn(3).dyadic_exponent == F(5, 6)
+        for strategy in (Strategy.TWO_STEP, Strategy.HALVING):
+            assert compute_constant(3, Field.REAL, strategy).dyadic_exponent == F(5, 6)
         # the one-step value at m=3 lands on the same exponent
-        assert real_one_step(3).dyadic_exponent == F(5, 6)
+        assert compute_constant(3, Field.REAL, Strategy.ONE_STEP).dyadic_exponent == F(5, 6)
 
-    def test_domain(self):
-        for fn in (real_one_step, real_two_step, real_halving, complex_one_step, complex_halving):
-            with pytest.raises(DomainError):
-                fn(1)
-            with pytest.raises(DomainError):
-                fn(0)
+    @pytest.mark.parametrize("field, strategy", STATED)
+    def test_domain(self, field, strategy):
+        with pytest.raises(DomainError):
+            compute_constant(1, field, strategy)
+        with pytest.raises(DomainError):
+            compute_constant(0, field, strategy)
 
 
 class TestRealOneStep:
     def test_closed_form_exponents(self):
         for m in range(2, 14):
-            assert real_one_step(m).dyadic_exponent == F(m * m + m - 2, 4 * m)
+            rec = compute_constant(m, Field.REAL, Strategy.ONE_STEP)
+            assert rec.dyadic_exponent == F(m * m + m - 2, 4 * m)
         # the Gamma branch enters at m = 14 and the exact form is gone
-        assert real_one_step(14).dyadic_exponent is None
+        assert compute_constant(14, Field.REAL, Strategy.ONE_STEP).dyadic_exponent is None
 
     def test_published_column(self):
         printed = {
@@ -103,9 +98,13 @@ class TestRealOneStep:
             12: F(154, 48),
         }
         for m, exponent in printed.items():
-            assert real_one_step(m).dyadic_exponent == exponent
-        assert real_one_step(12).value == pytest.approx(9.243, abs=5e-3)
-        assert real_one_step(3).value == pytest.approx(1.782, abs=5e-3)
+            assert compute_constant(m, Field.REAL, Strategy.ONE_STEP).dyadic_exponent == exponent
+        assert compute_constant(12, Field.REAL, Strategy.ONE_STEP).value == pytest.approx(
+            9.243, abs=5e-3
+        )
+        assert compute_constant(3, Field.REAL, Strategy.ONE_STEP).value == pytest.approx(
+            1.782, abs=5e-3
+        )
 
 
 class TestRealTwoStep:
@@ -115,30 +114,32 @@ class TestRealTwoStep:
                 expected = F(m * m + 6 * m - 8, 8 * m)
             else:
                 expected = F(m * m + 6 * m - 7, 8 * m)
-            assert real_two_step(m).dyadic_exponent == expected
+            assert compute_constant(m, Field.REAL, Strategy.TWO_STEP).dyadic_exponent == expected
 
     def test_examples(self):
-        assert real_two_step(6).dyadic_exponent == F(4, 3)
-        assert real_two_step(6).value == pytest.approx(2.520, abs=5e-3)
-        assert real_two_step(7).dyadic_exponent == F(3, 2)
-        assert real_two_step(7).value == pytest.approx(2.828, abs=5e-3)
-        assert real_two_step(3).dyadic_exponent == F(5, 6)  # base passthrough
+        six, seven, three = (compute_constant(m, Field.REAL, Strategy.TWO_STEP) for m in (6, 7, 3))
+        assert six.dyadic_exponent == F(4, 3)
+        assert six.value == pytest.approx(2.520, abs=5e-3)
+        assert seven.dyadic_exponent == F(3, 2)
+        assert seven.value == pytest.approx(2.828, abs=5e-3)
+        assert three.dyadic_exponent == F(5, 6)  # base passthrough
 
 
 class TestRealHalving:
     def test_published_column(self):
         for m, printed in REAL_TABLE.items():
-            assert real_halving(m).value == pytest.approx(printed, abs=5e-3)
+            rec = compute_constant(m, Field.REAL, Strategy.HALVING)
+            assert rec.value == pytest.approx(printed, abs=5e-3)
 
     def test_exact_exponents(self):
-        assert real_halving(4).dyadic_exponent == F(1)
-        assert real_halving(9).dyadic_exponent == F(29, 18)
-        assert real_halving(12).dyadic_exponent == F(11, 6)
+        assert compute_constant(4, Field.REAL, Strategy.HALVING).dyadic_exponent == F(1)
+        assert compute_constant(9, Field.REAL, Strategy.HALVING).dyadic_exponent == F(29, 18)
+        assert compute_constant(12, Field.REAL, Strategy.HALVING).dyadic_exponent == F(11, 6)
 
     def test_even_halving_identity(self):
         for m in range(4, 25, 2):
-            parent = real_halving(m).dyadic_exponent
-            child = real_halving(m // 2).dyadic_exponent
+            parent = compute_constant(m, Field.REAL, Strategy.HALVING).dyadic_exponent
+            child = compute_constant(m // 2, Field.REAL, Strategy.HALVING).dyadic_exponent
             assert parent == F(1, 2) + child
 
     def test_dosestrellas(self):
@@ -152,34 +153,36 @@ class TestRealHalving:
         assert abs(rec26.a_p - 2.0 ** (-1.0 / 26.0)) > 1e-6
 
     def test_gamma_branch_enters_above_24(self):
-        rec = real_halving(26)
+        rec = compute_constant(26, Field.REAL, Strategy.HALVING)
         assert rec.dyadic_exponent is None and rec.closed_form is None
         branches = {use.branch for step in rec.trace for use in step.khinchine}
         assert Branch.GAMMA_FORMULA in branches
         # while everything at or below 24 is exact
-        assert real_halving(24).dyadic_exponent is not None
+        assert compute_constant(24, Field.REAL, Strategy.HALVING).dyadic_exponent is not None
 
 
 class TestComplexOneStep:
     def test_base_is_grothendieck_literal(self):
-        assert complex_one_step(2).value == K_G_UPPER
-        assert complex_one_step(2).closed_form.kg == 1
+        rec = compute_constant(2, Field.COMPLEX, Strategy.ONE_STEP)
+        assert rec.value == K_G_UPPER
+        assert rec.closed_form.kg == 1
 
     def test_closed_form(self):
         for m in range(2, 14):
             expected = 2.0 ** ((m * m + m - 6) / (4 * m)) * K_G_UPPER ** (2.0 / m)
-            rec = complex_one_step(m)
+            rec = compute_constant(m, Field.COMPLEX, Strategy.ONE_STEP)
             assert rec.value == pytest.approx(expected, rel=1e-12)
             assert rec.closed_form.two == F(m * m + m - 6, 4 * m)
             assert rec.closed_form.kg == F(2, m)
 
     def test_single_step_example(self):
         expected = 2.0 ** (1.0 / 3.0) * (K_G_UPPER / 2.0**-0.25) ** (2.0 / 3.0)
-        assert complex_one_step(3).value == pytest.approx(expected, rel=1e-12)
+        rec = compute_constant(3, Field.COMPLEX, Strategy.ONE_STEP)
+        assert rec.value == pytest.approx(expected, rel=1e-12)
 
     def test_never_pure_dyadic(self):
         for m in (2, 5, 9, 13):
-            rec = complex_one_step(m)
+            rec = compute_constant(m, Field.COMPLEX, Strategy.ONE_STEP)
             assert rec.dyadic_exponent is None
             assert "K_G" in rec.extra_factor
 
@@ -187,98 +190,111 @@ class TestComplexOneStep:
 class TestComplexHalving:
     def test_bases(self):
         for m in range(2, 7):
-            rec = complex_halving(m)
+            rec = compute_constant(m, Field.COMPLEX, Strategy.HALVING)
             assert rec.value == pytest.approx(TWO_OVER_SQRT_PI ** (m - 1), rel=1e-14)
             assert rec.closed_form.tosp == m - 1
             assert rec.dyadic_exponent is None
 
     def test_level_seven(self):
-        rec = complex_halving(7)
+        rec = compute_constant(7, Field.COMPLEX, Strategy.HALVING)
         assert rec.value == pytest.approx(1.9293, abs=1e-4)
         assert rec.closed_form.two == F(1, 2)
         assert rec.closed_form.tosp == F(18, 7)
 
     def test_published_column(self):
         for m, printed in COMPLEX_TABLE.items():
-            assert complex_halving(m).value == pytest.approx(printed, abs=5e-3)
+            rec = compute_constant(m, Field.COMPLEX, Strategy.HALVING)
+            assert rec.value == pytest.approx(printed, abs=5e-3)
 
     def test_crossover_against_queffelec(self):
         for m in range(7, 17):
-            assert complex_halving(m).value < TWO_OVER_SQRT_PI ** (m - 1)
+            rec = compute_constant(m, Field.COMPLEX, Strategy.HALVING)
+            assert rec.value < TWO_OVER_SQRT_PI ** (m - 1)
         for m in (4, 5, 6):
-            assert complex_halving(m).value >= TWO_OVER_SQRT_PI ** (m - 1) * (1.0 - 1e-14)
+            rec = compute_constant(m, Field.COMPLEX, Strategy.HALVING)
+            assert rec.value >= TWO_OVER_SQRT_PI ** (m - 1) * (1.0 - 1e-14)
 
 
 class TestBaselines:
     def test_original_at_3(self):
-        assert baseline(3, BaselineKind.ORIGINAL).value == pytest.approx(4.160, abs=5e-3)
+        rec = compute_constant(3, Field.COMPLEX, Strategy.BASELINE_ORIGINAL)
+        assert rec.value == pytest.approx(4.160, abs=5e-3)
 
     def test_kaijser(self):
-        assert baseline(5, BaselineKind.KAIJSER).value == 4.0
-        assert baseline(100, BaselineKind.KAIJSER).value == pytest.approx(7.96131459e14, rel=1e-6)
-        assert baseline(7, BaselineKind.KAIJSER).dyadic_exponent == F(3)
+        five, hundred, seven = (
+            compute_constant(m, Field.COMPLEX, Strategy.BASELINE_KAIJSER) for m in (5, 100, 7)
+        )
+        assert five.value == 4.0
+        assert hundred.value == pytest.approx(7.96131459e14, rel=1e-6)
+        assert seven.dyadic_exponent == F(3)
 
     def test_queffelec(self):
-        assert baseline(50, BaselineKind.QUEFFELEC_DS).value == pytest.approx(372.0, rel=1e-2)
-        assert baseline(4, BaselineKind.QUEFFELEC_DS).closed_form.tosp == 3
+        fifty, four = (
+            compute_constant(m, Field.COMPLEX, Strategy.BASELINE_QUEFFELEC_DS) for m in (50, 4)
+        )
+        assert fifty.value == pytest.approx(372.0, rel=1e-2)
+        assert four.closed_form.tosp == 3
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            baseline(1, BaselineKind.KAIJSER)
+            compute_constant(1, Field.COMPLEX, Strategy.BASELINE_KAIJSER)
 
 
 class TestBestConstant:
     def test_complex_level_four_prefers_queffelec(self):
-        rec = best_constant(4, Field.COMPLEX)
+        rec = compute_constant(4, Field.COMPLEX, Strategy.BEST)
         assert rec.value == pytest.approx(TWO_OVER_SQRT_PI**3, rel=1e-14)
         assert rec.strategy is Strategy.BASELINE_QUEFFELEC_DS
 
     def test_real_level_nine_prefers_halving(self):
-        rec = best_constant(9, Field.REAL)
+        rec = compute_constant(9, Field.REAL, Strategy.BEST)
         assert rec.strategy is Strategy.HALVING
         assert rec.value == pytest.approx(3.055, abs=5e-3)
 
     def test_shared_base_value(self):
-        assert best_constant(2, Field.REAL).value == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        rec = compute_constant(2, Field.REAL, Strategy.BEST)
+        assert rec.value == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_dominance(self):
         for m in range(2, 51):
-            assert (
-                best_constant(m, Field.REAL).value
-                <= baseline(m, BaselineKind.KAIJSER).value * (1.0 + 1e-12)
-            )
+            best = compute_constant(m, Field.REAL, Strategy.BEST)
+            kaijser = compute_constant(m, Field.COMPLEX, Strategy.BASELINE_KAIJSER)
+            assert best.value <= kaijser.value * (1.0 + 1e-12)
         for m in range(7, 51):
-            assert complex_halving(m).value <= TWO_OVER_SQRT_PI ** (m - 1) * (1.0 + 1e-12)
+            rec = compute_constant(m, Field.COMPLEX, Strategy.HALVING)
+            assert rec.value <= TWO_OVER_SQRT_PI ** (m - 1) * (1.0 + 1e-12)
 
 
 class TestRecordConsistency:
     def test_value_matches_exponent(self):
         for m in range(2, 25):
-            for rec in (real_one_step(m), real_two_step(m), real_halving(m)):
+            for strategy in (Strategy.ONE_STEP, Strategy.TWO_STEP, Strategy.HALVING):
+                rec = compute_constant(m, Field.REAL, strategy)
                 if rec.dyadic_exponent is not None:
                     assert abs(rec.value - 2.0 ** float(rec.dyadic_exponent)) <= 1e-12 * rec.value
 
     def test_value_matches_closed_form(self):
         for m in range(2, 25):
-            for rec in (complex_halving(m), complex_one_step(m)):
+            for strategy in (Strategy.HALVING, Strategy.ONE_STEP):
+                rec = compute_constant(m, Field.COMPLEX, strategy)
                 if rec.closed_form is not None:
                     assert rec.value == pytest.approx(rec.closed_form.value(), rel=1e-12)
 
     def test_monotone_in_m(self):
-        strategies = [
-            lambda m: real_one_step(m).value,
-            lambda m: real_two_step(m).value,
-            lambda m: real_halving(m).value,
-            lambda m: complex_one_step(m).value,
-            lambda m: complex_halving(m).value,
-            lambda m: baseline(m, BaselineKind.KAIJSER).value,
-            lambda m: baseline(m, BaselineKind.QUEFFELEC_DS).value,
-            lambda m: baseline(m, BaselineKind.ORIGINAL).value,
+        stated = [
+            (Field.REAL, Strategy.ONE_STEP),
+            (Field.REAL, Strategy.TWO_STEP),
+            (Field.REAL, Strategy.HALVING),
+            (Field.COMPLEX, Strategy.ONE_STEP),
+            (Field.COMPLEX, Strategy.HALVING),
+            (Field.COMPLEX, Strategy.BASELINE_KAIJSER),
+            (Field.COMPLEX, Strategy.BASELINE_QUEFFELEC_DS),
+            (Field.COMPLEX, Strategy.BASELINE_ORIGINAL),
         ]
-        for value_of in strategies:
-            previous = value_of(2)
+        for field, strategy in stated:
+            previous = compute_constant(2, field, strategy).value
             for m in range(3, 51):
-                current = value_of(m)
+                current = compute_constant(m, field, strategy).value
                 assert current >= previous * (1.0 - 1e-12)
                 previous = current
 
@@ -286,22 +302,26 @@ class TestRecordConsistency:
 class TestTraces:
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 9, 12, 24, 25, 26, 37, 50])
     def test_replay_halving(self, m):
-        for fn in (real_halving, complex_halving):
-            rec = fn(m)
+        for field in (Field.REAL, Field.COMPLEX):
+            rec = compute_constant(m, field, Strategy.HALVING)
             assert replay_trace(rec.trace) == pytest.approx(rec.value, rel=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 8, 13, 14, 30])
     def test_replay_linear_strategies(self, m):
-        for fn in (real_one_step, complex_one_step, real_two_step):
-            rec = fn(m)
+        for field, strategy in (
+            (Field.REAL, Strategy.ONE_STEP),
+            (Field.COMPLEX, Strategy.ONE_STEP),
+            (Field.REAL, Strategy.TWO_STEP),
+        ):
+            rec = compute_constant(m, field, strategy)
             assert replay_trace(rec.trace) == pytest.approx(rec.value, rel=1e-12)
 
     def test_halving_trace_structure(self):
-        rec = real_halving(12)
+        rec = compute_constant(12, Field.REAL, Strategy.HALVING)
         rules = [(s.rule, s.m) for s in rec.trace]
         assert rules == [("base", 3), ("even-halving", 6), ("even-halving", 12)]
         # post-order from m, low child before high, each level once
-        rules = [(s.rule, s.m) for s in real_halving(23).trace]
+        rules = [(s.rule, s.m) for s in compute_constant(23, Field.REAL, Strategy.HALVING).trace]
         assert rules == [
             ("base", 2),
             ("base", 3),
@@ -311,38 +331,35 @@ class TestTraces:
             ("even-halving", 12),
             ("odd-split", 23),
         ]
-        rules = [(s.rule, s.m) for s in complex_halving(13).trace]
+        rules = [(s.rule, s.m) for s in compute_constant(13, Field.COMPLEX, Strategy.HALVING).trace]
         assert rules == [("base", 6), ("base", 3), ("base", 4), ("odd-split", 7), ("odd-split", 13)]
-        rec9 = real_halving(9)
+        rec9 = compute_constant(9, Field.REAL, Strategy.HALVING)
         odd = [s for s in rec9.trace if s.rule == "odd-split"][-1]
         assert odd.split.f1 == F(4, 9) and odd.split.f2 == F(5, 9)
         assert odd.children == (4, 5)
 
     def test_trace_is_walked_once(self):
-        rec = real_halving(23)
+        rec = compute_constant(23, Field.REAL, Strategy.HALVING)
         assert rec.trace is rec.trace
 
     def test_best_attaches_winning_trace(self):
-        rec = best_constant(9, Field.REAL)
+        rec = compute_constant(9, Field.REAL, Strategy.BEST)
         assert replay_trace(rec.trace) == pytest.approx(rec.value, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "field, strategy",
-        [(f, s) for f in Field for s in Strategy if is_stated_for(f, s)],
-    )
+    @pytest.mark.parametrize("field, strategy", STATED)
     def test_every_table_record_replays(self, field, strategy):
-        for rec in constants_table(field, strategy, 64):
+        for rec in constants_columns(field, (strategy,), 64)[0]:
             assert replay_trace(rec.trace) == rec.value
 
     def test_replay_does_not_rederive(self, monkeypatch):
         # replay_trace is the independent check: it must not reach the
         # derivation code, so break every piece of that code and replay
         records = [
-            real_halving(37),
-            complex_halving(37),
-            real_two_step(30),
-            complex_one_step(30),
-            baseline(30, BaselineKind.KAIJSER),
+            compute_constant(37, Field.REAL, Strategy.HALVING),
+            compute_constant(37, Field.COMPLEX, Strategy.HALVING),
+            compute_constant(30, Field.REAL, Strategy.TWO_STEP),
+            compute_constant(30, Field.COMPLEX, Strategy.ONE_STEP),
+            compute_constant(30, Field.COMPLEX, Strategy.BASELINE_KAIJSER),
         ]
         # the trace walk is derivation code too: take each trace first
         traces = [(rec.trace, rec.value) for rec in records]
@@ -363,7 +380,7 @@ class TestTraces:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        stated=st.sampled_from([(f, s) for f in Field for s in Strategy if is_stated_for(f, s)]),
+        stated=st.sampled_from(STATED),
         m=st.integers(2, 500),
     )
     def test_any_record_replays_exactly(self, stated, m):
@@ -374,14 +391,14 @@ class TestTraces:
 
 class TestTableAndDispatch:
     def test_table_rows(self):
-        records = constants_table(Field.REAL, Strategy.HALVING, 12)
+        records = constants_columns(Field.REAL, (Strategy.HALVING,), 12)[0]
         assert [r.m for r in records] == list(range(2, 13))
-        again = constants_table(Field.REAL, Strategy.HALVING, 12)
+        again = constants_columns(Field.REAL, (Strategy.HALVING,), 12)[0]
         assert [r.value for r in records] == [r.value for r in again]
 
     def test_table_domain(self):
         with pytest.raises(DomainError):
-            constants_table(Field.REAL, Strategy.HALVING, 1)
+            constants_columns(Field.REAL, (Strategy.HALVING,), 1)
 
     def test_two_step_is_real_only(self):
         with pytest.raises(DomainError):
@@ -392,8 +409,6 @@ class TestTableAndDispatch:
         assert is_stated_for(Field.COMPLEX, Strategy.BASELINE_QUEFFELEC_DS)
         with pytest.raises(DomainError, match="complex scalars only"):
             compute_constant(2, Field.REAL, Strategy.BASELINE_QUEFFELEC_DS)
-        with pytest.raises(DomainError, match="complex scalars only"):
-            baseline(2, BaselineKind.QUEFFELEC_DS, Field.REAL)
 
     def test_unknown_strategy(self):
         with pytest.raises(DomainError, match="unknown strategy"):
@@ -408,10 +423,14 @@ class TestTableAndDispatch:
         best, one_step, again = constants_columns(
             Field.REAL, (Strategy.BEST, Strategy.ONE_STEP, Strategy.ONE_STEP), 30
         )
-        assert [r.value for r in one_step] == [real_one_step(m).value for m in range(2, 31)]
+        assert [r.value for r in one_step] == [
+            compute_constant(m, Field.REAL, Strategy.ONE_STEP).value for m in range(2, 31)
+        ]
         # a level's step object is shared by every record that passes through it
         assert one_step[-1].trace[5] is one_step[10].trace[5] is again[20].trace[5]
-        assert [r.value for r in best] == [best_constant(m, Field.REAL).value for m in range(2, 31)]
+        assert [r.value for r in best] == [
+            compute_constant(m, Field.REAL, Strategy.BEST).value for m in range(2, 31)
+        ]
 
 
 class TestTableCost:
@@ -427,7 +446,7 @@ class TestTableCost:
 
         monkeypatch.setattr(bhc.exponents, "blei_f", counted)
         monkeypatch.setattr(bhc.recursion, "blei_f", counted)
-        constants_table(Field.REAL, Strategy.BEST, m_max)
+        constants_columns(Field.REAL, (Strategy.BEST,), m_max)
         return calls
 
     def test_best_table_is_linear_in_m_max(self, monkeypatch):
@@ -442,7 +461,7 @@ class TestTableCost:
         def held(m_max):
             tracemalloc.start()
             try:
-                table = constants_table(Field.REAL, Strategy.ONE_STEP, m_max)
+                (table,) = constants_columns(Field.REAL, (Strategy.ONE_STEP,), m_max)
                 assert len(table) == m_max - 1
                 return tracemalloc.get_traced_memory()[0]
             finally:
@@ -453,25 +472,27 @@ class TestTableCost:
 
 class TestDoubleRange:
     def test_baselines_beyond_the_double_range(self):
-        assert math.isfinite(baseline(2048, BaselineKind.KAIJSER).value)
-        assert math.isfinite(baseline(2038, BaselineKind.ORIGINAL).value)
-        for m, kind in ((2049, BaselineKind.KAIJSER), (2039, BaselineKind.ORIGINAL)):
+        kaijser = compute_constant(2048, Field.COMPLEX, Strategy.BASELINE_KAIJSER)
+        original = compute_constant(2038, Field.COMPLEX, Strategy.BASELINE_ORIGINAL)
+        assert math.isfinite(kaijser.value)
+        assert math.isfinite(original.value)
+        for m, strategy in ((2049, Strategy.BASELINE_KAIJSER), (2039, Strategy.BASELINE_ORIGINAL)):
             with pytest.raises(DomainError, match="double range"):
-                baseline(m, kind)
+                compute_constant(m, Field.COMPLEX, strategy)
 
     @pytest.mark.parametrize("field", list(Field))
     def test_best_skips_infinite_candidates(self, field):
-        rec = best_constant(2049, field)
+        rec = compute_constant(2049, field, Strategy.BEST)
         assert rec.strategy is Strategy.HALVING
         assert rec.value == compute_constant(2049, field, Strategy.HALVING).value
         assert math.isfinite(rec.value)
 
     def test_chains_beyond_the_double_range(self):
-        assert math.isfinite(complex_one_step(4094).value)
+        assert math.isfinite(compute_constant(4094, Field.COMPLEX, Strategy.ONE_STEP).value)
         with pytest.raises(DomainError, match="one-step constant at m=4095 exceeds the double range"):
-            complex_one_step(4095)
+            compute_constant(4095, Field.COMPLEX, Strategy.ONE_STEP)
         # best reads the infinite one-step candidate and passes it over
-        rec = best_constant(4095, Field.COMPLEX)
+        rec = compute_constant(4095, Field.COMPLEX, Strategy.BEST)
         assert rec.strategy is Strategy.HALVING and math.isfinite(rec.value)
 
 
@@ -483,7 +504,7 @@ REAL_STRATEGIES = [s for s in Strategy if is_stated_for(Field.REAL, s)]
 class TestRealLowerBound:
     @pytest.mark.parametrize("strategy", REAL_STRATEGIES)
     def test_no_real_constant_undercuts_the_lower_bound(self, strategy):
-        for rec in constants_table(Field.REAL, strategy, 64):
+        for rec in constants_columns(Field.REAL, (strategy,), 64)[0]:
             assert rec.value >= 2.0 ** (1.0 - 1.0 / rec.m)
 
     @pytest.mark.parametrize("strategy", REAL_STRATEGIES)

@@ -234,6 +234,14 @@ class TestCli:
         assert result.exit_code == 0
         assert json.loads(result.output)["rows"][0]["ratio"] == 1.0
 
+    def test_complex_search_csv_cells_are_numbers(self):
+        argv = ["search", "--field", "complex", "--m", "2", "--dim", "2", "--budget", "20"]
+        result = CliRunner().invoke(main, [*argv, "--seed", "5", "--format", "csv"])
+        assert result.exit_code == 0
+        (row,) = csv.DictReader(io.StringIO(result.output))
+        for name in ("lhs", "rhs", "ratio", "constant", "seed", "trials", "upper_bound", "gap"):
+            float(row[name])
+
     def test_baselines_cli(self):
         runner = CliRunner()
         result = runner.invoke(main, ["baselines", "--max-m", "5"])
@@ -295,7 +303,7 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["rows"][0]["failed"] == 0
 
-    @pytest.mark.parametrize("subtarget", ["bh", "summing", "blei"])
+    @pytest.mark.parametrize("subtarget", ["bh", "summing", "blei", "khinchine"])
     def test_complex_field_without_a_suite_is_rejected(self, subtarget):
         result = CliRunner().invoke(
             main, ["verify", subtarget, "--field", "complex", "--trials", "2"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bhc.core import DomainError, Field, SizeLimitError
-from bhc.recursion import best_constant
+from bhc.recursion import Strategy, compute_constant
 from bhc.verify import (
     MultilinearForm,
     VectorFamily,
@@ -188,6 +188,13 @@ class TestSupNormComplexLb:
         with pytest.raises(DomainError):
             sup_norm_complex_lb(MultilinearForm(np.ones((2, 2)), Field.REAL))
 
+    def test_returns_a_python_float(self):
+        # whether the phase ascent or the slot-1 collapse gives the bound
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            form = random_form((2, 2), Field.COMPLEX, rng)
+            assert type(sup_norm_complex_lb(form, restarts=2, seed=0)) is float
+
 
 class TestMixedNorm:
     def test_littlewood(self):
@@ -213,17 +220,18 @@ class TestMixedNorm:
 
 class TestBhCheck:
     def test_littlewood_sharpness(self):
-        report = bh_check(littlewood_form(2), best_constant(2, Field.REAL))
+        report = bh_check(littlewood_form(2), compute_constant(2, Field.REAL, Strategy.BEST))
         assert report.passed
         assert abs(report.ratio - SQRT2) <= 1e-9
 
     def test_zero_form(self):
-        report = bh_check(MultilinearForm(np.zeros((2, 2)), Field.REAL), best_constant(2, Field.REAL))
+        constant = compute_constant(2, Field.REAL, Strategy.BEST)
+        report = bh_check(MultilinearForm(np.zeros((2, 2)), Field.REAL), constant)
         assert report.passed and report.ratio == 0.0
 
     def test_property_run_trilinear(self):
         rng = np.random.default_rng(71)
-        constant = best_constant(3, Field.REAL)
+        constant = compute_constant(3, Field.REAL, Strategy.BEST)
         for _ in range(200):
             form = random_form((3, 3, 3), Field.REAL, rng)
             assert bh_check(form, constant).passed
@@ -231,7 +239,7 @@ class TestBhCheck:
     def test_sandwich_property(self):
         rng = np.random.default_rng(72)
         for m in (2, 3):
-            constant = best_constant(m, Field.REAL)
+            constant = compute_constant(m, Field.REAL, Strategy.BEST)
             for _ in range(50):
                 form = random_form((3,) * m, Field.REAL, rng)
                 report = bh_check(form, constant)
@@ -240,7 +248,7 @@ class TestBhCheck:
     def test_homogeneity(self):
         rng = np.random.default_rng(73)
         arr = rng.uniform(-1, 1, size=(3, 3))
-        constant = best_constant(2, Field.REAL)
+        constant = compute_constant(2, Field.REAL, Strategy.BEST)
         base = bh_check(MultilinearForm(arr, Field.REAL), constant)
         for t in (2.0, 0.37):
             scaled = bh_check(MultilinearForm(t * arr, Field.REAL), constant)
@@ -250,7 +258,7 @@ class TestBhCheck:
 
     def test_complex_is_diagnostic(self):
         form = littlewood_form(2, Field.COMPLEX)
-        report = bh_check(form, best_constant(2, Field.COMPLEX), restarts=8, seed=3)
+        report = bh_check(form, compute_constant(2, Field.COMPLEX, Strategy.BEST), restarts=8, seed=3)
         assert report.check == "bh-diagnostic"
         assert report.passed  # never hard-fails
         # complex norm of the Littlewood matrix is 2*sqrt(2), so the ratio is 1
@@ -278,7 +286,7 @@ class TestMultipleSumming:
     def test_canonical_families_reduce_to_bh(self):
         rng = np.random.default_rng(81)
         for m in (2, 3):
-            constant = best_constant(m, Field.REAL)
+            constant = compute_constant(m, Field.REAL, Strategy.BEST)
             for _ in range(25):
                 form = random_form((3,) * m, Field.REAL, rng)
                 families = [canonical_family(3) for _ in range(m)]
@@ -290,7 +298,7 @@ class TestMultipleSumming:
     def test_scaling_invariance(self):
         rng = np.random.default_rng(82)
         form = random_form((3, 3), Field.REAL, rng)
-        constant = best_constant(2, Field.REAL)
+        constant = compute_constant(2, Field.REAL, Strategy.BEST)
         families = [random_family(4, 3, Field.REAL, rng) for _ in range(2)]
         base = multiple_summing_check(form, families, constant)
         t = 3.7
@@ -306,12 +314,11 @@ class TestMultipleSumming:
 
     def test_dimension_mismatch(self):
         form = littlewood_form(2)
+        constant = compute_constant(2, Field.REAL, Strategy.BEST)
         with pytest.raises(DomainError):
-            multiple_summing_check(form, [canonical_family(2)], best_constant(2, Field.REAL))
+            multiple_summing_check(form, [canonical_family(2)], constant)
         with pytest.raises(DomainError):
-            multiple_summing_check(
-                form, [canonical_family(2), canonical_family(3)], best_constant(2, Field.REAL)
-            )
+            multiple_summing_check(form, [canonical_family(2), canonical_family(3)], constant)
 
 
 class TestBleiCheck:
