@@ -47,6 +47,23 @@ def _cases() -> list[tuple[str, ...]]:
                 cases.append(("explain", *common, "--m", str(m), "--format", fmt))
     for fmt in ("table", "csv", "json"):
         cases.append(("baselines", "--field", "complex", "--max-m", "60", "--format", fmt))
+    # every verify subtarget and both search fields, with and without their
+    # size flags, so the defaults the commands fall back on are pinned too
+    cases += [
+        tuple(line.split())
+        for line in (
+            "verify khinchine --trials 5 --format json",
+            "verify khinchine --p 1.5 --n 6 --trials 5 --format table",
+            "verify blei --trials 20 --seed 7 --format json",
+            "verify bh --trials 5 --format json",
+            "verify bh --m 3 --dim 3 --trials 5 --verbose --format json",
+            "verify summing --m 2 --dim 3 --trials 5 --format json",
+            "verify summing --trials 5 --precision 6 --format csv",
+            "search --budget 500 --format json",
+            "search --m 3 --dim 2 --budget 500 --format table",
+            "search --field complex --budget 20 --format json",
+        )
+    ]
     return cases
 
 
