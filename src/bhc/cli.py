@@ -8,10 +8,15 @@ Usage:
     bhc verify khinchine --p 2 --n 8 --trials 50
     bhc search --field real --m 2 --dim 2 --budget 100000
 
+Each option is named after the :class:`~bhc.reports.RunConfig` field it
+fills and ``--field``/``--strategy`` yield enum members, so a command hands
+its options to ``RunConfig`` as they are.
+
 Exit codes: 0 all checks passed, 1 a certified check failed, 2 bad arguments
 (including a request beyond a size guard).
 The default seed is 42 and can be overridden by the BHC_SEED environment
-variable, so bare invocations are reproducible.
+variable, so bare invocations are reproducible; a seed is a non-negative
+integer.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from . import __version__
 from .core import DomainError, Field, SizeLimitError
 from .recursion import Strategy
 from .reports import (
+    _VERIFY_FLAGS,
     DEFAULT_SEED,
     ReportDocument,
     RunConfig,
@@ -35,40 +41,45 @@ from .reports import (
     run_verify,
 )
 
-_FIELDS = {f.value: f for f in Field}
-_STRATEGIES = {s.value: s for s in Strategy}
 
-_field_option = click.option(
-    "--field", "field_name", type=click.Choice(sorted(_FIELDS)), default="real", show_default=True
-)
+def _field_option(default: str):
+    return click.option(
+        "--field",
+        type=click.Choice(sorted(f.value for f in Field)),
+        default=default,
+        show_default=True,
+        callback=lambda ctx, param, value: Field(value),
+    )
+
+
 _strategy_option = click.option(
     "--strategy",
-    "strategy_name",
-    type=click.Choice(list(_STRATEGIES)),
+    type=click.Choice([s.value for s in Strategy]),
     default="halving",
     show_default=True,
+    callback=lambda ctx, param, value: Strategy(value),
 )
 
 
 def _common(fn):
     fn = click.option(
         "--format",
-        "fmt",
         type=click.Choice(["table", "csv", "json"]),
         default="table",
         show_default=True,
     )(fn)
     fn = click.option("--precision", type=click.IntRange(1, 12), default=4, show_default=True)(fn)
     fn = click.option(
-        "--seed", type=int, default=DEFAULT_SEED, envvar="BHC_SEED", show_default=True
+        "--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, envvar="BHC_SEED", show_default=True
     )(fn)
     return fn
 
 
-def _emit(ctx: click.Context, runner, cfg: RunConfig) -> None:
+def _emit(runner, **options) -> None:
+    ctx = click.get_current_context()
     started = time.perf_counter()
     try:
-        doc: ReportDocument = runner(cfg)
+        doc: ReportDocument = runner(RunConfig(command=ctx.command.name, **options))
     except (DomainError, SizeLimitError) as exc:
         raise click.UsageError(str(exc))
     doc.wall_time = time.perf_counter() - started
@@ -87,70 +98,38 @@ def main() -> None:
 
 
 @main.command()
-@_field_option
+@_field_option("real")
 @_strategy_option
 @click.option("--max-m", "m_max", type=int, default=12, show_default=True)
 @click.option("--compare", is_flag=True, help="Add the published comparison columns.")
 @_common
-@click.pass_context
-def constants(ctx, field_name, strategy_name, m_max, compare, fmt, precision, seed):
+def constants(**options):
     """Constants table for m = 2..MAX_M under one strategy."""
-    cfg = RunConfig(
-        command="constants",
-        field=_FIELDS[field_name],
-        strategy=_STRATEGIES[strategy_name],
-        m_max=m_max,
-        seed=seed,
-        format=fmt,
-        precision=precision,
-        compare=compare,
-    )
-    _emit(ctx, run_constants, cfg)
+    _emit(run_constants, **options)
 
 
 @main.command()
-@_field_option
+@_field_option("real")
 @_strategy_option
 @click.option("--m", type=int, required=True)
 @_common
-@click.pass_context
-def explain(ctx, field_name, strategy_name, m, fmt, precision, seed):
+def explain(**options):
     """Derivation trace of a single constant."""
-    cfg = RunConfig(
-        command="explain",
-        field=_FIELDS[field_name],
-        strategy=_STRATEGIES[strategy_name],
-        m=m,
-        seed=seed,
-        format=fmt,
-        precision=precision,
-    )
-    _emit(ctx, run_explain, cfg)
+    _emit(run_explain, **options)
 
 
 @main.command()
-@click.option(
-    "--field", "field_name", type=click.Choice(sorted(_FIELDS)), default="complex", show_default=True
-)
+@_field_option("complex")
 @click.option("--max-m", "m_max", type=int, default=10, show_default=True)
 @_common
-@click.pass_context
-def baselines(ctx, field_name, m_max, fmt, precision, seed):
+def baselines(**options):
     """The three classical baseline columns side by side."""
-    cfg = RunConfig(
-        command="baselines",
-        field=_FIELDS[field_name],
-        m_max=m_max,
-        seed=seed,
-        format=fmt,
-        precision=precision,
-    )
-    _emit(ctx, run_baselines, cfg)
+    _emit(run_baselines, **options)
 
 
 @main.command()
-@click.argument("subtarget", type=click.Choice(["khinchine", "blei", "bh", "summing"]))
-@_field_option
+@click.argument("subtarget", type=click.Choice(list(_VERIFY_FLAGS)))
+@_field_option("real")
 @click.option("--m", type=int, default=None, help="Form arity (bh/summing).")
 @click.option("--dim", type=int, default=None, help="Slot dimension (bh/summing).")
 @click.option("--n", type=int, default=None, help="Max vector length (khinchine).")
@@ -158,48 +137,20 @@ def baselines(ctx, field_name, m_max, fmt, precision, seed):
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--verbose", is_flag=True, help="One row per trial instead of a summary.")
 @_common
-@click.pass_context
-def verify(ctx, subtarget, field_name, m, dim, n, p, trials, verbose, fmt, precision, seed):
+def verify(**options):
     """Seeded property suites; exits 1 if any certified check fails."""
-    if trials < 1:
-        raise click.UsageError("--trials must be positive")
-    cfg = RunConfig(
-        command="verify",
-        field=_FIELDS[field_name],
-        m=m,
-        dim=dim,
-        n=n,
-        p=p,
-        trials=trials,
-        seed=seed,
-        format=fmt,
-        precision=precision,
-        verbose=verbose,
-        subtarget=subtarget,
-    )
-    _emit(ctx, run_verify, cfg)
+    _emit(run_verify, **options)
 
 
 @main.command()
-@_field_option
+@_field_option("real")
 @click.option("--m", type=int, default=2, show_default=True)
 @click.option("--dim", type=int, default=2, show_default=True)
 @click.option("--budget", type=int, default=100_000, show_default=True)
 @_common
-@click.pass_context
-def search(ctx, field_name, m, dim, budget, fmt, precision, seed):
+def search(**options):
     """Hill-climb the coefficient-norm / operator-norm ratio from below."""
-    cfg = RunConfig(
-        command="search",
-        field=_FIELDS[field_name],
-        m=m,
-        dim=dim,
-        budget=budget,
-        seed=seed,
-        format=fmt,
-        precision=precision,
-    )
-    _emit(ctx, run_search, cfg)
+    _emit(run_search, **options)
 
 
 if __name__ == "__main__":

@@ -332,19 +332,15 @@ def run_baselines(cfg: RunConfig) -> ReportDocument:
     return ReportDocument(cfg, rows, title="classical baseline constants")
 
 
-def _or_default(value, default):
-    # an explicit 0 is a value to validate, not a missing flag
-    return default if value is None else value
-
-
 # The size flags each verify suite reads; any other is rejected, not ignored.
 _VERIFY_FLAGS = {"khinchine": ("n", "p"), "blei": (), "bh": ("m", "dim"), "summing": ("m", "dim")}
 
 
 def run_verify(cfg: RunConfig) -> ReportDocument:
-    trials = cfg.trials if cfg.trials is not None else 100
     if cfg.subtarget not in _VERIFY_FLAGS:
         raise DomainError(f"unknown verify subtarget {cfg.subtarget!r}")
+    if cfg.trials is None or cfg.trials < 1:
+        raise DomainError("--trials must be positive")
     if cfg.field is Field.COMPLEX:
         raise DomainError(f"verify {cfg.subtarget} has no complex suite; use --field real")
     unread = [
@@ -355,14 +351,18 @@ def run_verify(cfg: RunConfig) -> ReportDocument:
     if unread:
         raise DomainError(f"verify {cfg.subtarget} does not read {', '.join(unread)}")
     if cfg.subtarget == "khinchine":
+        # only the flags given; the suite's own defaults fill the rest
+        n_max = {} if cfg.n is None else {"n_max": cfg.n}
         ps = {} if cfg.p is None else {"ps": (cfg.p,)}
-        reports = khinchine_suite(trials, n_max=_or_default(cfg.n, 10), seed=cfg.seed, **ps)
+        reports = khinchine_suite(cfg.trials, seed=cfg.seed, **n_max, **ps)
     elif cfg.subtarget == "blei":
-        reports = blei_suite(trials, seed=cfg.seed)
-    elif cfg.subtarget == "bh":
-        reports = bh_suite(_or_default(cfg.m, 2), _or_default(cfg.dim, 2), trials, seed=cfg.seed)
+        reports = blei_suite(cfg.trials, seed=cfg.seed)
     else:
-        reports = summing_suite(_or_default(cfg.m, 2), _or_default(cfg.dim, 2), trials, seed=cfg.seed)
+        # bilinear forms on l_inf^2 unless asked otherwise; an explicit 0 is
+        # a value to validate, not a missing flag
+        m, dim = (2 if size is None else size for size in (cfg.m, cfg.dim))
+        suite = bh_suite if cfg.subtarget == "bh" else summing_suite
+        reports = suite(m, dim, cfg.trials, seed=cfg.seed)
     failures = [report_row(r) for r in reports if not r.passed]
     if cfg.verbose:
         rows = [report_row(r) for r in reports]
@@ -384,13 +384,7 @@ def _suite_summary(name: str, reports: list[VerificationReport]) -> dict[str, An
 
 
 def run_search(cfg: RunConfig) -> ReportDocument:
-    report = extremal_search(
-        _or_default(cfg.m, 2),
-        _or_default(cfg.dim, 2),
-        cfg.field,
-        budget=_or_default(cfg.budget, 100_000),
-        seed=cfg.seed,
-    )
+    report = extremal_search(cfg.m, cfg.dim, cfg.field, budget=cfg.budget, seed=cfg.seed)
     row = report_row(report, with_witness=True)
     if report.constant is not None:
         row["upper_bound"] = report.constant.value

@@ -68,6 +68,16 @@ MAX_ENUM_BITS = 24
 MAX_RADEMACHER_N = 20
 
 
+def _frozen(values, field: Field, what: str) -> np.ndarray:
+    """A read-only copy of ``values`` in the field's dtype; ``what`` names them in errors."""
+    arr = np.asarray(values, dtype=np.complex128 if field is Field.COMPLEX else np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must be finite")
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class MultilinearForm:
     """Dense coefficient tensor of an m-linear form on l_inf^{N_1} x ... x l_inf^{N_m}."""
@@ -76,16 +86,9 @@ class MultilinearForm:
     field: Field
 
     def __post_init__(self):
-        arr = np.asarray(
-            self.coeffs, dtype=np.complex128 if self.field is Field.COMPLEX else np.float64
-        )
-        if arr.ndim < 1:
+        if np.ndim(self.coeffs) < 1:
             raise DomainError("a multilinear form needs at least one slot")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("form coefficients must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _frozen(self.coeffs, self.field, "form coefficients"))
 
     @property
     def m(self) -> int:
@@ -108,16 +111,9 @@ class VectorFamily:
     field: Field
 
     def __post_init__(self):
-        arr = np.asarray(
-            self.vectors, dtype=np.complex128 if self.field is Field.COMPLEX else np.float64
-        )
-        if arr.ndim != 2:
+        if np.ndim(self.vectors) != 2:
             raise DomainError("a vector family is a 2-d array (one row per vector)")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("family entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "vectors", arr)
+        object.__setattr__(self, "vectors", _frozen(self.vectors, self.field, "family entries"))
 
     @property
     def count(self) -> int:
@@ -280,6 +276,13 @@ def sup_norm_complex_lb(form: MultilinearForm, restarts: int = 16, seed: int = 0
     return best
 
 
+def _sup_norm(form: MultilinearForm, restarts: int, seed: int) -> float:
+    """The exact norm of a real form; a seeded lower bound for a complex one."""
+    if form.field is Field.REAL:
+        return sup_norm_real(form)
+    return sup_norm_complex_lb(form, restarts=restarts, seed=seed)
+
+
 # --------------------------------------------------------------------------
 # Mixed norms and the Bohnenblust-Hille check
 # --------------------------------------------------------------------------
@@ -311,14 +314,9 @@ def bh_check(
     inflated and the check never hard-fails.
     """
     lhs = mixed_norm_lhs(form)
-    if form.field is Field.REAL:
-        sup = sup_norm_real(form)
-        check = "bh"
-        certified = True
-    else:
-        sup = sup_norm_complex_lb(form, restarts=restarts, seed=seed)
-        check = "bh-diagnostic"
-        certified = False
+    sup = _sup_norm(form, restarts, seed)
+    certified = form.field is Field.REAL
+    check = "bh" if certified else "bh-diagnostic"
     if sup == 0.0 and lhs > 1e-12:
         raise RuntimeError("zero operator norm with nonzero coefficients: oracle bug")
     rhs = constant.value * sup
@@ -415,10 +413,7 @@ def blei_check(matrix, q: float, s1: float, s2: float, seed: int = 0) -> Verific
 # --------------------------------------------------------------------------
 
 def _search_ratio(form: MultilinearForm, restarts: int, seed: int) -> float:
-    if form.field is Field.REAL:
-        sup = sup_norm_real(form)
-    else:
-        sup = sup_norm_complex_lb(form, restarts=restarts, seed=seed)
+    sup = _sup_norm(form, restarts, seed)
     if sup == 0.0:
         return 0.0
     return mixed_norm_lhs(form) / sup
@@ -522,13 +517,18 @@ def extremal_search(
 # Seeded generators
 # --------------------------------------------------------------------------
 
+def _draw(shape: tuple[int, ...], field: Field, rng: np.random.Generator) -> np.ndarray:
+    """Entries uniform on [-1, 1] (real) or the unit disk (complex)."""
+    if field is Field.REAL:
+        return rng.uniform(-1.0, 1.0, size=shape)
+    radius = np.sqrt(rng.random(shape))
+    angle = 2.0 * np.pi * rng.random(shape)
+    return radius * np.exp(1j * angle)
+
+
 def random_form(dims: tuple[int, ...], field: Field, rng: np.random.Generator) -> MultilinearForm:
     """Coefficients uniform on [-1, 1] (real) or the unit disk (complex)."""
-    if field is Field.REAL:
-        return MultilinearForm(rng.uniform(-1.0, 1.0, size=dims), field)
-    radius = np.sqrt(rng.random(dims))
-    angle = 2.0 * np.pi * rng.random(dims)
-    return MultilinearForm(radius * np.exp(1j * angle), field)
+    return MultilinearForm(_draw(dims, field, rng), field)
 
 
 def littlewood_form(dim: int = 2, field: Field = Field.REAL) -> MultilinearForm:
@@ -544,11 +544,7 @@ def littlewood_form(dim: int = 2, field: Field = Field.REAL) -> MultilinearForm:
 
 
 def random_family(count: int, dimension: int, field: Field, rng: np.random.Generator) -> VectorFamily:
-    if field is Field.REAL:
-        return VectorFamily(rng.uniform(-1.0, 1.0, size=(count, dimension)), field)
-    radius = np.sqrt(rng.random((count, dimension)))
-    angle = 2.0 * np.pi * rng.random((count, dimension))
-    return VectorFamily(radius * np.exp(1j * angle), field)
+    return VectorFamily(_draw((count, dimension), field, rng), field)
 
 
 def canonical_family(dimension: int, field: Field = Field.REAL) -> VectorFamily:

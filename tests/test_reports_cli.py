@@ -273,6 +273,29 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "Error:" in result.output
 
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants"],
+            ["explain", "--m", "3"],
+            ["baselines"],
+            ["verify", "khinchine"],
+            ["verify", "blei"],
+            ["verify", "bh"],
+            ["verify", "summing"],
+            ["search"],
+        ],
+        ids=" ".join,
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, via_env):
+        # numpy's generators take non-negative seeds only
+        extra, env = ([], {"BHC_SEED": "-1"}) if via_env else (["--seed", "-1"], {})
+        result = CliRunner().invoke(main, [*argv, *extra], env=env)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "Invalid value for '--seed': -1" in result.output
+
     @pytest.mark.parametrize(
         "argv",
         [
