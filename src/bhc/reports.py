@@ -212,7 +212,7 @@ def constant_row(record: ConstantRecord, compare_with: tuple = ()) -> dict[str, 
     return row
 
 
-def report_row(report: VerificationReport, with_witness: bool = False) -> dict[str, Any]:
+def report_row(report: VerificationReport, seed: int, with_witness: bool = False) -> dict[str, Any]:
     row: dict[str, Any] = {
         "check": report.check,
         "params": report.params,
@@ -221,7 +221,7 @@ def report_row(report: VerificationReport, with_witness: bool = False) -> dict[s
         "ratio": report.ratio,
         "constant": report.constant.value if report.constant else None,
         "pass": report.passed,
-        "seed": report.seed,
+        "seed": seed,
         "trials": report.trials,
     }
     if with_witness and report.witness is not None:
@@ -343,29 +343,18 @@ def run_verify(cfg: RunConfig) -> ReportDocument:
         raise DomainError("--trials must be positive")
     if cfg.field is Field.COMPLEX:
         raise DomainError(f"verify {cfg.subtarget} has no complex suite; use --field real")
-    unread = [
-        f"--{name}"
-        for name in ("m", "dim", "n", "p")
-        if getattr(cfg, name) is not None and name not in _VERIFY_FLAGS[cfg.subtarget]
-    ]
+    # only the flags given; the suite's own defaults fill the rest, and an
+    # explicit 0 is a value to validate, not a missing flag
+    given = {name: getattr(cfg, name) for name in ("m", "dim", "n", "p") if getattr(cfg, name) is not None}
+    unread = [f"--{name}" for name in given if name not in _VERIFY_FLAGS[cfg.subtarget]]
     if unread:
         raise DomainError(f"verify {cfg.subtarget} does not read {', '.join(unread)}")
-    if cfg.subtarget == "khinchine":
-        # only the flags given; the suite's own defaults fill the rest
-        n_max = {} if cfg.n is None else {"n_max": cfg.n}
-        ps = {} if cfg.p is None else {"ps": (cfg.p,)}
-        reports = khinchine_suite(cfg.trials, seed=cfg.seed, **n_max, **ps)
-    elif cfg.subtarget == "blei":
-        reports = blei_suite(cfg.trials, seed=cfg.seed)
-    else:
-        # bilinear forms on l_inf^2 unless asked otherwise; an explicit 0 is
-        # a value to validate, not a missing flag
-        m, dim = (2 if size is None else size for size in (cfg.m, cfg.dim))
-        suite = bh_suite if cfg.subtarget == "bh" else summing_suite
-        reports = suite(m, dim, cfg.trials, seed=cfg.seed)
-    failures = [report_row(r) for r in reports if not r.passed]
+    # looked up when called, so a rebound module name is the suite that runs
+    suite = {"khinchine": khinchine_suite, "blei": blei_suite, "bh": bh_suite, "summing": summing_suite}
+    reports = suite[cfg.subtarget](cfg.trials, cfg.seed, **given)
+    failures = [report_row(r, cfg.seed) for r in reports if not r.passed]
     if cfg.verbose:
-        rows = [report_row(r) for r in reports]
+        rows = [report_row(r, cfg.seed) for r in reports]
     else:
         rows = [_suite_summary(cfg.subtarget, reports)]
     return ReportDocument(cfg, rows, failures=failures, title=f"verify {cfg.subtarget}")
@@ -385,9 +374,9 @@ def _suite_summary(name: str, reports: list[VerificationReport]) -> dict[str, An
 
 def run_search(cfg: RunConfig) -> ReportDocument:
     report = extremal_search(cfg.m, cfg.dim, cfg.field, budget=cfg.budget, seed=cfg.seed)
-    row = report_row(report, with_witness=True)
+    row = report_row(report, cfg.seed, with_witness=True)
     if report.constant is not None:
         row["upper_bound"] = report.constant.value
         row["gap"] = report.constant.value - report.ratio
-    failures = [] if report.passed else [report_row(report)]
+    failures = [] if report.passed else [report_row(report, cfg.seed)]
     return ReportDocument(cfg, [row], failures=failures, title="extremal ratio search")

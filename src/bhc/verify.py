@@ -14,9 +14,11 @@ coordinate-ascent over per-coordinate unimodular phases reports a lower
 bound only, and complex checks are diagnostic: an underestimated norm can
 only inflate the reported ratio, never mask a violation.
 
-Certified comparisons use a relative slack of 1e-9; the property-suite
-drivers at the bottom generate seeded random instances so the command-line
-front end and the test suite exercise identical machinery.
+Certified comparisons use a relative slack of 1e-9.  The property suites
+at the bottom generate seeded random instances so the command-line front
+end and the test suite exercise identical machinery.  Every suite is called
+as ``suite(trials, seed, **flags)``, each flag a keyword with its own
+default; a report holds no seed, since the run that asked for it knows it.
 """
 
 from __future__ import annotations
@@ -135,8 +137,7 @@ class VerificationReport:
     ratio: float
     constant: ConstantRecord | None
     passed: bool
-    seed: int
-    trials: int
+    trials: int = 1  # evaluations behind the report; only a search makes more than one
     witness: np.ndarray | None = None
 
 
@@ -168,7 +169,7 @@ def rademacher_moment(a, p: float) -> float:
     return float(mean ** (1.0 / p))
 
 
-def khinchine_check(a, p: float, seed: int = 0) -> VerificationReport:
+def khinchine_check(a, p: float) -> VerificationReport:
     """Check A_p ||a||_2 <= (E|sum a_n r_n|^p)^(1/p) <= B_p ||a||_2 exactly."""
     a = np.asarray(a)
     moment = rademacher_moment(a, p)
@@ -179,16 +180,22 @@ def khinchine_check(a, p: float, seed: int = 0) -> VerificationReport:
     passed = moment >= lower * (1.0 - slack) and moment <= upper * (1.0 + slack)
     ratio = moment / l2 if l2 > 0 else 1.0
     params = f"p={float(p)!r};n={a.size};{digest_bytes(np.ascontiguousarray(a).tobytes())}"
-    return VerificationReport("khinchine", params, moment, upper, ratio, None, passed, seed, 1)
+    return VerificationReport("khinchine", params, moment, upper, ratio, None, passed)
 
 
 # --------------------------------------------------------------------------
 # Operator norms
 # --------------------------------------------------------------------------
 
-def _sign_vectors(n: int) -> np.ndarray:
-    """All 2^n sign vectors of length n as rows of +-1.0."""
-    bits = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+# Last-slot sign vectors are built this many at a time, so memory stays
+# flat up to the enumeration guard.
+_LAST_SLOT_BLOCK = 2**16
+
+
+def _sign_vectors(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 (all 2^n by default) of the length-n sign vectors, as +-1.0."""
+    rows = np.arange(start, 2**n if stop is None else min(stop, 2**n), dtype=np.int64)
+    bits = (rows[:, None] >> np.arange(n)) & 1
     return 1.0 - 2.0 * bits.astype(np.float64)
 
 
@@ -197,7 +204,8 @@ def sup_norm_real(form: MultilinearForm) -> float:
 
     The sup over the product of unit balls is attained at cube vertices, so
     slots 2..m are enumerated over sign vectors while the slot-1 maximization
-    reduces to an l1 sum.  Raises when the enumeration would exceed
+    reduces to an l1 sum.  The last slot is walked in blocks of
+    _LAST_SLOT_BLOCK vertices.  Raises when the enumeration would exceed
     2^MAX_ENUM_BITS sign combinations.
     """
     if form.field is not Field.REAL:
@@ -209,16 +217,17 @@ def sup_norm_real(form: MultilinearForm) -> float:
         raise SizeLimitError(
             f"sign enumeration over slots 2..m needs 2^{sum(dims[1:])} > 2^{MAX_ENUM_BITS} evaluations"
         )
-    last = _sign_vectors(dims[-1])
     best = 0.0
     middle = [list(_sign_vectors(n)) for n in dims[1:-1]]
-    for combo in itertools.product(*middle):
-        w = form.coeffs
-        for eps in combo:
-            w = np.tensordot(w, eps, axes=([1], [0]))
-        # w has shape (N_1, N_m); all last-slot vertices at once
-        values = np.abs(w @ last.T).sum(axis=0)
-        best = max(best, float(values.max()))
+    for start in range(0, 2 ** dims[-1], _LAST_SLOT_BLOCK):
+        last = _sign_vectors(dims[-1], start, start + _LAST_SLOT_BLOCK)
+        for combo in itertools.product(*middle):
+            w = form.coeffs
+            for eps in combo:
+                w = np.tensordot(w, eps, axes=([1], [0]))
+            # w has shape (N_1, N_m); the block's last-slot vertices at once
+            values = np.abs(w @ last.T).sum(axis=0)
+            best = max(best, float(values.max()))
     return best
 
 
@@ -301,20 +310,16 @@ def mixed_norm_lhs(form: MultilinearForm) -> float:
     return lp_norm(form.coeffs, 2.0 * m / (m + 1.0))
 
 
-def bh_check(
-    form: MultilinearForm,
-    constant: ConstantRecord,
-    restarts: int = 16,
-    seed: int = 0,
-) -> VerificationReport:
+def bh_check(form: MultilinearForm, constant: ConstantRecord) -> VerificationReport:
     """Check mixed_norm_lhs <= C * ||U||.
 
     Real forms are certified against the exact vertex oracle.  Complex forms
-    are diagnostic: the norm is a lower bound, so the ratio may only be
-    inflated and the check never hard-fails.
+    are diagnostic: the norm is a lower bound (16 phase-ascent restarts from
+    seed 0), so the ratio may only be inflated and the check never
+    hard-fails.
     """
     lhs = mixed_norm_lhs(form)
-    sup = _sup_norm(form, restarts, seed)
+    sup = _sup_norm(form, 16, 0)
     certified = form.field is Field.REAL
     check = "bh" if certified else "bh-diagnostic"
     if sup == 0.0 and lhs > 1e-12:
@@ -322,7 +327,7 @@ def bh_check(
     rhs = constant.value * sup
     ratio = lhs / sup if sup > 0 else 0.0
     passed = True if not certified else lhs <= rhs * (1.0 + CERTIFIED_SLACK)
-    return VerificationReport(check, form.digest(), lhs, rhs, ratio, constant, passed, seed, 1)
+    return VerificationReport(check, form.digest(), lhs, rhs, ratio, constant, passed)
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +350,6 @@ def multiple_summing_check(
     form: MultilinearForm,
     families: list[VectorFamily],
     constant: ConstantRecord,
-    seed: int = 0,
 ) -> VerificationReport:
     """Check the multiple (p;1)-summing inequality on given vector families.
 
@@ -377,14 +381,14 @@ def multiple_summing_check(
     ratio = lhs / scale if scale > 0 else 0.0
     passed = lhs <= rhs * (1.0 + CERTIFIED_SLACK)
     params = f"{form.digest()};p={p!r};families={','.join(str(f.count) for f in families)}"
-    return VerificationReport("summing", params, lhs, rhs, ratio, constant, passed, seed, 1)
+    return VerificationReport("summing", params, lhs, rhs, ratio, constant, passed)
 
 
 # --------------------------------------------------------------------------
 # Blei inequality check
 # --------------------------------------------------------------------------
 
-def blei_check(matrix, q: float, s1: float, s2: float, seed: int = 0) -> VerificationReport:
+def blei_check(matrix, q: float, s1: float, s2: float) -> VerificationReport:
     """Check Blei's mixed-norm inequality on a positive matrix.
 
     lhs = (sum a_ij^w)^(1/w); rhs combines row l_q norms to the s1-th power
@@ -405,7 +409,7 @@ def blei_check(matrix, q: float, s1: float, s2: float, seed: int = 0) -> Verific
     rhs = float(np.sum(row_norms**s1)) ** (f1 / s1) * float(np.sum(col_norms**s2)) ** (f2 / s2)
     passed = lhs <= rhs * (1.0 + CERTIFIED_SLACK)
     params = f"shape={a.shape[0]}x{a.shape[1]};q={q!r};s1={s1!r};s2={s2!r};{digest_bytes(a.tobytes())}"
-    return VerificationReport("blei", params, lhs, rhs, lhs / rhs, None, passed, seed, 1)
+    return VerificationReport("blei", params, lhs, rhs, lhs / rhs, None, passed)
 
 
 # --------------------------------------------------------------------------
@@ -509,7 +513,7 @@ def extremal_search(
     lhs = mixed_norm_lhs(best_form)
     norm = lhs / ratio if ratio > 0 else 0.0
     return VerificationReport(
-        check, params, lhs, upper * norm, ratio, reference, passed, seed, evals, best_form.coeffs
+        check, params, lhs, upper * norm, ratio, reference, passed, evals, best_form.coeffs
     )
 
 
@@ -553,7 +557,7 @@ def canonical_family(dimension: int, field: Field = Field.REAL) -> VectorFamily:
 
 
 # --------------------------------------------------------------------------
-# Property-suite drivers
+# Property suites: suite(trials, seed, **flags), each flag with its default
 # --------------------------------------------------------------------------
 
 def _require_shape(m: int, dim: int) -> None:
@@ -561,38 +565,28 @@ def _require_shape(m: int, dim: int) -> None:
         raise DomainError(f"need m >= 1 and dim >= 1, got m={m}, dim={dim}")
 
 
-def khinchine_suite(
-    trials: int,
-    n_max: int = 10,
-    ps: tuple[float, ...] = (1.0, 4.0 / 3.0, 1.5, 5.0 / 3.0, 2.0),
-    seed: int = 42,
-) -> list[VerificationReport]:
+def khinchine_suite(trials: int, seed: int, n: int = 10, p: float | None = None) -> list[VerificationReport]:
     """Random coefficient vectors checked against the exact Rademacher oracle.
 
-    The vector length is drawn from 1..n_max, so n_max is checked against
-    the oracle's size guard before any draw.
+    Each vector's length is drawn from 1..n, so n is checked against the
+    oracle's size guard before any draw.  Every vector is checked at the
+    moment exponent p, or at 1, 4/3, 3/2, 5/3 and 2 when p is None.
     """
-    if n_max < 1:
-        raise DomainError(f"the maximal vector length must be positive, got {n_max}")
-    if n_max > MAX_RADEMACHER_N:
-        raise SizeLimitError(f"exact enumeration limited to N <= {MAX_RADEMACHER_N}, got n_max={n_max}")
+    if n < 1:
+        raise DomainError(f"the maximal vector length must be positive, got {n}")
+    if n > MAX_RADEMACHER_N:
+        raise SizeLimitError(f"exact enumeration limited to N <= {MAX_RADEMACHER_N}, got n_max={n}")
+    ps = (1.0, 4.0 / 3.0, 1.5, 5.0 / 3.0, 2.0) if p is None else (p,)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(trials):
-        n = int(rng.integers(1, n_max + 1))
-        a = rng.uniform(-1.0, 1.0, size=n)
-        for p in ps:
-            reports.append(khinchine_check(a, p, seed=seed))
+        a = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, n + 1)))
+        reports.extend(khinchine_check(a, q) for q in ps)
     return reports
 
 
-def bh_suite(
-    m: int,
-    dim: int,
-    trials: int,
-    seed: int = 42,
-) -> list[VerificationReport]:
-    """Random real forms certified against the exact oracles.
+def bh_suite(trials: int, seed: int, m: int = 2, dim: int = 2) -> list[VerificationReport]:
+    """Random real m-linear forms on l_inf^dim certified against the exact oracles.
 
     For bilinear runs the first instance is the Littlewood sign matrix, so
     the maximal ratio 2^(1/2) is always exercised.
@@ -606,14 +600,11 @@ def bh_suite(
             form = littlewood_form(dim)
         else:
             form = random_form((dim,) * m, Field.REAL, rng)
-        reports.append(bh_check(form, constant, seed=seed))
+        reports.append(bh_check(form, constant))
     return reports
 
 
-def blei_suite(
-    trials: int,
-    seed: int = 42,
-) -> list[VerificationReport]:
+def blei_suite(trials: int, seed: int) -> list[VerificationReport]:
     """Random positive matrices with random Blei parameters at q = 2.
 
     Each matrix has 1..6 rows and 1..8 columns; s1 and s2 are uniform on
@@ -627,17 +618,12 @@ def blei_suite(
         matrix = 1.0 - rng.random((rows, cols))  # entries in (0, 1]
         s1 = float(rng.uniform(1.0, 1.9))
         s2 = float(rng.uniform(1.0, 1.9))
-        reports.append(blei_check(matrix, 2.0, s1, s2, seed=seed))
+        reports.append(blei_check(matrix, 2.0, s1, s2))
     return reports
 
 
-def summing_suite(
-    m: int,
-    dim: int,
-    trials: int,
-    seed: int = 42,
-) -> list[VerificationReport]:
-    """Random real forms and random vector families for the summing check."""
+def summing_suite(trials: int, seed: int, m: int = 2, dim: int = 2) -> list[VerificationReport]:
+    """Random real m-linear forms on l_inf^dim and random vector families for the summing check."""
     _require_shape(m, dim)
     constant = compute_constant(m, Field.REAL, Strategy.BEST)
     rng = np.random.default_rng(seed)
@@ -648,5 +634,5 @@ def summing_suite(
             random_family(int(rng.integers(1, dim + 2)), dim, Field.REAL, rng)
             for _ in range(m)
         ]
-        reports.append(multiple_summing_check(form, families, constant, seed=seed))
+        reports.append(multiple_summing_check(form, families, constant))
     return reports

@@ -264,6 +264,22 @@ class TestBestConstant:
             rec = compute_constant(m, Field.COMPLEX, Strategy.HALVING)
             assert rec.value <= TWO_OVER_SQRT_PI ** (m - 1) * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("field", list(Field))
+    def test_each_strategy_below_kaijser(self, field):
+        # every recursion on its own, and the Queffelec-DS baseline, is at
+        # most Kaijser's 2^((m-1)/2) at every level Kaijser has in the double
+        # range (up to 2048), and strictly below it from m = 3
+        strategies = tuple(
+            s
+            for s in (Strategy.ONE_STEP, Strategy.TWO_STEP, Strategy.HALVING, Strategy.BASELINE_QUEFFELEC_DS)
+            if is_stated_for(field, s)
+        )
+        kaijser, *columns = constants_columns(field, (Strategy.BASELINE_KAIJSER, *strategies), 2048)
+        for strategy, column in zip(strategies, columns):
+            assert column[0].value <= kaijser[0].value, strategy
+            above = [rec.m for rec, bound in zip(column[1:], kaijser[1:]) if not rec.value < bound.value]
+            assert above == [], strategy
+
 
 class TestRecordConsistency:
     def test_value_matches_exponent(self):

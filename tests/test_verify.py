@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,21 @@ class TestSupNormReal:
 
     def test_littlewood(self):
         assert sup_norm_real(littlewood_form(2)) == pytest.approx(2.0, rel=1e-15)
+
+    def test_wide_last_slot_in_bounded_memory(self):
+        # 2^20 last-slot vertices, walked in blocks: building every sign
+        # vector at once peaks near 480 MB at this shape
+        u = np.array([3.0, -5.0])
+        v = np.arange(1.0, 21.0) * (-1.0) ** np.arange(20)
+        form = MultilinearForm(np.outer(u, v), Field.REAL)
+        tracemalloc.start()
+        try:
+            norm = sup_norm_real(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm == 8.0 * 210.0  # ||u||_1 ||v||_1, exact for integer coefficients
+        assert peak < 128 * 2**20
 
     def test_trilinear_all_ones(self):
         form = MultilinearForm(np.ones((2, 2, 2)), Field.REAL)
@@ -258,7 +274,7 @@ class TestBhCheck:
 
     def test_complex_is_diagnostic(self):
         form = littlewood_form(2, Field.COMPLEX)
-        report = bh_check(form, compute_constant(2, Field.COMPLEX, Strategy.BEST), restarts=8, seed=3)
+        report = bh_check(form, compute_constant(2, Field.COMPLEX, Strategy.BEST))
         assert report.check == "bh-diagnostic"
         assert report.passed  # never hard-fails
         # complex norm of the Littlewood matrix is 2*sqrt(2), so the ratio is 1
@@ -309,7 +325,7 @@ class TestMultipleSumming:
         assert scaled.lhs == pytest.approx(t**2 * base.lhs, rel=1e-12)
 
     def test_property_run(self):
-        reports = summing_suite(2, 3, 100, seed=17)
+        reports = summing_suite(100, 17, m=2, dim=3)
         assert all(r.passed for r in reports)
 
     def test_dimension_mismatch(self):
@@ -373,13 +389,13 @@ class TestExtremalSearch:
 
 class TestSuites:
     def test_khinchine_suite(self):
-        reports = khinchine_suite(50, n_max=8, ps=(2.0,), seed=13)
+        reports = khinchine_suite(50, 13, n=8, p=2.0)
         assert len(reports) == 50
         assert all(r.passed for r in reports)
         assert all(abs(r.ratio - 1.0) <= 1e-12 for r in reports)
 
     def test_bh_suite_injects_littlewood(self):
-        reports = bh_suite(2, 2, 50, seed=42)
+        reports = bh_suite(50, 42, m=2, dim=2)
         assert all(r.passed for r in reports)
         assert max(r.ratio for r in reports) == pytest.approx(SQRT2, abs=1e-9)
 
