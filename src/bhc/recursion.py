@@ -21,13 +21,14 @@ per rule (``one-step``, ``two-step``, ``even-halving``, ``odd-split``): its
 partition of m, whether the first part is folded into the shift a, and the
 shift.  Everything else follows from the partition: the children m_i are
 the other parts, each consumes A_{s_i}^(m - m_i), and its weight f_i = m_i/m
-comes from the Blei split.  One float update and one exact update read an
-entry; the ladders derive their levels through both, and ``replay_trace``
-recomputes a trace through the float one.
+comes from the Blei split (one f evaluation: f2 = 1 - f1).  One float
+update and one exact update read an entry; the ladders derive their levels
+through both, and ``replay_trace`` recomputes a trace through the float one.
 
 While the consumed Khinchine constants stay on their dyadic branch, each
 constant is exactly of the form 2^a * (2/sqrt(pi))^b * K_G^c with rational
-exponents, carried alongside the float in a :class:`PowerProduct`.  This is
+exponents, carried alongside the float in a :class:`PowerProduct` and built
+from the exact base-2 exponent each :class:`KhinchineUse` carries.  This is
 what makes identities such as C_{R,m} = 2^(1/2) C_{R,m/2} (even m <= 24)
 testable exactly rather than to float tolerance.
 
@@ -37,17 +38,18 @@ every other level (none for a baseline, whose levels are closed forms).  A
 new strategy needs its ``Strategy`` member and its entry there, no more.
 One ``_Ladder`` reads it and derives each level of a (field, strategy) once
 per call, with its float value, closed form and one :class:`TraceStep`.
-Every record reads these shared levels and walks its trace from them when
-the trace is first read, so ``constants_columns`` holds and costs O(M)
-steps for m = 2..M, and ``compute_constant`` derives only the levels that m
-rests on.
+Every record reads these shared levels.  One post-order walk over the level
+graph serves both: the ladder derives the levels it yields, passing over
+those already derived, and a record's trace, built when first read, is the
+steps it yields.  So ``constants_columns`` holds and costs O(M) steps for
+m = 2..M, and ``compute_constant`` derives only the levels that m rests on.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
@@ -55,7 +57,7 @@ from types import MappingProxyType
 
 from .core import DomainError, Field
 from .exponents import ExponentSplit, blei_f, blei_w
-from .special import Branch, HaagerupConstants, khinchine_a
+from .special import Branch, khinchine_a
 
 __all__ = [
     "K_G_UPPER",
@@ -139,6 +141,7 @@ class KhinchineUse:
     value: float
     power: Fraction
     branch: Branch
+    exponent: Fraction | None  # A_p's exact base-2 exponent on the dyadic branch
 
 
 @dataclass(frozen=True)
@@ -166,17 +169,9 @@ class ConstantRecord:
 
     @functools.cached_property
     def trace(self) -> tuple[TraceStep, ...]:
-        """Post-order walk from level m, low child before high, each level once."""
-        steps, out, seen, pending = self._steps, [], set(), [(self.m, False)]
-        while pending:
-            k, expanded = pending.pop()
-            if expanded:
-                out.append(steps[k])
-            elif k not in seen:
-                seen.add(k)
-                pending.append((k, True))
-                pending.extend((c, False) for c in reversed(steps[k].children))
-        return tuple(out)
+        """The steps of level m and of the levels it rests on, children first."""
+        steps = self._steps
+        return tuple(steps[k] for k in _post_order(self.m, lambda k: steps[k].children))
 
     @property
     def dyadic_exponent(self) -> Fraction | None:
@@ -201,6 +196,22 @@ def _require_level(m: int) -> None:
         raise DomainError(f"the level m must be an integer >= 2, got {m!r}")
 
 
+def _post_order(m: int, children: Callable[[int], Sequence[int]], done=()) -> Iterator[int]:
+    """m and the levels it rests on, each once, after its children (low child first).
+
+    Passes over levels in ``done``; a loop, since a chain descends m levels.
+    """
+    seen, pending = set(), [(m, False)]
+    while pending:
+        k, expanded = pending.pop()
+        if expanded:
+            yield k
+        elif k not in seen and k not in done:
+            seen.add(k)
+            pending.append((k, True))
+            pending.extend((c, False) for c in reversed(children(k)))
+
+
 # --------------------------------------------------------------------------
 # The rule table: one Blei/Khinchine step, four parameter sets
 # --------------------------------------------------------------------------
@@ -211,8 +222,7 @@ def _split(k: int, parts: tuple[int, int]) -> ExponentSplit:
     m1, m2 = parts
     s1, s2 = Fraction(2 * m1, m1 + 1), Fraction(2 * m2, m2 + 1)
     f1 = blei_f(q, s1, s2)
-    f2 = f1 if m1 == m2 else blei_f(q, s2, s1)  # equal parts: the same call
-    return ExponentSplit(k, q, s1, s2, blei_w(q, s1, s2), f1, f2)
+    return ExponentSplit(k, q, s1, s2, blei_w(q, s1, s2), f1, 1 - f1)  # f(s2, s1) = 1 - f(s1, s2)
 
 
 @dataclass(frozen=True)
@@ -284,14 +294,13 @@ def _exact_update(
     weights: Sequence[Fraction],
     children: Sequence[PowerProduct | None],
     uses: Sequence[KhinchineUse],
-    constants: Sequence[HaagerupConstants],
 ) -> PowerProduct | None:
     """The closed form of level k, if every child has one and every constant is dyadic."""
-    if None in children or any(a.branch is not Branch.DYADIC_POWER for a in constants):
+    if None in children or any(use.exponent is None for use in uses):
         return None
     terms = (
-        child.shift_two(-use.power * a.a_exponent).scale(w)
-        for child, use, a, w in zip(children, uses, constants, weights)
+        child.shift_two(-use.power * use.exponent).scale(w)
+        for child, use, w in zip(children, uses, weights)
     )
     return functools.reduce(PowerProduct.combine, terms).shift_two(rule.shift(k))
 
@@ -394,31 +403,20 @@ class _Ladder:
         parts = rule.parts(k)
         split = _split(k, parts)
         children = rule.children(k)
-        # each child's Khinchine exponent is its part's s_i
-        constants = [khinchine_a(split.s1 if c == parts[0] else split.s2) for c in children]
-        uses = tuple(
-            [KhinchineUse(a.p, a.a_p, Fraction(k - c), a.branch) for a, c in zip(constants, children)]
-        )
+        uses = []
+        for c in children:
+            a = khinchine_a(split.s1 if c == parts[0] else split.s2)  # the child's part's s_i
+            uses.append(KhinchineUse(a.p, a.a_p, Fraction(k - c), a.branch, a.a_exponent))
         weights = rule.weights(split, children)
         value = _float_update(rule, k, weights, [self.steps[c].value for c in children], uses)
-        closed = _exact_update(rule, k, weights, [self.closed[c] for c in children], uses, constants)
-        return TraceStep(name, k, children, split, uses, value), closed
+        closed = _exact_update(rule, k, weights, [self.closed[c] for c in children], uses)
+        return TraceStep(name, k, children, split, tuple(uses), value), closed
 
     def value(self, m: int) -> float:
         """Value of level m, deriving first the levels it rests on."""
         _require_level(m)
-        pending = [m]
-        while pending:  # a loop, not recursion: a chain descends m levels
-            k = pending[-1]
-            if k in self.steps:
-                pending.pop()
-                continue
-            missing = [c for c in self.children(k) if c not in self.steps]
-            if missing:
-                pending.extend(missing)
-            else:
-                pending.pop()
-                self.steps[k], self.closed[k] = self.derive(k)
+        for k in _post_order(m, self.children, self.steps):
+            self.steps[k], self.closed[k] = self.derive(k)
         return self.steps[m].value
 
     def record(self, m: int) -> ConstantRecord:

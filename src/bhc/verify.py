@@ -187,9 +187,12 @@ def khinchine_check(a, p: float) -> VerificationReport:
 # Operator norms
 # --------------------------------------------------------------------------
 
-# Last-slot sign vectors are built this many at a time, so memory stays
-# flat up to the enumeration guard.
+# Last-slot sign vectors are built at most this many at a time, and fewer
+# when slot 1 is wide, so that a block's N_1 x block product holds at most
+# _BLOCK_VALUES values: memory stays flat up to the enumeration guard and
+# whatever N_1 is.
 _LAST_SLOT_BLOCK = 2**16
+_BLOCK_VALUES = 2**22
 
 
 def _sign_vectors(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -204,7 +207,7 @@ def sup_norm_real(form: MultilinearForm) -> float:
 
     The sup over the product of unit balls is attained at cube vertices, so
     slots 2..m are enumerated over sign vectors while the slot-1 maximization
-    reduces to an l1 sum.  The last slot is walked in blocks of
+    reduces to an l1 sum.  The last slot is walked in blocks of at most
     _LAST_SLOT_BLOCK vertices.  Raises when the enumeration would exceed
     2^MAX_ENUM_BITS sign combinations.
     """
@@ -219,8 +222,9 @@ def sup_norm_real(form: MultilinearForm) -> float:
         )
     best = 0.0
     middle = [list(_sign_vectors(n)) for n in dims[1:-1]]
-    for start in range(0, 2 ** dims[-1], _LAST_SLOT_BLOCK):
-        last = _sign_vectors(dims[-1], start, start + _LAST_SLOT_BLOCK)
+    block = min(_LAST_SLOT_BLOCK, max(1, _BLOCK_VALUES // dims[0]))
+    for start in range(0, 2 ** dims[-1], block):
+        last = _sign_vectors(dims[-1], start, start + block)
         for combo in itertools.product(*middle):
             w = form.coeffs
             for eps in combo:

@@ -1,17 +1,19 @@
-"""Independent oracles at 50 digits: the paper's formulas and Gamma.
+"""Independent oracles at 50 and 60 digits: the paper's formulas and Gamma.
 
 The ladders and ``replay_trace`` share one float update, so a replayed trace
 cannot catch an error in that update.  This oracle writes the formulas out
-again in mpmath and checks the float values where no exact closed form
-exists, because the Khinchine constants have left their dyadic branch.
-The Gamma function behind that branch, its Khinchine closed form and the
-crossover between the branches are checked against mpmath as well.
+again in mpmath, one function per ladder returning every level, and checks
+the float values where no exact closed form exists, because the Khinchine
+constants have left their dyadic branch, and at every level m = 2..2000 of
+every stated (field, strategy).  The Gamma function behind that branch, its
+Khinchine closed form and the crossover between the branches are checked
+against mpmath as well.
 """
 
 import pytest
 
 from bhc.core import Field
-from bhc.recursion import Strategy, compute_constant
+from bhc.recursion import Strategy, compute_constant, constants_columns, is_stated_for
 from bhc.special import a_gamma, crossover_p0, log_gamma
 
 mpmath = pytest.importorskip("mpmath")
@@ -29,11 +31,13 @@ def blei_f(x, y, q=2):
     return (q * q * x - q * x * y) / (q * q * (x + y) - 2 * q * x * y)
 
 
-def one_step(m):
-    c = mpmath.sqrt(2)
+# Each ladder returns {k: C_k} for every level k = 2..m.
+
+def one_step(m, base):
+    c = {2: base}
     for k in range(3, m + 1):
         a = khinchine(mpf(2 * k - 2) / k)
-        c = mpf(2) ** (mpf(k - 1) / (2 * k)) * (c / a) ** (mpf(k - 1) / k)
+        c[k] = mpf(2) ** (mpf(k - 1) / (2 * k)) * (c[k - 1] / a) ** (mpf(k - 1) / k)
     return c
 
 
@@ -42,7 +46,7 @@ def two_step(m):
     for k in range(4, m + 1):
         a = khinchine(mpf(2 * k - 4) / (k - 1))
         c[k] = mpmath.sqrt(2) * (c[k - 2] / a**2) ** (mpf(k - 2) / k)
-    return c[m]
+    return c
 
 
 def halving(m, complex_field):
@@ -60,22 +64,43 @@ def halving(m, complex_field):
             lo = c[(k - 1) // 2] / khinchine(s1) ** (mpf(k + 1) / 2)
             hi = c[(k + 1) // 2] / khinchine(s2) ** (mpf(k - 1) / 2)
             c[k] = lo ** blei_f(s1, s2) * hi ** blei_f(s2, s1)
-    return c[m]
+    return {k: c[k] for k in range(2, m + 1)}
+
+
+def baseline(formula):
+    return lambda m: {k: formula(mpf(k)) for k in range(2, m + 1)}
+
+
+def original(k):
+    return k ** ((k + 1) / (2 * k)) * 2 ** ((k - 1) / 2)
+
+
+def kaijser(k):
+    return 2 ** ((k - 1) / 2)
+
+
+def queffelec_ds(k):
+    return (2 / mpmath.sqrt(mpmath.pi)) ** (k - 1)
+
+
+ORACLES = {
+    (Field.REAL, Strategy.ONE_STEP): lambda m: one_step(m, mpmath.sqrt(2)),
+    (Field.COMPLEX, Strategy.ONE_STEP): lambda m: one_step(m, mpf("1.4049")),
+    (Field.REAL, Strategy.TWO_STEP): two_step,
+    (Field.REAL, Strategy.HALVING): lambda m: halving(m, complex_field=False),
+    (Field.COMPLEX, Strategy.HALVING): lambda m: halving(m, complex_field=True),
+    **{(field, Strategy.BASELINE_ORIGINAL): baseline(original) for field in Field},
+    **{(field, Strategy.BASELINE_KAIJSER): baseline(kaijser) for field in Field},
+    (Field.COMPLEX, Strategy.BASELINE_QUEFFELEC_DS): baseline(queffelec_ds),
+}
 
 
 def test_oracle_reproduces_exact_levels():
     with mpmath.workdps(50):
-        assert float(one_step(12)) == pytest.approx(2.0 ** (154 / 48), rel=1e-15)
-        assert float(two_step(7)) == pytest.approx(2.0**1.5, rel=1e-15)
-        assert float(halving(12, False)) == pytest.approx(2.0 ** (11 / 6), rel=1e-15)
-
-
-ORACLES = {
-    (Field.REAL, Strategy.ONE_STEP): one_step,
-    (Field.REAL, Strategy.TWO_STEP): two_step,
-    (Field.REAL, Strategy.HALVING): lambda m: halving(m, complex_field=False),
-    (Field.COMPLEX, Strategy.HALVING): lambda m: halving(m, complex_field=True),
-}
+        real_one_step = ORACLES[Field.REAL, Strategy.ONE_STEP]
+        assert float(real_one_step(12)[12]) == pytest.approx(2.0 ** (154 / 48), rel=1e-15)
+        assert float(two_step(7)[7]) == pytest.approx(2.0**1.5, rel=1e-15)
+        assert float(halving(12, False)[12]) == pytest.approx(2.0 ** (11 / 6), rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -94,8 +119,42 @@ def test_gamma_branch_levels(field, strategy, m):
     record = compute_constant(m, field, strategy)
     assert record.closed_form is None  # no exact check reaches this level
     with mpmath.workdps(50):
-        expected = float(oracle(m))
+        expected = float(oracle(m)[m])
     assert record.value == pytest.approx(expected, rel=1e-12)
+
+
+M_SWEEP = 2000
+STATED = [
+    (field, strategy)
+    for field in Field
+    for strategy in Strategy
+    if strategy is not Strategy.BEST and is_stated_for(field, strategy)
+]
+
+
+@pytest.fixture(scope="module")
+def float_levels():
+    """{(field, strategy): {m: value}} for m = 2..M_SWEEP, one constants_columns call per field."""
+    levels = {}
+    for field in Field:
+        strategies = tuple(s for f, s in STATED if f is field)
+        for strategy, column in zip(strategies, constants_columns(field, strategies, M_SWEEP)):
+            levels[field, strategy] = {rec.m: rec.value for rec in column}
+    return levels
+
+
+@pytest.mark.parametrize("field, strategy", STATED, ids=lambda v: v.value)
+def test_every_level_within_drift_bound(float_levels, field, strategy):
+    # Rounding drifts about linearly along a ladder: halving reaches about
+    # 3m units in the last place near m = 1500 (relative 1.06e-12 by
+    # m = 2000), so the bound is 4m ulps, |value - exact| <= m 2^-50 exact.
+    # It pins the drift; it does not remove it.
+    values = float_levels[field, strategy]
+    with mpmath.workdps(60):
+        exact = ORACLES[field, strategy](M_SWEEP)
+        bound = {m: m * mpf(2) ** -50 * exact[m] for m in exact}
+        over = [m for m in exact if abs(values[m] - exact[m]) > bound[m]]
+    assert not over, f"levels beyond 4m ulps: {over[:10]}"
 
 
 @pytest.mark.parametrize("x", [0.05, 0.3, 0.5, 1.0, 1.4237, 2.5, 10.0, 50.0, 150.0, 200.0])

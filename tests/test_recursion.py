@@ -354,6 +354,20 @@ class TestTraces:
         assert odd.split.f1 == F(4, 9) and odd.split.f2 == F(5, 9)
         assert odd.children == (4, 5)
 
+    @pytest.mark.parametrize(
+        "m, field, strategy, steps",
+        [
+            pytest.param(4094, Field.COMPLEX, Strategy.ONE_STEP, 4093, id="complex-one-step"),
+            pytest.param(8185, Field.REAL, Strategy.TWO_STEP, 4092, id="real-two-step"),
+        ],
+    )
+    def test_deep_chain_is_walked_without_recursion(self, m, field, strategy, steps):
+        # the longest chains within the double range: deriving or walking
+        # them by recursion would pass Python's default limit of 1000 frames
+        rec = compute_constant(m, field, strategy)
+        assert len(rec.trace) == steps
+        assert replay_trace(rec.trace) == rec.value
+
     def test_trace_is_walked_once(self):
         rec = compute_constant(23, Field.REAL, Strategy.HALVING)
         assert rec.trace is rec.trace

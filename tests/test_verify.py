@@ -130,11 +130,13 @@ class TestSupNormReal:
     def test_littlewood(self):
         assert sup_norm_real(littlewood_form(2)) == pytest.approx(2.0, rel=1e-15)
 
-    def test_wide_last_slot_in_bounded_memory(self):
-        # 2^20 last-slot vertices, walked in blocks: building every sign
-        # vector at once peaks near 480 MB at this shape
-        u = np.array([3.0, -5.0])
-        v = np.arange(1.0, 21.0) * (-1.0) ** np.arange(20)
+    @pytest.mark.parametrize("n1, n2", [(2, 20), (256, 16)])
+    def test_wide_last_slot_in_bounded_memory(self, n1, n2):
+        # (2, 20): 2^20 last-slot vertices, walked in blocks; building every
+        # sign vector at once peaks near 480 MB.  (256, 16): a wide first
+        # slot shrinks the block; one 2^16 block peaks near 264 MB
+        u = np.arange(1.0, n1 + 1) * (-1.0) ** np.arange(n1)
+        v = np.arange(1.0, n2 + 1) * (-1.0) ** np.arange(n2)
         form = MultilinearForm(np.outer(u, v), Field.REAL)
         tracemalloc.start()
         try:
@@ -142,7 +144,8 @@ class TestSupNormReal:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert norm == 8.0 * 210.0  # ||u||_1 ||v||_1, exact for integer coefficients
+        # ||u||_1 ||v||_1, exact for integer coefficients
+        assert norm == (n1 * (n1 + 1) // 2) * (n2 * (n2 + 1) // 2)
         assert peak < 128 * 2**20
 
     def test_trilinear_all_ones(self):
