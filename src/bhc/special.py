@@ -103,23 +103,20 @@ def log_gamma(x: float) -> float:
 
 def a_dyadic(p: float) -> float:
     """Dyadic closed form 2^(1/2 - 1/p) for the lower Khinchine constant."""
-    if p <= 0.0:
-        raise DomainError(f"exponent must be positive, got {p}")
-    return 2.0 ** (0.5 - 1.0 / float(p))
+    return 2.0 ** (0.5 - 1.0 / _khinchine_exponent(p))
 
 
 def a_gamma(p: float) -> float:
     """Gamma closed form sqrt(2) * (Gamma((p+1)/2)/sqrt(pi))^(1/p)."""
-    if p <= 0.0:
-        raise DomainError(f"exponent must be positive, got {p}")
-    p = float(p)
+    p = _khinchine_exponent(p)
     return math.exp(LN_SQRT_2 + (log_gamma((p + 1.0) / 2.0) - LN_SQRT_PI) / p)
 
 
-def _khinchine_exponent(p: float | Fraction | int) -> float:
+def _khinchine_exponent(p: float | Fraction | int, what: str = "Khinchine exponent") -> float:
+    """``p`` as a float; ``what`` names it in the error when it is not positive and finite."""
     pf = float(p)
     if not 0.0 < pf < math.inf:  # NaN fails both comparisons
-        raise DomainError(f"Khinchine exponent must be positive and finite, got {p}")
+        raise DomainError(f"{what} must be positive and finite, got {p}")
     return pf
 
 

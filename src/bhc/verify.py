@@ -32,7 +32,7 @@ import numpy as np
 from .core import DomainError, Field, SizeLimitError, digest_bytes
 from .exponents import blei_f, blei_w
 from .recursion import ConstantRecord, Strategy, compute_constant
-from .special import khinchine_a, khinchine_b
+from .special import _khinchine_exponent, khinchine_a, khinchine_b
 
 __all__ = [
     "CERTIFIED_SLACK",
@@ -150,8 +150,7 @@ def rademacher_moment(a, p: float) -> float:
 
     Enumerates all sign patterns by iterative doubling; N <= 20.
     """
-    if not 0 < p < math.inf:  # NaN fails both comparisons
-        raise DomainError(f"moment exponent must be positive and finite, got {p}")
+    p = _khinchine_exponent(p, "moment exponent")
     a = np.asarray(a)
     if a.ndim != 1:
         raise DomainError("coefficients must form a vector")
@@ -161,6 +160,12 @@ def rademacher_moment(a, p: float) -> float:
     for coef in a:
         sums = np.concatenate([sums + coef, sums - coef])
     sums = np.abs(sums)
+    if p < 1.0 and (top := sums.max()) > 0:
+        # the power 1/p multiplies the mean's rounding error by 1/p; the mean
+        # of |s/top|^p - 1 keeps the small terms, and n = 1 gives top exactly
+        with np.errstate(divide="ignore"):
+            logs = p * np.log(sums / top)
+        return float(top * math.exp(math.log1p(np.mean(np.expm1(logs))) / p))
     with np.errstate(over="ignore"):
         mean = np.mean(sums**p)
     if not np.finfo(float).tiny <= mean < math.inf and (top := sums.max()) > 0:
@@ -301,9 +306,8 @@ def _sup_norm(form: MultilinearForm, restarts: int, seed: int) -> float:
 # --------------------------------------------------------------------------
 
 def lp_norm(values, p: float) -> float:
-    """(sum |v|^p)^(1/p) for p > 0."""
-    if p <= 0:
-        raise DomainError(f"lp exponent must be positive, got {p}")
+    """(sum |v|^p)^(1/p) for positive finite p."""
+    p = _khinchine_exponent(p, "lp exponent")
     total = float(np.sum(np.abs(np.asarray(values)) ** p))
     return total ** (1.0 / p)
 
@@ -420,11 +424,26 @@ def blei_check(matrix, q: float, s1: float, s2: float) -> VerificationReport:
 # Extremal search
 # --------------------------------------------------------------------------
 
+_STEPS = (1.0, 0.1, 0.01)  # the climb's continuous step sizes
+
+
 def _search_ratio(form: MultilinearForm, restarts: int, seed: int) -> float:
     sup = _sup_norm(form, restarts, seed)
     if sup == 0.0:
         return 0.0
     return mixed_norm_lhs(form) / sup
+
+
+def _moves(value: complex, field: Field) -> list:
+    """A coordinate's candidates in climb order: +-1, value +- each step; complex: +-i, phase turns."""
+    moves = [1.0, -1.0]
+    for s in _STEPS:
+        moves += (value + s, value - s)
+    if field is Field.COMPLEX:
+        moves += (1j, -1j)
+        for s in _STEPS:
+            moves += (value * np.exp(1j * s), value * np.exp(-1j * s))
+    return moves
 
 
 def extremal_search(
@@ -437,11 +456,11 @@ def extremal_search(
     """Maximize mixed_norm_lhs / ||U|| over coefficient tensors.
 
     Random restarts (budget/1000 of them) followed by greedy coordinate
-    sweeps; per coordinate the candidate moves are the vertices {-1, +1} and
-    continuous steps of size 1, 0.1 and 0.01 (phase rotations as well in the
-    complex case).  Deterministic for a fixed seed.  The best ratio found is
-    re-evaluated with the exact real oracle, so for real scalars the report
-    is a certified lower bound on the extremal ratio; the complex report is
+    sweeps through each coordinate's :func:`_moves`, then a snap of every
+    entry to the unit circle; every tried ratio counts against the budget.
+    Deterministic for a fixed seed.  The best ratio found is re-evaluated
+    with the exact real oracle, so for real scalars the report is a
+    certified lower bound on the extremal ratio; the complex report is
     diagnostic because its norm is itself only a lower bound.
     """
     if m < 1 or n < 1:
@@ -452,9 +471,6 @@ def extremal_search(
     if m > 1 and sum(dims[1:]) > MAX_ENUM_BITS:
         raise SizeLimitError("tensor too large for the exact vertex oracle")
     rng = np.random.default_rng(seed)
-    lb_restarts = 4  # phase-ascent effort per complex evaluation
-    steps = (1.0, 0.1, 0.01)
-    restarts = max(1, int(budget) // 1000)
     evals = 0
     best_ratio = -1.0
     best_tensor: np.ndarray | None = None
@@ -462,43 +478,27 @@ def extremal_search(
     def evaluate(arr: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        return _search_ratio(MultilinearForm(arr, field), lb_restarts, seed)
+        return _search_ratio(MultilinearForm(arr, field), 4, seed)  # phase-ascent restarts
 
-    def snapped(arr: np.ndarray) -> np.ndarray:
-        # joint vertex move: every entry to the nearest unimodular point
-        safe = np.where(arr == 0, 1.0, arr)
-        return safe / np.abs(safe)
-
-    for _ in range(restarts):
+    for _ in range(max(1, budget // 1000)):
         if evals >= budget:
             break
-        arr = random_form(dims, field, rng).coeffs.copy()
+        arr = _draw(dims, field, rng)
         current = evaluate(arr)
         improved = True
         while improved and evals < budget:
             improved = False
             for idx in np.ndindex(*dims):
-                original = arr[idx]
-                candidates = [1.0, -1.0]
-                for s in steps:
-                    candidates.extend((original + s, original - s))
-                if field is Field.COMPLEX:
-                    candidates.extend((1j, -1j))
-                    for s in steps:
-                        candidates.append(original * np.exp(1j * s))
-                        candidates.append(original * np.exp(-1j * s))
-                for candidate in candidates:
-                    if evals >= budget:
-                        break
-                    arr[idx] = candidate
+                kept = arr[idx]
+                for move in _moves(kept, field)[: budget - evals]:
+                    arr[idx] = move
                     ratio = evaluate(arr)
                     if ratio > current + 1e-15:
-                        current = ratio
-                        original = candidate
-                        improved = True
-                arr[idx] = original
+                        current, kept, improved = ratio, move, True
+                arr[idx] = kept
             if not improved and evals < budget:
-                vertex = snapped(arr)
+                safe = np.where(arr == 0, 1.0, arr)
+                vertex = safe / np.abs(safe)
                 ratio = evaluate(vertex)
                 if ratio > current + 1e-15:
                     arr, current, improved = vertex, ratio, True
@@ -507,7 +507,7 @@ def extremal_search(
             best_tensor = arr.copy()
 
     best_form = MultilinearForm(best_tensor, field)
-    ratio = _search_ratio(best_form, 4 * lb_restarts, seed)  # final re-evaluation
+    ratio = _search_ratio(best_form, 16, seed)  # final re-evaluation
     reference = compute_constant(m, field, Strategy.BEST) if m >= 2 else None
     certified = field is Field.REAL
     upper = reference.value if reference is not None else 1.0

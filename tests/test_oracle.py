@@ -10,11 +10,15 @@ Khinchine closed form and the crossover between the branches are checked
 against mpmath as well.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
 from bhc.core import Field
 from bhc.recursion import Strategy, compute_constant, constants_columns, is_stated_for
 from bhc.special import a_gamma, crossover_p0, log_gamma
+from bhc.verify import rademacher_moment
 
 mpmath = pytest.importorskip("mpmath")
 mpf = mpmath.mpf
@@ -171,6 +175,20 @@ def test_a_gamma(p):
         p_ = mpf(p)
         expected = mpmath.sqrt(2) * (mpmath.gamma((p_ + 1) / 2) / mpmath.sqrt(mpmath.pi)) ** (1 / p_)
         assert a_gamma(p) == pytest.approx(float(expected), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-6, 1e-10])
+def test_rademacher_moment_small_p(p):
+    # (mean |s|^p)^(1/p) directly would multiply the mean's rounding error
+    # by 1/p: about 1e-13 at p = 1e-3 and 1e-6 at p = 1e-10
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 5, 8):
+        a = rng.uniform(-1.0, 1.0, n)
+        with mpmath.workdps(50):
+            p_ = mpf(p)
+            sums = (abs(sum(e * mpf(x) for e, x in zip(eps, a))) for eps in itertools.product((1, -1), repeat=n))
+            exact = (mpmath.fsum(s**p_ for s in sums) / 2**n) ** (1 / p_)
+            assert abs(rademacher_moment(a, p) - exact) <= 2e-15 * exact, n
 
 
 def test_crossover_p0():

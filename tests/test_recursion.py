@@ -418,6 +418,12 @@ class TestTraces:
         rec = compute_constant(m, field, strategy)
         assert replay_trace(rec.trace) == rec.value
 
+    def test_replay_rejects_unknown_rule(self):
+        trace = compute_constant(4, Field.REAL, Strategy.HALVING).trace
+        forged = (*trace[:-1], dataclasses.replace(trace[-1], rule="tripling"))
+        with pytest.raises(ValueError, match="unknown trace rule 'tripling'"):
+            replay_trace(forged)
+
 
 class TestTableAndDispatch:
     def test_table_rows(self):

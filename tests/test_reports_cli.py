@@ -204,6 +204,11 @@ class TestCli:
         result = runner.invoke(main, ["verify", "blei", "--trials", "20", "--seed", "7"])
         assert result.exit_code == 0
 
+    def test_verify_zero_trials_exits_2(self):
+        result = CliRunner().invoke(main, ["verify", "blei", "--trials", "0"])
+        assert result.exit_code == 2
+        assert "--trials must be positive" in result.output
+
     def test_verify_failure_exits_one(self, monkeypatch):
         failing = VerificationReport("blei", "forced", 2.0, 1.0, 2.0, None, False, 7, 1)
         monkeypatch.setattr(reports, "blei_suite", lambda *a, **k: [failing])

@@ -97,6 +97,12 @@ class TestKhinchineLower:
             with pytest.raises(DomainError, match="positive and finite"):
                 khinchine_a(bad)
 
+    @pytest.mark.parametrize("closed_form", [a_dyadic, a_gamma])
+    @pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf, -math.inf])
+    def test_closed_forms_reject_bad_exponents(self, closed_form, bad):
+        with pytest.raises(DomainError, match="positive and finite"):
+            closed_form(bad)
+
 
 class TestKhinchineUpper:
     def test_unit_below_two(self):

@@ -13,6 +13,7 @@ from bhc.recursion import Strategy, compute_constant
 from bhc.verify import (
     MultilinearForm,
     VectorFamily,
+    _moves,
     bh_check,
     bh_suite,
     blei_check,
@@ -86,9 +87,16 @@ class TestRademacherMoment:
     def test_large_exponents(self, a, p):
         assert rademacher_moment(a, float(p)) == pytest.approx(self._exact_moment(a, p), rel=1e-13)
 
+    @pytest.mark.parametrize("p", [0.9, 0.5, 1e-3, 1e-6, 1e-10, 1e-14])
+    def test_single_coefficient_is_exact_at_small_p(self, p):
+        for x in (0.7, -3.25, 1e-200):
+            assert rademacher_moment([x], p) == abs(x)
+
     def test_errors(self):
         with pytest.raises(DomainError):
             rademacher_moment([1.0], 0.0)
+        with pytest.raises(DomainError, match="vector"):
+            rademacher_moment(np.ones((2, 2)), 1.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError, match="positive and finite"):
                 rademacher_moment([1.0], bad)
@@ -113,6 +121,11 @@ class TestKhinchineCheck:
         for _ in range(100):
             a = rng.uniform(-1, 1, 10)
             assert khinchine_check(a, 4.0 / 3.0).passed
+
+    @pytest.mark.parametrize("p", [1e-5, 3e-5])
+    def test_small_exponent_suite_passes(self, p):
+        # the upper constant B_p = 1 is attained at n = 1, with slack 1e-12
+        assert all(r.passed for r in khinchine_suite(200, 42, p=p))
 
 
 class TestSupNormReal:
@@ -228,6 +241,11 @@ class TestMixedNorm:
         form = MultilinearForm(np.ones((2, 2, 2)), Field.REAL)
         assert mixed_norm_lhs(form) == pytest.approx(4.0, rel=1e-14)  # 8^(2/3)
 
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf])
+    def test_lp_norm_rejects_bad_exponents(self, bad):
+        with pytest.raises(DomainError, match="positive and finite"):
+            lp_norm([1.0, 2.0], bad)
+
     def test_lp_norm_monotone_in_exponent(self):
         rng = np.random.default_rng(61)
         tensors = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(10)]
@@ -300,6 +318,11 @@ class TestWeak1Norm:
         fam = VectorFamily(np.zeros((0, 4)), Field.REAL)
         assert weak1_norm(fam) == 0.0
 
+    @pytest.mark.parametrize("vectors", [np.ones(3), np.ones((2, 2, 2))])
+    def test_family_must_be_2d(self, vectors):
+        with pytest.raises(DomainError, match="2-d"):
+            VectorFamily(vectors, Field.REAL)
+
 
 class TestMultipleSumming:
     def test_canonical_families_reduce_to_bh(self):
@@ -339,6 +362,13 @@ class TestMultipleSumming:
         with pytest.raises(DomainError):
             multiple_summing_check(form, [canonical_family(2), canonical_family(3)], constant)
 
+    def test_complex_form_is_rejected(self):
+        form = littlewood_form(2, Field.COMPLEX)
+        constant = compute_constant(2, Field.COMPLEX, Strategy.BEST)
+        families = [canonical_family(2, Field.COMPLEX) for _ in range(2)]
+        with pytest.raises(DomainError, match="real forms only"):
+            multiple_summing_check(form, families, constant)
+
 
 class TestBleiCheck:
     def test_all_ones_equality(self):
@@ -361,9 +391,20 @@ class TestBleiCheck:
             blei_check(np.array([[1.0, -0.1]]), 2.0, 1.2, 1.2)
         with pytest.raises(DomainError):
             blei_check(np.ones((2, 2)), 1.1, 1.2, 1.2)
+        with pytest.raises(DomainError, match="matrices"):
+            blei_check(np.ones(3), 2.0, 1.2, 1.2)
 
 
 class TestExtremalSearch:
+    def test_move_order(self):
+        # the climb tries a coordinate's moves in this order, so the order
+        # fixes which ties win and where a spent budget cuts a sweep
+        assert _moves(0.5, Field.REAL) == [1.0, -1.0, 1.5, -0.5, 0.6, 0.4, 0.51, 0.49]
+        z = 0.5 + 0.5j
+        turns = [z * np.exp(sign * 1j * s) for s in (1.0, 0.1, 0.01) for sign in (1, -1)]
+        steps = [z + 1, z - 1, z + 0.1, z - 0.1, z + 0.01, z - 0.01]
+        assert _moves(z, Field.COMPLEX) == [1.0, -1.0, *steps, 1j, -1j, *turns]
+
     def test_linear_case_is_unit(self):
         report = extremal_search(1, 4, Field.REAL, budget=2000, seed=3)
         assert report.ratio == 1.0
@@ -401,6 +442,10 @@ class TestSuites:
         reports = bh_suite(50, 42, m=2, dim=2)
         assert all(r.passed for r in reports)
         assert max(r.ratio for r in reports) == pytest.approx(SQRT2, abs=1e-9)
+
+    def test_littlewood_needs_two_coordinates(self):
+        with pytest.raises(DomainError, match="dim >= 2"):
+            littlewood_form(1)
 
     def test_form_validation(self):
         with pytest.raises(DomainError):
