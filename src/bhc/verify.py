@@ -5,7 +5,10 @@ Everything here certifies at desk scale, by exhaustion rather than sampling:
 * Rademacher p-th moments are exact averages over all 2^N sign patterns.
 * The operator norm of a real m-linear form on l_inf^N is exact: a
   multilinear form attains its sup at cube vertices, so slots 2..m are
-  enumerated over sign vectors while slot 1 collapses to an l1 sum.
+  enumerated over sign vectors while slot 1 collapses to an l1 sum.  Each
+  of slots 2..m fixes its first sign to +1, since flipping a whole slot
+  only negates the value, and each block of last-slot vertices reuses one
+  product buffer.
 * The weak-(1) norm on l_inf^N is the max coordinate-wise absolute column
   sum (the extreme points of the dual l1 ball are coordinate functionals).
 
@@ -63,7 +66,8 @@ __all__ = [
 # Relative slack separating float noise from genuine violations.
 CERTIFIED_SLACK = 1e-9
 
-# Enumerating slots 2..m costs prod(2^N_k) <= 2^MAX_ENUM_BITS evaluations.
+# Slots 2..m span prod(2^N_k) <= 2^MAX_ENUM_BITS sign vectors; the oracle
+# evaluates the 2^(m-1) times fewer whose slots each start with +1.
 MAX_ENUM_BITS = 24
 
 # Exact Rademacher averages enumerate 2^N sign patterns.
@@ -91,6 +95,8 @@ class MultilinearForm:
         if np.ndim(self.coeffs) < 1:
             raise DomainError("a multilinear form needs at least one slot")
         object.__setattr__(self, "coeffs", _frozen(self.coeffs, self.field, "form coefficients"))
+        if 0 in self.dims:
+            raise DomainError(f"every slot of a multilinear form needs width >= 1, got shape {self.dims}")
 
     @property
     def m(self) -> int:
@@ -201,10 +207,11 @@ _BLOCK_VALUES = 2**22
 
 
 def _sign_vectors(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows start..stop-1 (all 2^n by default) of the length-n sign vectors, as +-1.0."""
-    rows = np.arange(start, 2**n if stop is None else min(stop, 2**n), dtype=np.int64)
-    bits = (rows[:, None] >> np.arange(n)) & 1
-    return 1.0 - 2.0 * bits.astype(np.float64)
+    """Rows start..stop-1 (all 2^(n-1) by default) of the length-n sign vectors
+    whose first sign is +1, as +-1.0; row r carries the signs of the bits of 2r."""
+    half = 2 ** (n - 1)
+    rows = np.arange(2 * start, 2 * (half if stop is None else min(stop, half)), 2, dtype=np.int64)
+    return np.array([1.0, -1.0])[(rows[:, None] >> np.arange(n)) & 1]
 
 
 def sup_norm_real(form: MultilinearForm) -> float:
@@ -212,9 +219,14 @@ def sup_norm_real(form: MultilinearForm) -> float:
 
     The sup over the product of unit balls is attained at cube vertices, so
     slots 2..m are enumerated over sign vectors while the slot-1 maximization
-    reduces to an l1 sum.  The last slot is walked in blocks of at most
-    _LAST_SLOT_BLOCK vertices.  Raises when the enumeration would exceed
-    2^MAX_ENUM_BITS sign combinations.
+    reduces to an l1 sum.  Each enumerated slot fixes its first sign to +1:
+    flipping every sign of one slot negates the slot-1 vector, and so leaves
+    its l1 sum, and each flipped value is computed as the exact negation of
+    its partner, so the result is the full enumeration's to the bit.  The
+    last slot is walked in blocks of at most _LAST_SLOT_BLOCK vertices, and
+    every middle-slot combination of a block fills the same product and
+    column-sum buffers.  Raises when slots 2..m span more than
+    2^MAX_ENUM_BITS sign vectors.
     """
     if form.field is not Field.REAL:
         raise DomainError("sup_norm_real handles real forms only; use sup_norm_complex_lb")
@@ -223,20 +235,34 @@ def sup_norm_real(form: MultilinearForm) -> float:
     dims = form.dims
     if sum(dims[1:]) > MAX_ENUM_BITS:
         raise SizeLimitError(
-            f"sign enumeration over slots 2..m needs 2^{sum(dims[1:])} > 2^{MAX_ENUM_BITS} evaluations"
+            f"sign enumeration over slots 2..m spans 2^{sum(dims[1:])} > 2^{MAX_ENUM_BITS} sign vectors"
         )
-    best = 0.0
     middle = [list(_sign_vectors(n)) for n in dims[1:-1]]
     block = min(_LAST_SLOT_BLOCK, max(1, _BLOCK_VALUES // dims[0]))
-    for start in range(0, 2 ** dims[-1], block):
-        last = _sign_vectors(dims[-1], start, start + block)
-        for combo in itertools.product(*middle):
-            w = form.coeffs
-            for eps in combo:
-                w = np.tensordot(w, eps, axes=([1], [0]))
-            # w has shape (N_1, N_m); the block's last-slot vertices at once
-            values = np.abs(w @ last.T).sum(axis=0)
-            best = max(best, float(values.max()))
+    best = 0.0
+    for start in range(0, 2 ** (dims[-1] - 1), block):
+        best = max(best, _block_max(form.coeffs, middle, _sign_vectors(dims[-1], start, start + block)))
+    return best
+
+
+def _block_max(coeffs: np.ndarray, middle: list[list[np.ndarray]], last: np.ndarray) -> float:
+    """The largest slot-1 l1 sum over every middle-slot combination and the rows of ``last``.
+
+    Every combination fills the same N_1 x len(last) product and column
+    sums; returning frees them before the next block's signs are built.
+    """
+    product = np.empty((coeffs.shape[0], len(last)))
+    sums = np.empty(len(last))
+    best = 0.0
+    for combo in itertools.product(*middle):
+        w = coeffs
+        for eps in combo:
+            w = np.tensordot(w, eps, axes=([1], [0]))
+        # w has shape (N_1, N_m); the block's last-slot vertices at once
+        np.matmul(w, last.T, out=product)
+        np.abs(product, out=product)
+        np.add.reduce(product, axis=0, out=sums)
+        best = max(best, float(sums.max()))
     return best
 
 

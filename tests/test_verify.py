@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -160,6 +161,42 @@ class TestSupNormReal:
         # ||u||_1 ||v||_1, exact for integer coefficients
         assert norm == (n1 * (n1 + 1) // 2) * (n2 * (n2 + 1) // 2)
         assert peak < 128 * 2**20
+
+    @staticmethod
+    def _full_enumeration(form):
+        # every 2^N_k sign vector of slots 2..m, through the oracle's own
+        # tensordot chain and w @ last.T, with no sign fixed
+        def signs(n):
+            bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+            return 1.0 - 2.0 * bits.astype(np.float64)
+
+        best = 0.0
+        last = signs(form.dims[-1])
+        for combo in itertools.product(*(list(signs(n)) for n in form.dims[1:-1])):
+            w = form.coeffs
+            for eps in combo:
+                w = np.tensordot(w, eps, axes=([1], [0]))
+            best = max(best, float(np.abs(w @ last.T).sum(axis=0).max()))
+        return best
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(2,) * 8, (3, 3, 3), (4, 10, 10), (3, 2, 2, 2), (1, 5), (5, 1), (2, 1, 3)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_bit_identical_to_full_enumeration(self, shape):
+        rng = np.random.default_rng(sum(shape) * len(shape))
+        for _ in range(3):
+            form = random_form(shape, Field.REAL, rng)
+            assert sup_norm_real(form) == self._full_enumeration(form)
+
+    @pytest.mark.parametrize(
+        "form",
+        [littlewood_form(2), littlewood_form(5), MultilinearForm(np.ones((3, 3, 3)), Field.REAL)],
+        ids=["littlewood-2", "littlewood-5", "ones-3x3x3"],
+    )
+    def test_known_forms_bit_identical_to_full_enumeration(self, form):
+        assert sup_norm_real(form) == self._full_enumeration(form)
 
     def test_trilinear_all_ones(self):
         form = MultilinearForm(np.ones((2, 2, 2)), Field.REAL)
@@ -446,6 +483,18 @@ class TestSuites:
     def test_littlewood_needs_two_coordinates(self):
         with pytest.raises(DomainError, match="dim >= 2"):
             littlewood_form(1)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 2)])
+    def test_form_rejects_width_zero_slot(self, shape):
+        with pytest.raises(DomainError, match=re.escape(f"width >= 1, got shape {shape}")):
+            MultilinearForm(np.zeros(shape), Field.REAL)
+
+    @pytest.mark.parametrize("m, dim", [(10, 2), (19, 1)])
+    def test_bh_suite_many_middle_slots(self, m, dim):
+        # 8 and 17 middle slots; with first signs fixed, 2^8 and 1 middle combinations per form
+        reports = bh_suite(3, 0, m=m, dim=dim)
+        assert len(reports) == 3
+        assert sum(not r.passed for r in reports) == 0
 
     def test_form_validation(self):
         with pytest.raises(DomainError):
