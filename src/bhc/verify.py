@@ -8,7 +8,8 @@ Everything here certifies at desk scale, by exhaustion rather than sampling:
   enumerated over sign vectors while slot 1 collapses to an l1 sum.  Each
   of slots 2..m fixes its first sign to +1, since flipping a whole slot
   only negates the value, and each block of last-slot vertices reuses one
-  product buffer.
+  product buffer.  One call can take a stack of forms of one shape, which
+  share one build of the sign tables.
 * The weak-(1) norm on l_inf^N is the max coordinate-wise absolute column
   sum (the extreme points of the dual l1 ball are coordinate functionals).
 
@@ -199,9 +200,9 @@ def khinchine_check(a, p: float) -> VerificationReport:
 # --------------------------------------------------------------------------
 
 # Last-slot sign vectors are built at most this many at a time, and fewer
-# when slot 1 is wide, so that a block's N_1 x block product holds at most
-# _BLOCK_VALUES values: memory stays flat up to the enumeration guard and
-# whatever N_1 is.
+# when slot 1 is wide or many forms are stacked, so that a block's
+# K x N_1 x block product holds at most _BLOCK_VALUES values: memory stays
+# flat up to the enumeration guard whatever K and N_1 are.
 _LAST_SLOT_BLOCK = 2**16
 _BLOCK_VALUES = 2**22
 
@@ -214,6 +215,14 @@ def _sign_vectors(n: int, start: int = 0, stop: int | None = None) -> np.ndarray
     return np.array([1.0, -1.0])[(rows[:, None] >> np.arange(n)) & 1]
 
 
+def _check_enumerable(dims: tuple[int, ...]) -> None:
+    """Raise unless slots 2..m of ``dims`` span at most 2^MAX_ENUM_BITS sign vectors."""
+    if sum(dims[1:]) > MAX_ENUM_BITS:
+        raise SizeLimitError(
+            f"sign enumeration over slots 2..m spans 2^{sum(dims[1:])} > 2^{MAX_ENUM_BITS} sign vectors"
+        )
+
+
 def sup_norm_real(form: MultilinearForm) -> float:
     """Exact operator norm of a real form.
 
@@ -222,47 +231,53 @@ def sup_norm_real(form: MultilinearForm) -> float:
     reduces to an l1 sum.  Each enumerated slot fixes its first sign to +1:
     flipping every sign of one slot negates the slot-1 vector, and so leaves
     its l1 sum, and each flipped value is computed as the exact negation of
-    its partner, so the result is the full enumeration's to the bit.  The
-    last slot is walked in blocks of at most _LAST_SLOT_BLOCK vertices, and
-    every middle-slot combination of a block fills the same product and
-    column-sum buffers.  Raises when slots 2..m span more than
-    2^MAX_ENUM_BITS sign vectors.
+    its partner, so the result is the full enumeration's to the bit.  This
+    is the one-form case of the stacked kernel :func:`_sup_norms_real`.
+    Raises when slots 2..m span more than 2^MAX_ENUM_BITS sign vectors.
     """
     if form.field is not Field.REAL:
         raise DomainError("sup_norm_real handles real forms only; use sup_norm_complex_lb")
-    if form.m == 1:
-        return float(np.abs(form.coeffs).sum())
-    dims = form.dims
-    if sum(dims[1:]) > MAX_ENUM_BITS:
-        raise SizeLimitError(
-            f"sign enumeration over slots 2..m spans 2^{sum(dims[1:])} > 2^{MAX_ENUM_BITS} sign vectors"
-        )
-    middle = [list(_sign_vectors(n)) for n in dims[1:-1]]
-    block = min(_LAST_SLOT_BLOCK, max(1, _BLOCK_VALUES // dims[0]))
-    best = 0.0
-    for start in range(0, 2 ** (dims[-1] - 1), block):
-        best = max(best, _block_max(form.coeffs, middle, _sign_vectors(dims[-1], start, start + block)))
-    return best
+    return float(_sup_norms_real(form.coeffs[None])[0])
 
 
-def _block_max(coeffs: np.ndarray, middle: list[list[np.ndarray]], last: np.ndarray) -> float:
-    """The largest slot-1 l1 sum over every middle-slot combination and the rows of ``last``.
+def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
+    """Exact operator norms of the finite real forms stack[0], stack[1], ... of one shape.
 
-    Every combination fills the same N_1 x len(last) product and column
-    sums; returning frees them before the next block's signs are built.
+    Each norm is bit for bit what the form alone would give: the sign tables
+    are built once for the whole stack, and every slice goes through the
+    same contraction as a single form, a ``tensordot`` per middle slot, then
+    ``matmul`` with a block of last-slot vertices, ``abs`` and ``add.reduce``
+    over slot 1.  The last slot is walked in blocks of at most
+    _LAST_SLOT_BLOCK vertices, fewer when K x N_1 is large, so a block's
+    K x N_1 x block product holds at most _BLOCK_VALUES values; every
+    middle-slot combination of a block fills the same product and column-sum
+    buffers, and keeps each column's largest sum so far.
     """
-    product = np.empty((coeffs.shape[0], len(last)))
-    sums = np.empty(len(last))
-    best = 0.0
-    for combo in itertools.product(*middle):
-        w = coeffs
-        for eps in combo:
-            w = np.tensordot(w, eps, axes=([1], [0]))
-        # w has shape (N_1, N_m); the block's last-slot vertices at once
-        np.matmul(w, last.T, out=product)
-        np.abs(product, out=product)
-        np.add.reduce(product, axis=0, out=sums)
-        best = max(best, float(sums.max()))
+    dims = stack.shape[1:]
+    _check_enumerable(dims)
+    if len(dims) == 1:
+        return np.abs(stack).sum(axis=1)
+    k, n1 = stack.shape[:2]
+    # the middle slots see the stack as one form with K x N_1 rows in slot 1
+    rows = stack.reshape(k * n1, *dims[1:])
+    middle = [list(_sign_vectors(n)) for n in dims[1:-1]]
+    block = min(_LAST_SLOT_BLOCK, max(1, _BLOCK_VALUES // (k * n1)))
+    best = np.zeros(k)
+    for start in range(0, 2 ** (dims[-1] - 1), block):
+        last = _sign_vectors(dims[-1], start, start + block)
+        product = np.empty((k, n1, len(last)))
+        sums = np.empty((k, len(last)))
+        peaks = np.zeros((k, len(last)))
+        for combo in itertools.product(*middle):
+            w = rows
+            for eps in combo:
+                w = np.tensordot(w, eps, axes=([1], [0]))
+            # one N_1 x N_m matrix per form; the block's last-slot vertices at once
+            np.matmul(w.reshape(k, n1, dims[-1]), last.T, out=product)
+            np.abs(product, out=product)
+            np.add.reduce(product, axis=1, out=sums)
+            np.maximum(peaks, sums, out=peaks)
+        np.maximum(best, peaks.max(axis=1), out=best)
     return best
 
 
@@ -460,6 +475,22 @@ def _search_ratio(form: MultilinearForm, restarts: int, seed: int) -> float:
     return mixed_norm_lhs(form) / sup
 
 
+def _search_ratios(stack: np.ndarray, field: Field, seed: int) -> list[float]:
+    """The climb's ratios of the forms stack[0], stack[1], ..., each to the bit
+    what :func:`_search_ratio` gives it alone with 4 phase-ascent restarts."""
+    if not np.all(np.isfinite(stack)):
+        raise DomainError("form coefficients must be finite")
+    m = stack.ndim - 1
+    p = 2.0 * m / (m + 1.0)
+    # one row-wise l_p sum, each row summed as mixed_norm_lhs sums one form
+    totals = np.sum(np.abs(stack.reshape(len(stack), -1)) ** p, axis=1)
+    if field is Field.REAL:
+        sups = _sup_norms_real(stack)
+    else:
+        sups = [sup_norm_complex_lb(MultilinearForm(coeffs, field), restarts=4, seed=seed) for coeffs in stack]
+    return [float(t) ** (1.0 / p) / sup if sup != 0.0 else 0.0 for t, sup in zip(totals, sups)]
+
+
 def _moves(value: complex, field: Field) -> list:
     """A coordinate's candidates in climb order: +-1, value +- each step; complex: +-i, phase turns."""
     moves = [1.0, -1.0]
@@ -484,48 +515,51 @@ def extremal_search(
     Random restarts (budget/1000 of them) followed by greedy coordinate
     sweeps through each coordinate's :func:`_moves`, then a snap of every
     entry to the unit circle; every tried ratio counts against the budget.
-    Deterministic for a fixed seed.  The best ratio found is re-evaluated
-    with the exact real oracle, so for real scalars the report is a
-    certified lower bound on the extremal ratio; the complex report is
-    diagnostic because its norm is itself only a lower bound.
+    A coordinate's candidates are scored as one stacked batch, one tensor
+    per move, by :func:`_search_ratios`, each to the bit what it scores
+    alone, and are then taken in move order, so the climb is the one that
+    tries them one at a time.  Deterministic for a fixed seed.  The best
+    ratio found is re-evaluated with the exact real oracle, so for real
+    scalars the report is a certified lower bound on the extremal ratio;
+    the complex report is diagnostic because its norm is itself only a
+    lower bound.
     """
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     if budget < 1:
         raise DomainError(f"the evaluation budget must be positive, got {budget}")
     dims = (n,) * m
-    if m > 1 and sum(dims[1:]) > MAX_ENUM_BITS:
-        raise SizeLimitError("tensor too large for the exact vertex oracle")
+    _check_enumerable(dims)
     rng = np.random.default_rng(seed)
     evals = 0
     best_ratio = -1.0
     best_tensor: np.ndarray | None = None
-
-    def evaluate(arr: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return _search_ratio(MultilinearForm(arr, field), 4, seed)  # phase-ascent restarts
-
     for _ in range(max(1, budget // 1000)):
         if evals >= budget:
             break
         arr = _draw(dims, field, rng)
-        current = evaluate(arr)
+        [current] = _search_ratios(arr[None], field, seed)
+        evals += 1
         improved = True
         while improved and evals < budget:
             improved = False
             for idx in np.ndindex(*dims):
                 kept = arr[idx]
-                for move in _moves(kept, field)[: budget - evals]:
-                    arr[idx] = move
-                    ratio = evaluate(arr)
+                moves = _moves(kept, field)[: budget - evals]
+                if not moves:
+                    break
+                stack = np.repeat(arr[None], len(moves), axis=0)
+                stack[(slice(None), *idx)] = moves
+                evals += len(moves)
+                for move, ratio in zip(moves, _search_ratios(stack, field, seed)):
                     if ratio > current + 1e-15:
                         current, kept, improved = ratio, move, True
                 arr[idx] = kept
             if not improved and evals < budget:
                 safe = np.where(arr == 0, 1.0, arr)
                 vertex = safe / np.abs(safe)
-                ratio = evaluate(vertex)
+                [ratio] = _search_ratios(vertex[None], field, seed)
+                evals += 1
                 if ratio > current + 1e-15:
                     arr, current, improved = vertex, ratio, True
         if current > best_ratio:

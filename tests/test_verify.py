@@ -9,12 +9,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bhc.core import DomainError, Field, SizeLimitError
+from bhc.core import DomainError, Field, SizeLimitError, digest_bytes
+from bhc import verify
 from bhc.recursion import Strategy, compute_constant
 from bhc.verify import (
     MultilinearForm,
     VectorFamily,
     _moves,
+    _search_ratios,
+    _sup_norms_real,
     bh_check,
     bh_suite,
     blei_check,
@@ -165,7 +168,11 @@ class TestSupNormReal:
     @staticmethod
     def _full_enumeration(form):
         # every 2^N_k sign vector of slots 2..m, through the oracle's own
-        # tensordot chain and w @ last.T, with no sign fixed
+        # tensordot chain and w @ last.T, with no sign fixed; a linear form
+        # has no enumerated slot, and slot 1 is its l1 sum
+        if form.m == 1:
+            return float(np.abs(form.coeffs).sum())
+
         def signs(n):
             bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
             return 1.0 - 2.0 * bits.astype(np.float64)
@@ -197,6 +204,40 @@ class TestSupNormReal:
     )
     def test_known_forms_bit_identical_to_full_enumeration(self, form):
         assert sup_norm_real(form) == self._full_enumeration(form)
+
+    @pytest.mark.parametrize(
+        "shape, block_values",
+        [((5,), None), ((1, 6), None), ((6, 1), None), ((3, 3, 3), None), ((2,) * 6, None),
+         ((70, 3), None), ((70, 4), 70 * 16)],
+        ids=["5", "1x6", "6x1", "3x3x3", "2x2x2x2x2x2", "70x3", "70x4-small-blocks"],
+    )
+    def test_stacked_kernel_matches_full_enumeration(self, shape, block_values, monkeypatch):
+        if block_values is not None:
+            # the 8 last-slot vertices go in one block at K = 1, 2, then in
+            # blocks of 5+3, 4+4, 3+3+2 and 2 as K grows; none holds a lone
+            # vertex, whose column numpy would sum pairwise, not in row order
+            monkeypatch.setattr(verify, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(len(shape) * sum(shape))
+        for k in range(1, 9):
+            stack = rng.uniform(-1.0, 1.0, size=(k, *shape))
+            stack[k // 2] = rng.choice([-1.0, 1.0], size=shape)
+            if k > 2:
+                stack[-1] = 0.0
+            norms = _sup_norms_real(stack)
+            assert norms.shape == (k,)
+            for coeffs, norm in zip(stack, norms):
+                reference = self._full_enumeration(MultilinearForm(coeffs, Field.REAL))
+                assert float(norm).hex() == reference.hex()
+            if k > 2:
+                assert _search_ratios(stack, Field.REAL, 0)[-1] == 0.0
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_stacked_batch_rejects_non_finite(self, field, bad):
+        stack = np.ones((3, 2, 2), dtype=np.complex128 if field is Field.COMPLEX else np.float64)
+        stack[1, 0, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            _search_ratios(stack, field, 0)
 
     def test_trilinear_all_ones(self):
         form = MultilinearForm(np.ones((2, 2, 2)), Field.REAL)
@@ -461,11 +502,32 @@ class TestExtremalSearch:
         assert report.check == "search-diagnostic"
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "m, n, field, budget, ratio_hex, witness",
+        [
+            (3, 3, Field.REAL, 6000, "0x1.16b1563f65b64p+0", "679a28597618"),
+            (2, 5, Field.REAL, 8000, "0x1.16c19cdb26033p+0", "c5d4700fa36f"),
+            (2, 2, Field.COMPLEX, 20, "0x1.ec58f96124a39p-1", "596fa3f30da4"),
+        ],
+        ids=["real-3x3x3", "real-5x5", "complex-2x2"],
+    )
+    def test_trajectory_pinned(self, m, n, field, budget, ratio_hex, witness):
+        # every tried ratio steers the climb, so one bit of drift in any
+        # candidate's score moves the witness
+        report = extremal_search(m, n, field, budget=budget, seed=42)
+        assert report.trials == budget
+        assert report.ratio.hex() == ratio_hex
+        assert digest_bytes(report.witness.tobytes()) == witness
+
     def test_domain(self):
         with pytest.raises(DomainError):
             extremal_search(0, 2)
         with pytest.raises(DomainError):
             extremal_search(2, 2, budget=0)
+
+    def test_oversized_shape_names_the_guard(self):
+        with pytest.raises(SizeLimitError, match=r"spans 2\^30 > 2\^24 sign vectors"):
+            extremal_search(2, 30, budget=10)
 
 
 class TestSuites:
