@@ -216,13 +216,15 @@ def _post_order(m: int, children: Callable[[int], Sequence[int]], done=()) -> It
 # The rule table: one Blei/Khinchine step, four parameter sets
 # --------------------------------------------------------------------------
 
+_Q = Fraction(2)  # every split's Blei q
+
+
 def _split(k: int, parts: tuple[int, int]) -> ExponentSplit:
     """Blei's split of level k = m1 + m2 at the parts' own exponents 2m_i/(m_i+1)."""
-    q = Fraction(2)
     m1, m2 = parts
     s1, s2 = Fraction(2 * m1, m1 + 1), Fraction(2 * m2, m2 + 1)
-    f1 = blei_f(q, s1, s2)
-    return ExponentSplit(k, q, s1, s2, blei_w(q, s1, s2), f1, 1 - f1)  # f(s2, s1) = 1 - f(s1, s2)
+    f1 = blei_f(_Q, s1, s2)
+    return ExponentSplit(k, _Q, s1, s2, blei_w(_Q, s1, s2), f1, 1 - f1)  # f(s2, s1) = 1 - f(s1, s2)
 
 
 @dataclass(frozen=True)

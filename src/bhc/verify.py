@@ -265,6 +265,10 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
     best = np.zeros(k)
     for start in range(0, 2 ** (dims[-1] - 1), block):
         last = _sign_vectors(dims[-1], start, start + block)
+        if len(last) == 1:
+            # numpy sums a lone column pairwise; with the vertex twice, slot 1
+            # is summed row by row, as in every wider block
+            last = np.repeat(last, 2, axis=0)
         product = np.empty((k, n1, len(last)))
         sums = np.empty((k, len(last)))
         peaks = np.zeros((k, len(last)))

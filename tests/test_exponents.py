@@ -1,9 +1,12 @@
 """Blei exponent functions and the split of each recursion step."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bhc.core import DomainError
 from bhc.exponents import blei_f, blei_w
@@ -66,14 +69,78 @@ class TestBleiF:
             assert 0.0 < blei_f(2.0, x, y) < 1.0
 
 
+def formula_w(q, x, y):
+    # w and f as the module docstring writes them, in that order of
+    # operations: exact on Fractions, floating point on floats
+    return (q * q * (x + y) - 2 * q * x * y) / (q * q - x * y)
+
+
+def formula_f(q, x, y):
+    return (q * q * x - q * x * y) / (q * q * (x + y) - 2 * q * x * y)
+
+
+# a non-negative int, or a Fraction built from an unreduced pair
+EXCESS = st.one_of(
+    st.integers(0, 5),
+    st.builds(
+        lambda n, d, c: Fraction(n * c, d * c),
+        st.integers(0, 10**6),
+        st.integers(1, 10**6),
+        st.integers(1, 60),
+    ),
+)
+
+
+class TestArguments:
+    """The exact path on ints and Fractions, the float path, and the domain."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(dx=EXCESS, dy=EXCESS, gap=EXCESS.filter(lambda v: v > 0))
+    @example(dx=F(1, 3), dy=F(1, 3), gap=F(2, 3))  # q = 2 as a Fraction
+    @example(dx=F(1, 2), dy=F(3, 5), gap=F(2, 5))
+    @example(dx=0, dy=0, gap=1)  # all ints: the formula's float
+    @example(dx=0, dy=F(5, 6), gap=2)  # mixed ints and Fractions
+    def test_rational_inputs_match_the_formula(self, dx, dy, gap):
+        x, y = 1 + dx, 1 + dy
+        q = max(x, y) + gap
+        for function, formula in ((blei_w, formula_w), (blei_f, formula_f)):
+            for args in ((q, x, y), (q, y, x)):
+                result, expected = function(*args), formula(*args)
+                assert result == expected
+                assert type(result) is type(expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=st.floats(1.0, 8.0), y=st.floats(1.0, 8.0), gap=st.floats(1e-6, 8.0))
+    @example(x=4.0 / 3.0, y=1.5, gap=2.0 - 1.5)
+    def test_float_inputs_keep_the_formula_bits(self, x, y, gap):
+        q = max(x, y) + gap
+        assert blei_w(q, x, y).hex() == formula_w(q, x, y).hex()
+        assert blei_f(q, x, y).hex() == formula_f(q, x, y).hex()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["q", "x", "y"])
+    @pytest.mark.parametrize("function", [blei_w, blei_f], ids=["w", "f"])
+    def test_non_finite_argument_is_rejected(self, function, position, bad):
+        args = [2.0, 1.5, 1.5]
+        args[position] = bad
+        with pytest.raises(DomainError, match="finite"):
+            function(*args)
+
+    def test_exact_domain_errors_name_the_arguments(self):
+        with pytest.raises(DomainError, match=r"x, y >= 1, got \(1/2, 3/2\)"):
+            blei_f(F(2), F(1, 2), F(3, 2))
+        with pytest.raises(DomainError, match=r"got q=3/2, x=5/3, y=1$"):
+            blei_w(F(3, 2), F(5, 3), 1)
+
+
 class TestSplits:
     """The Blei split of each recursion step, built from its partition of level k."""
 
     LEVELS = {
-        "one-step": range(2, 301),
-        "two-step": range(3, 301),
-        "even-halving": range(2, 301, 2),
-        "odd-split": range(3, 301, 2),
+        "one-step": range(2, 2001),
+        "two-step": range(3, 2001),
+        "even-halving": range(2, 2001, 2),
+        "odd-split": range(3, 2001, 2),
     }
 
     @staticmethod

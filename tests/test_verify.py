@@ -188,7 +188,7 @@ class TestSupNormReal:
 
     @pytest.mark.parametrize(
         "shape",
-        [(2,) * 8, (3, 3, 3), (4, 10, 10), (3, 2, 2, 2), (1, 5), (5, 1), (2, 1, 3)],
+        [(2,) * 8, (3, 3, 3), (4, 10, 10), (3, 2, 2, 2), (1, 5), (5, 1), (2, 1, 3), (70, 1), (9, 1), (8, 2, 1)],
         ids=lambda shape: "x".join(map(str, shape)),
     )
     def test_bit_identical_to_full_enumeration(self, shape):
@@ -208,14 +208,17 @@ class TestSupNormReal:
     @pytest.mark.parametrize(
         "shape, block_values",
         [((5,), None), ((1, 6), None), ((6, 1), None), ((3, 3, 3), None), ((2,) * 6, None),
-         ((70, 3), None), ((70, 4), 70 * 16)],
-        ids=["5", "1x6", "6x1", "3x3x3", "2x2x2x2x2x2", "70x3", "70x4-small-blocks"],
+         ((70, 3), None), ((70, 4), 70 * 16), ((70, 4), 70 * 7), ((70, 1), None), ((9, 1), None),
+         ((8, 2, 1), None)],
+        ids=["5", "1x6", "6x1", "3x3x3", "2x2x2x2x2x2", "70x3", "70x4-small-blocks", "70x4-lone-blocks",
+             "70x1", "9x1", "8x2x1"],
     )
     def test_stacked_kernel_matches_full_enumeration(self, shape, block_values, monkeypatch):
         if block_values is not None:
             # the 8 last-slot vertices go in one block at K = 1, 2, then in
-            # blocks of 5+3, 4+4, 3+3+2 and 2 as K grows; none holds a lone
-            # vertex, whose column numpy would sum pairwise, not in row order
+            # blocks of 5+3, 4+4, 3+3+2 and 2 as K grows (70 * 16); or in
+            # 7+1, 3+3+2, 2+2+2+2, then one at a time (70 * 7), where a lone
+            # vertex's column must still be summed row by row, not pairwise
             monkeypatch.setattr(verify, "_BLOCK_VALUES", block_values)
         rng = np.random.default_rng(len(shape) * sum(shape))
         for k in range(1, 9):
