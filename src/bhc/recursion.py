@@ -20,10 +20,11 @@ each part's own exponent s_i = 2m_i/(m_i+1).  ``_RULES`` holds one entry
 per rule (``one-step``, ``two-step``, ``even-halving``, ``odd-split``): its
 partition of m, whether the first part is folded into the shift a, and the
 shift.  Everything else follows from the partition: the children m_i are
-the other parts, each consumes A_{s_i}^(m - m_i), and its weight f_i = m_i/m
-comes from the Blei split (one f evaluation: f2 = 1 - f1).  One float
-update and one exact update read an entry; the ladders derive their levels
-through both, and ``replay_trace`` recomputes a trace through the float one.
+the other parts, each consumes A_{s_i}^(m - m_i), and its weight is
+f_i = m_i/m: at q = 2 the Blei split is in closed form, w = 2m/(m+1) and
+f_i = m_i/m, so no Blei formula is evaluated.  One float update and one
+exact update read an entry; the ladders derive their levels through both,
+and ``replay_trace`` recomputes a trace through the float one.
 
 While the consumed Khinchine constants stay on their dyadic branch, each
 constant is exactly of the form 2^a * (2/sqrt(pi))^b * K_G^c with rational
@@ -56,7 +57,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .core import DomainError, Field
-from .exponents import ExponentSplit, blei_f, blei_w
+from .exponents import ExponentSplit, blei_f  # blei_f unused; perfbench/tests pins this binding
 from .special import Branch, khinchine_a
 
 __all__ = [
@@ -220,23 +221,30 @@ _Q = Fraction(2)  # every split's Blei q
 
 
 def _split(k: int, parts: tuple[int, int]) -> ExponentSplit:
-    """Blei's split of level k = m1 + m2 at the parts' own exponents 2m_i/(m_i+1)."""
+    """Blei's split of level k = m1 + m2 at the parts' own exponents 2m_i/(m_i+1).
+
+    At q = 2 Blei's w and f_i are 2k/(k+1) and m_i/k; they are built as such.
+    """
     m1, m2 = parts
-    s1, s2 = Fraction(2 * m1, m1 + 1), Fraction(2 * m2, m2 + 1)
-    f1 = blei_f(_Q, s1, s2)
-    return ExponentSplit(k, _Q, s1, s2, blei_w(_Q, s1, s2), f1, 1 - f1)  # f(s2, s1) = 1 - f(s1, s2)
+    if m1 < 1 or m2 < 1:
+        raise DomainError(f"a split of level {k} needs parts >= 1, got ({m1}, {m2})")
+    return ExponentSplit(
+        k, _Q, Fraction(2 * m1, m1 + 1), Fraction(2 * m2, m2 + 1),
+        Fraction(2 * k, k + 1), Fraction(m1, k), Fraction(m2, k),
+    )
 
 
 @dataclass(frozen=True)
 class _Rule:
     """C_k <= 2^shift(k) * prod_i (C_{c_i} / A_{s_i}^(k - c_i))^{f_i}.
 
-    ``parts`` splits level k into (m1, m2); the Blei split is taken at the
-    parts' exponents s_i = 2m_i/(m_i+1).  With ``folded`` the first part is
-    no child: its factor is folded into ``shift``.  The children c_i are the
-    other parts, equal parts merged, each with its part's s_i and weight
-    f_i (merged weights add up).  The float update takes ``float_weights``
-    where set, float(f_i) otherwise.
+    ``parts`` splits level k into (m1, m2); the Blei split, taken at the
+    parts' exponents s_i = 2m_i/(m_i+1), is the closed form w = 2k/(k+1),
+    f_i = m_i/k.  With ``folded`` the first part is no child: its factor
+    is folded into ``shift``.  The children c_i are the other parts, equal
+    parts merged, each with its part's s_i and weight f_i (merged weights
+    add up).  The float update takes ``float_weights`` where set, float(f_i)
+    otherwise.
     """
 
     parts: Callable[[int], tuple[int, int]]

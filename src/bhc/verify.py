@@ -74,6 +74,8 @@ MAX_ENUM_BITS = 24
 # Exact Rademacher averages enumerate 2^N sign patterns.
 MAX_RADEMACHER_N = 20
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
 
 def _frozen(values, field: Field, what: str) -> np.ndarray:
     """A read-only copy of ``values`` in the field's dtype; ``what`` names them in errors."""
@@ -161,6 +163,8 @@ def rademacher_moment(a, p: float) -> float:
     a = np.asarray(a)
     if a.ndim != 1:
         raise DomainError("coefficients must form a vector")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("coefficients must be finite")
     if a.size > MAX_RADEMACHER_N:
         raise SizeLimitError(f"exact enumeration limited to N <= {MAX_RADEMACHER_N}, got {a.size}")
     sums = np.zeros(1, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
@@ -175,7 +179,7 @@ def rademacher_moment(a, p: float) -> float:
         return float(top * math.exp(math.log1p(np.mean(np.expm1(logs))) / p))
     with np.errstate(over="ignore"):
         mean = np.mean(sums**p)
-    if not np.finfo(float).tiny <= mean < math.inf and (top := sums.max()) > 0:
+    if not _TINY <= mean < math.inf and (top := sums.max()) > 0:
         # |s|^p under- or overflowed: the same moment over |s| / max|s|
         return float(top * np.mean((sums / top) ** p) ** (1.0 / p))
     return float(mean ** (1.0 / p))
@@ -446,23 +450,42 @@ def blei_check(matrix, q: float, s1: float, s2: float) -> VerificationReport:
 
     lhs = (sum a_ij^w)^(1/w); rhs combines row l_q norms to the s1-th power
     with weight f(s1,s2)/s1 and column l_q norms to the s2-th power with
-    weight f(s2,s1)/s2.
+    weight f(s2,s1)/s2.  Both sides have degree 1 in the matrix, so when a
+    direct sum under- or overflows the check is decided on a / max(a).
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
         raise DomainError("Blei's inequality is stated for matrices")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("Blei matrix entries must be finite")
     if not np.all(a > 0):
         raise DomainError("Blei's inequality requires strictly positive entries")
     w = blei_w(q, s1, s2)
     f1 = blei_f(q, s1, s2)
     f2 = blei_f(q, s2, s1)
-    lhs = float(np.sum(a**w)) ** (1.0 / w)
-    row_norms = np.sum(a**q, axis=1) ** (1.0 / q)
-    col_norms = np.sum(a**q, axis=0) ** (1.0 / q)
-    rhs = float(np.sum(row_norms**s1)) ** (f1 / s1) * float(np.sum(col_norms**s2)) ** (f2 / s2)
+
+    def sides(a: np.ndarray) -> tuple[float, float, bool]:
+        """lhs, rhs, and whether every sum behind them is a normal float."""
+        with np.errstate(over="ignore"):
+            total = float(np.sum(a**w))
+            powers = a**q
+            row_sums, col_sums = np.sum(powers, axis=1), np.sum(powers, axis=0)
+            row_total = float(np.sum((row_sums ** (1.0 / q)) ** s1))
+            col_total = float(np.sum((col_sums ** (1.0 / q)) ** s2))
+        # an infinite row or column sum makes its total infinite
+        low = min(total, row_total, col_total, row_sums.min(), col_sums.min())
+        normal = _TINY <= low and max(total, row_total, col_total) < math.inf
+        return total ** (1.0 / w), row_total ** (f1 / s1) * col_total ** (f2 / s2), normal
+
+    lhs, rhs, normal = sides(a)
+    scale = 1.0
+    if not normal:
+        # the same check on a / max(a), whose largest entry makes each total >= 1
+        scale = float(a.max())
+        lhs, rhs, _ = sides(a / scale)
     passed = lhs <= rhs * (1.0 + CERTIFIED_SLACK)
     params = f"shape={a.shape[0]}x{a.shape[1]};q={q!r};s1={s1!r};s2={s2!r};{digest_bytes(a.tobytes())}"
-    return VerificationReport("blei", params, lhs, rhs, lhs / rhs, None, passed)
+    return VerificationReport("blei", params, scale * lhs, scale * rhs, lhs / rhs, None, passed)
 
 
 # --------------------------------------------------------------------------

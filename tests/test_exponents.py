@@ -195,6 +195,8 @@ class TestSplits:
             weights = _RULES[rule].weights(self.split(rule, k), children)
             assert weights == tuple(F(unfolded.count(c) * c, k) for c in children)
 
-    def test_part_below_one_is_rejected(self):
-        with pytest.raises(DomainError):
-            _split(1, (0, 1))
+    @pytest.mark.parametrize("parts", [(0, 1), (1, 0), (-1, 3)], ids=["0+1", "1+0", "-1+3"])
+    def test_part_below_one_is_rejected(self, parts):
+        m1, m2 = parts
+        with pytest.raises(DomainError, match=rf"parts >= 1, got \({m1}, {m2}\)"):
+            _split(m1 + m2, parts)

@@ -21,6 +21,7 @@ from bhc.recursion import (
     is_stated_for,
     replay_trace,
 )
+from bhc.reports import RunConfig, run_explain
 from bhc.special import Branch, khinchine_a
 from bhc.verify import bh_check, littlewood_form
 
@@ -397,7 +398,7 @@ class TestTraces:
         def broken(*args, **kwargs):
             raise AssertionError("replay_trace reached the derivation code")
 
-        for name in ("khinchine_a", "_split", "blei_f", "blei_w", "_exact_update", "_classical"):
+        for name in ("khinchine_a", "_split", "blei_f", "_exact_update", "_classical"):
             monkeypatch.setattr(bhc.recursion, name, broken)
         monkeypatch.setattr(bhc.recursion._Ladder, "derive", broken)
         monkeypatch.setattr(bhc.recursion.ConstantRecord, "trace", property(broken))
@@ -471,25 +472,39 @@ class TestTableAndDispatch:
 
 class TestTableCost:
     @staticmethod
-    def _blei_calls(monkeypatch, m_max):
+    def _derive_calls(monkeypatch, m_max):
         calls = 0
-        original = bhc.exponents.blei_f
+        original = bhc.recursion._Ladder.derive
 
-        def counted(*args):
+        def counted(self, k):
             nonlocal calls
             calls += 1
-            return original(*args)
+            return original(self, k)
 
-        monkeypatch.setattr(bhc.exponents, "blei_f", counted)
-        monkeypatch.setattr(bhc.recursion, "blei_f", counted)
+        monkeypatch.setattr(bhc.recursion._Ladder, "derive", counted)
         constants_columns(Field.REAL, (Strategy.BEST,), m_max)
         return calls
 
     def test_best_table_is_linear_in_m_max(self, monkeypatch):
         # every strategy's level is derived once per table, not once per row
-        small = self._blei_calls(monkeypatch, 100)
-        large = self._blei_calls(monkeypatch, 200)
+        small = self._derive_calls(monkeypatch, 100)
+        large = self._derive_calls(monkeypatch, 200)
         assert 0 < small and large <= 2.5 * small
+
+    def test_engine_makes_no_blei_call(self, monkeypatch):
+        # every split is built in closed form: w = 2k/(k+1), f_i = m_i/k
+        def broken(*args):
+            raise AssertionError("the engine evaluated a Blei formula")
+
+        monkeypatch.setattr(bhc.exponents, "blei_w", broken)
+        monkeypatch.setattr(bhc.exponents, "blei_f", broken)
+        monkeypatch.setattr(bhc.recursion, "blei_f", broken)
+        for field, strategy in STATED:
+            (column,) = constants_columns(field, (strategy,), 200)
+            assert len(column) == 199
+        cfg = RunConfig(command="explain", field=Field.REAL, strategy=Strategy.TWO_STEP, m=999)
+        doc = run_explain(cfg)
+        assert len(doc.rows) == 499  # the two-step chain 999, 997, ..., 5 and the base 3
 
     def test_chain_table_memory_is_linear_in_m_max(self):
         # the records share their ladder's steps; a trace tuple per record

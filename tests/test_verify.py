@@ -11,6 +11,7 @@ import pytest
 
 from bhc.core import DomainError, Field, SizeLimitError, digest_bytes
 from bhc import verify
+from bhc.exponents import blei_f, blei_w
 from bhc.recursion import Strategy, compute_constant
 from bhc.verify import (
     MultilinearForm,
@@ -106,6 +107,16 @@ class TestRademacherMoment:
                 rademacher_moment([1.0], bad)
         with pytest.raises(SizeLimitError):
             rademacher_moment(np.ones(21), 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_non_finite_coefficient_is_rejected(self, field, bad):
+        # bad input, not a failed check: a nan ratio must not be reported
+        a = [1.0, bad] if field is Field.REAL else [1.0 + 0.5j, complex(0.5, bad)]
+        with pytest.raises(DomainError, match="finite"):
+            rademacher_moment(a, 1.5)
+        with pytest.raises(DomainError, match="finite"):
+            khinchine_check(a, 1.5)
 
 
 class TestKhinchineCheck:
@@ -474,6 +485,46 @@ class TestBleiCheck:
             blei_check(np.ones((2, 2)), 1.1, 1.2, 1.2)
         with pytest.raises(DomainError, match="matrices"):
             blei_check(np.ones(3), 2.0, 1.2, 1.2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_is_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            blei_check(np.array([[1.0, bad]]), 2.0, 1.2, 1.7)
+
+    TINY = np.array([[2e-300, 3e-300], [1e-300, 5e-300]])
+
+    @pytest.mark.parametrize(
+        "matrix, reference, scale",
+        [
+            # a^w overflows; the entry 1.0 adds under 1e-300 relative to 1e300
+            ([[1e300, 1.0]], [[1.0]], 1e300),
+            # a^q underflows to 0; times 2^1000, exactly, every sum is normal
+            (TINY, TINY * 2.0**1000, 2.0**-1000),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_extreme_entries_are_decided_on_the_scaled_matrix(self, matrix, reference, scale):
+        # both sides have degree 1 in the matrix, so the ratio is the reference's
+        report = blei_check(matrix, 2.0, 1.2, 1.7)
+        expected = blei_check(reference, 2.0, 1.2, 1.7)
+        assert report.passed
+        assert report.ratio == pytest.approx(expected.ratio, rel=1e-13)
+        assert report.lhs == pytest.approx(scale * expected.lhs, rel=1e-13)
+        assert report.rhs == pytest.approx(scale * expected.rhs, rel=1e-13)
+
+    def test_normal_sums_keep_the_formula_bits(self):
+        rng = np.random.default_rng(5)
+        q, s1, s2 = 2.0, 1.2, 1.7
+        w, f1, f2 = blei_w(q, s1, s2), blei_f(q, s1, s2), blei_f(q, s2, s1)
+        for _ in range(50):
+            a = rng.uniform(0.01, 10.0, size=rng.integers(1, 6, size=2))
+            report = blei_check(a, q, s1, s2)
+            lhs = float(np.sum(a**w)) ** (1.0 / w)
+            rows = np.sum(a**q, axis=1) ** (1.0 / q)
+            cols = np.sum(a**q, axis=0) ** (1.0 / q)
+            rhs = float(np.sum(rows**s1)) ** (f1 / s1) * float(np.sum(cols**s2)) ** (f2 / s2)
+            assert (report.lhs.hex(), report.rhs.hex()) == (lhs.hex(), rhs.hex())
+            assert report.ratio.hex() == (lhs / rhs).hex()
 
 
 class TestExtremalSearch:
