@@ -343,22 +343,34 @@ def sup_norm_complex_lb(form: MultilinearForm, restarts: int = 16, seed: int = 0
     return best
 
 
-def _sup_norm(form: MultilinearForm, restarts: int, seed: int) -> float:
-    """The exact norm of a real form; a seeded lower bound for a complex one."""
-    if form.field is Field.REAL:
-        return sup_norm_real(form)
-    return sup_norm_complex_lb(form, restarts=restarts, seed=seed)
+def _sup_norms(stack: np.ndarray, field: Field, restarts: int, seed: int) -> list[float]:
+    """The exact norms of real forms stack[0], stack[1], ...; seeded lower bounds of complex ones."""
+    if field is Field.REAL:
+        return _sup_norms_real(stack).tolist()
+    return [sup_norm_complex_lb(MultilinearForm(coeffs, field), restarts, seed) for coeffs in stack]
 
 
 # --------------------------------------------------------------------------
 # Mixed norms and the Bohnenblust-Hille check
 # --------------------------------------------------------------------------
 
+def _lp_norms(rows, p: float) -> list[float]:
+    """(sum |v|^p)^(1/p) of each of rows[0], rows[1], ..., summed flat; a sum that leaves the
+    normal double range is taken over |v| / max|v| instead, if that max is positive and finite."""
+    rows = np.abs(rows).reshape(len(rows), -1)
+    norms = np.sum(rows**p, axis=1).tolist()
+    for i, total in enumerate(norms):
+        if _TINY <= total < math.inf or not 0.0 < (top := rows[i].max(initial=0.0)) < math.inf:
+            norms[i] = total ** (1.0 / p)
+        else:
+            norms[i] = top * float(np.sum((rows[i] / top) ** p)) ** (1.0 / p)
+    return norms
+
+
 def lp_norm(values, p: float) -> float:
-    """(sum |v|^p)^(1/p) for positive finite p."""
-    p = _khinchine_exponent(p, "lp exponent")
-    total = float(np.sum(np.abs(np.asarray(values)) ** p))
-    return total ** (1.0 / p)
+    """(sum |v|^p)^(1/p) for positive finite p: :func:`_lp_norms` of one row, in memory order."""
+    with np.errstate(over="ignore"):
+        return _lp_norms(np.ravel(values, order="K")[None], _khinchine_exponent(p, "lp exponent"))[0]
 
 
 def mixed_norm_lhs(form: MultilinearForm) -> float:
@@ -376,7 +388,7 @@ def bh_check(form: MultilinearForm, constant: ConstantRecord) -> VerificationRep
     hard-fails.
     """
     lhs = mixed_norm_lhs(form)
-    sup = _sup_norm(form, 16, 0)
+    [sup] = _sup_norms(form.coeffs[None], form.field, 16, 0)
     certified = form.field is Field.REAL
     check = "bh" if certified else "bh-diagnostic"
     if sup == 0.0 and lhs > 1e-12:
@@ -495,27 +507,15 @@ def blei_check(matrix, q: float, s1: float, s2: float) -> VerificationReport:
 _STEPS = (1.0, 0.1, 0.01)  # the climb's continuous step sizes
 
 
-def _search_ratio(form: MultilinearForm, restarts: int, seed: int) -> float:
-    sup = _sup_norm(form, restarts, seed)
-    if sup == 0.0:
-        return 0.0
-    return mixed_norm_lhs(form) / sup
-
-
-def _search_ratios(stack: np.ndarray, field: Field, seed: int) -> list[float]:
-    """The climb's ratios of the forms stack[0], stack[1], ..., each to the bit
-    what :func:`_search_ratio` gives it alone with 4 phase-ascent restarts."""
+def _search_ratios(stack: np.ndarray, field: Field, seed: int, restarts: int = 4) -> list[float]:
+    """The ratios of the forms stack[0], stack[1], ..., each to the bit its ratio alone; a
+    complex norm takes ``restarts`` phase-ascent restarts, so 16 and seed 0 give bh_check's."""
     if not np.all(np.isfinite(stack)):
         raise DomainError("form coefficients must be finite")
     m = stack.ndim - 1
-    p = 2.0 * m / (m + 1.0)
-    # one row-wise l_p sum, each row summed as mixed_norm_lhs sums one form
-    totals = np.sum(np.abs(stack.reshape(len(stack), -1)) ** p, axis=1)
-    if field is Field.REAL:
-        sups = _sup_norms_real(stack)
-    else:
-        sups = [sup_norm_complex_lb(MultilinearForm(coeffs, field), restarts=4, seed=seed) for coeffs in stack]
-    return [float(t) ** (1.0 / p) / sup if sup != 0.0 else 0.0 for t, sup in zip(totals, sups)]
+    lhs = _lp_norms(stack, 2.0 * m / (m + 1.0))
+    sups = _sup_norms(stack, field, restarts, seed)
+    return [t / sup if sup != 0.0 else 0.0 for t, sup in zip(lhs, sups)]
 
 
 def _moves(value: complex, field: Field) -> list:
@@ -594,7 +594,7 @@ def extremal_search(
             best_tensor = arr.copy()
 
     best_form = MultilinearForm(best_tensor, field)
-    ratio = _search_ratio(best_form, 16, seed)  # final re-evaluation
+    [ratio] = _search_ratios(best_form.coeffs[None], field, seed, restarts=16)  # final re-evaluation
     reference = compute_constant(m, field, Strategy.BEST) if m >= 2 else None
     certified = field is Field.REAL
     upper = reference.value if reference is not None else 1.0

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,13 @@ from bhc.verify import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+# |c|^(4/3) of this real form's coefficients over- or underflows at each of
+# these scales, so its lhs is summed over |c| / max|c|
+EXTREME_BASE = np.array([[1.0, 2.0], [3.0, -4.0]])
+EXTREME_SCALES = pytest.mark.parametrize(
+    "scale", [1e300, 1e-300, 2.0**1000, 2.0**-1000], ids=["1e300", "1e-300", "2^1000", "2^-1000"]
+)
 
 
 class TestRademacherMoment:
@@ -338,6 +346,22 @@ class TestMixedNorm:
         with pytest.raises(DomainError, match="positive and finite"):
             lp_norm([1.0, 2.0], bad)
 
+    @pytest.mark.parametrize("values", [[], [0.0, 0.0]], ids=["empty", "zeros"])
+    def test_lp_norm_of_no_mass_is_zero(self, values):
+        assert lp_norm(values, 1.5) == 0.0
+
+    def test_lp_norm_keeps_inf_and_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp_norm([1.0, math.inf], 1.5) == math.inf
+            assert math.isnan(lp_norm([1.0, math.nan], 1.5))
+
+    def test_lp_norm_sum_beyond_the_double_range(self):
+        # 1e300^1.5 overflows; the sum over |v| / max|v| is 2 exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp_norm([1e300, 1e300], 1.5) == 1e300 * 2 ** (2 / 3)
+
     def test_lp_norm_monotone_in_exponent(self):
         rng = np.random.default_rng(61)
         tensors = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(10)]
@@ -384,6 +408,31 @@ class TestBhCheck:
             assert scaled.passed == base.passed
             assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
             assert scaled.lhs == pytest.approx(t * base.lhs, rel=1e-12)
+
+    @EXTREME_SCALES
+    def test_extreme_scales_keep_the_ratio(self, scale):
+        constant = compute_constant(2, Field.REAL, Strategy.BEST)
+        base = bh_check(MultilinearForm(EXTREME_BASE, Field.REAL), constant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = bh_check(MultilinearForm(scale * EXTREME_BASE, Field.REAL), constant)
+        assert report.passed
+        assert report.ratio == pytest.approx(base.ratio, rel=1e-13)
+        assert report.lhs == pytest.approx(scale * base.lhs, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "dims, field",
+        [((2, 2), Field.REAL), ((3, 3, 3), Field.REAL), ((2, 2), Field.COMPLEX), ((3, 3), Field.COMPLEX)],
+        ids=["real-2x2", "real-3x3x3", "complex-2x2", "complex-3x3"],
+    )
+    def test_scored_as_the_search_scores(self, dims, field):
+        # one l_p sum and one norm dispatch serve the check and the climb
+        rng = np.random.default_rng(74)
+        constant = compute_constant(len(dims), field, Strategy.BEST)
+        for _ in range(5):
+            form = random_form(dims, field, rng)
+            [ratio] = _search_ratios(form.coeffs[None], form.field, 0, restarts=16)
+            assert bh_check(form, constant).ratio.hex() == ratio.hex()
 
     def test_complex_is_diagnostic(self):
         form = littlewood_form(2, Field.COMPLEX)
@@ -441,6 +490,18 @@ class TestMultipleSumming:
         assert scaled.passed == base.passed
         assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
         assert scaled.lhs == pytest.approx(t**2 * base.lhs, rel=1e-12)
+
+    @EXTREME_SCALES
+    def test_extreme_scales_keep_the_ratio(self, scale):
+        constant = compute_constant(2, Field.REAL, Strategy.BEST)
+        families = [canonical_family(2) for _ in range(2)]
+        base = multiple_summing_check(MultilinearForm(EXTREME_BASE, Field.REAL), families, constant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = multiple_summing_check(MultilinearForm(scale * EXTREME_BASE, Field.REAL), families, constant)
+        assert report.passed
+        assert report.ratio == pytest.approx(base.ratio, rel=1e-13)
+        assert report.lhs == pytest.approx(scale * base.lhs, rel=1e-13)
 
     def test_property_run(self):
         reports = summing_suite(100, 17, m=2, dim=3)
