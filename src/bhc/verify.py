@@ -7,9 +7,12 @@ Everything here certifies at desk scale, by exhaustion rather than sampling:
   multilinear form attains its sup at cube vertices, so slots 2..m are
   enumerated over sign vectors while slot 1 collapses to an l1 sum.  Each
   of slots 2..m fixes its first sign to +1, since flipping a whole slot
-  only negates the value, and each block of last-slot vertices reuses one
-  product buffer.  One call can take a stack of forms of one shape, which
-  share one build of the sign tables.
+  only negates the value.  The middle slots 2..m-1 are contracted depth
+  first, so a shared prefix is contracted once, and their combinations are
+  scored a chunk at a time: one ``matmul`` against a block of last-slot
+  vertices, one ``abs`` and one sum over slot 1 per chunk.  One call can
+  take a stack of forms of one shape, and the sign tables of narrow slots
+  are built once per process.
 * The weak-(1) norm on l_inf^N is the max coordinate-wise absolute column
   sum (the extreme points of the dual l1 ball are coordinate functionals).
 
@@ -27,6 +30,7 @@ default; a report holds no seed, since the run that asked for it knows it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -210,6 +214,12 @@ def khinchine_check(a, p: float) -> VerificationReport:
 _LAST_SLOT_BLOCK = 2**16
 _BLOCK_VALUES = 2**22
 
+# Middle-slot combinations are scored a chunk at a time, as many as keep the
+# chunk's C x K x N_1 x block product within _CHUNK_VALUES values (1 MiB),
+# and at least one: a larger gemm amortizes packing the block, and a product
+# this size still sits in cache for the abs and the sum that follow.
+_CHUNK_VALUES = 2**17
+
 
 def _sign_vectors(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Rows start..stop-1 (all 2^(n-1) by default) of the length-n sign vectors
@@ -217,6 +227,40 @@ def _sign_vectors(n: int, start: int = 0, stop: int | None = None) -> np.ndarray
     half = 2 ** (n - 1)
     rows = np.arange(2 * start, 2 * (half if stop is None else min(stop, half)), 2, dtype=np.int64)
     return np.array([1.0, -1.0])[(rows[:, None] >> np.arange(n)) & 1]
+
+
+@functools.cache
+def _cached_sign_vectors(n: int) -> np.ndarray:
+    """All rows of :func:`_sign_vectors`, read-only; only for n whose table fits one last-slot block."""
+    table = _sign_vectors(n)
+    table.setflags(write=False)
+    return table
+
+
+def _signs(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """:func:`_sign_vectors`, sliced from the cached table when the whole table fits one
+    last-slot block; a wider slot's rows are built on each call, block by block."""
+    if 2 ** (n - 1) > _LAST_SLOT_BLOCK:
+        return _sign_vectors(n, start, stop)
+    return _cached_sign_vectors(n)[start:stop]
+
+
+def _middle_leaves(w: np.ndarray, tables: list[np.ndarray]):
+    """Yield w with axis 1 contracted by a row of tables[0], the next axis 1 by a row of
+    tables[1], and so on: every combination of rows, depth first.
+
+    Each leaf is its combination's chain of ``np.tensordot(w, eps, axes=([1], [0]))``
+    to the bit: a prefix's transpose, the operand ``tensordot`` builds, is taken
+    once for every row that extends it, and each row makes the ``dot`` (a gemv)
+    that ``tensordot`` makes.
+    """
+    if not tables:
+        yield w
+        return
+    at = np.moveaxis(w, 1, -1).reshape(-1, w.shape[1])
+    shape = w.shape[:1] + w.shape[2:]
+    for eps in tables[0]:
+        yield from _middle_leaves(np.dot(at, eps.reshape(-1, 1)).reshape(shape), tables[1:])
 
 
 def _check_enumerable(dims: tuple[int, ...]) -> None:
@@ -236,8 +280,10 @@ def sup_norm_real(form: MultilinearForm) -> float:
     flipping every sign of one slot negates the slot-1 vector, and so leaves
     its l1 sum, and each flipped value is computed as the exact negation of
     its partner, so the result is the full enumeration's to the bit.  This
-    is the one-form case of the stacked kernel :func:`_sup_norms_real`.
-    Raises when slots 2..m span more than 2^MAX_ENUM_BITS sign vectors.
+    is the one-form case of the stacked kernel :func:`_sup_norms_real`, which
+    contracts the middle slots depth first and scores their combinations a
+    chunk at a time.  Raises when slots 2..m span more than 2^MAX_ENUM_BITS
+    sign vectors.
     """
     if form.field is not Field.REAL:
         raise DomainError("sup_norm_real handles real forms only; use sup_norm_complex_lb")
@@ -247,45 +293,64 @@ def sup_norm_real(form: MultilinearForm) -> float:
 def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
     """Exact operator norms of the finite real forms stack[0], stack[1], ... of one shape.
 
-    Each norm is bit for bit what the form alone would give: the sign tables
-    are built once for the whole stack, and every slice goes through the
-    same contraction as a single form, a ``tensordot`` per middle slot, then
-    ``matmul`` with a block of last-slot vertices, ``abs`` and ``add.reduce``
-    over slot 1.  The last slot is walked in blocks of at most
-    _LAST_SLOT_BLOCK vertices, fewer when K x N_1 is large, so a block's
-    K x N_1 x block product holds at most _BLOCK_VALUES values; every
-    middle-slot combination of a block fills the same product and column-sum
-    buffers, and keeps each column's largest sum so far.
+    Each norm is bit for bit what a full enumeration through the chain
+    ``tensordot`` per middle slot, ``matmul`` with the last-slot vertices,
+    ``abs`` and ``add.reduce`` over slot 1 would give the form alone:
+
+    * The middle slots see the stack as one form with K x N_1 rows in slot 1
+      and are contracted depth first (:func:`_middle_leaves`), so a prefix
+      shared by many combinations is contracted once.
+    * The last slot is walked in blocks of at most _LAST_SLOT_BLOCK vertices,
+      fewer when K x N_1 is large, so a block's K x N_1 x block product holds
+      at most _BLOCK_VALUES values.
+    * The middle combinations of a block are scored a chunk at a time
+      (_CHUNK_VALUES): their N_1 x N_m matrices are stacked into one buffer
+      and meet the block in one gemm, then one ``abs``, one ``add.reduce``
+      over slot 1 and one ``maximum`` into the running norms.  With N_1 = 1
+      each 1 x N_m row keeps its own gemv, as for a lone form.
+    * A form with no middle slot is one ``matmul`` per block, stacked per form.
+    * The sign tables of slots that fit one last-slot block are cached.
     """
     dims = stack.shape[1:]
     _check_enumerable(dims)
     if len(dims) == 1:
         return np.abs(stack).sum(axis=1)
-    k, n1 = stack.shape[:2]
-    # the middle slots see the stack as one form with K x N_1 rows in slot 1
+    k, n1, nm = *stack.shape[:2], dims[-1]
     rows = stack.reshape(k * n1, *dims[1:])
-    middle = [list(_sign_vectors(n)) for n in dims[1:-1]]
+    middle = [_signs(n) for n in dims[1:-1]]
+    combinations = math.prod(len(table) for table in middle)
     block = min(_LAST_SLOT_BLOCK, max(1, _BLOCK_VALUES // (k * n1)))
     best = np.zeros(k)
-    for start in range(0, 2 ** (dims[-1] - 1), block):
-        last = _sign_vectors(dims[-1], start, start + block)
+    for start in range(0, 2 ** (nm - 1), block):
+        last = _signs(nm, start, start + block)
         if len(last) == 1:
             # numpy sums a lone column pairwise; with the vertex twice, slot 1
             # is summed row by row, as in every wider block
             last = np.repeat(last, 2, axis=0)
-        product = np.empty((k, n1, len(last)))
-        sums = np.empty((k, len(last)))
-        peaks = np.zeros((k, len(last)))
-        for combo in itertools.product(*middle):
-            w = rows
-            for eps in combo:
-                w = np.tensordot(w, eps, axes=([1], [0]))
-            # one N_1 x N_m matrix per form; the block's last-slot vertices at once
-            np.matmul(w.reshape(k, n1, dims[-1]), last.T, out=product)
-            np.abs(product, out=product)
-            np.add.reduce(product, axis=1, out=sums)
-            np.maximum(peaks, sums, out=peaks)
-        np.maximum(best, peaks.max(axis=1), out=best)
+        if not middle:
+            product = np.matmul(rows.reshape(k, n1, nm), last.T)
+            sums = np.add.reduce(np.abs(product, out=product), axis=1)
+            np.maximum(best, sums.max(axis=1), out=best)
+            continue
+        width = len(last)
+        chunk = min(combinations, max(1, _CHUNK_VALUES // (k * n1 * width)))
+        leaves = np.empty((chunk * k * n1, nm))
+        product = np.empty((chunk * k * n1, width))
+        sums = np.empty((chunk * k, width))
+        walk = _middle_leaves(rows, middle)
+        # the walk's leaves, `chunk` at a time; the last group may be short
+        for group in iter(lambda: list(itertools.islice(walk, chunk)), []):
+            forms = len(group) * k  # one per (combination, slice)
+            matrices, values = leaves[: forms * n1], product[: forms * n1]
+            np.concatenate(group, out=matrices)
+            if n1 == 1:
+                # numpy sends each 1 x N_m slice through gemv, as for a lone form
+                np.matmul(matrices.reshape(forms, 1, nm), last.T, out=values.reshape(forms, 1, width))
+            else:
+                np.matmul(matrices, last.T, out=values)
+            np.abs(values, out=values)
+            np.add.reduce(values.reshape(forms, n1, width), axis=1, out=sums[:forms])
+            np.maximum(best, sums[:forms].reshape(-1, k, width).max(axis=(0, 2)), out=best)
     return best
 
 

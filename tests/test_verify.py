@@ -207,7 +207,8 @@ class TestSupNormReal:
 
     @pytest.mark.parametrize(
         "shape",
-        [(2,) * 8, (3, 3, 3), (4, 10, 10), (3, 2, 2, 2), (1, 5), (5, 1), (2, 1, 3), (70, 1), (9, 1), (8, 2, 1)],
+        [(2,) * 8, (3, 3, 3), (4, 10, 10), (3, 2, 2, 2), (1, 5), (5, 1), (2, 1, 3), (70, 1), (9, 1), (8, 2, 1),
+         (1, 3, 4), (1, 2, 2, 5), (2, 3, 2, 4)],
         ids=lambda shape: "x".join(map(str, shape)),
     )
     def test_bit_identical_to_full_enumeration(self, shape):
@@ -225,14 +226,17 @@ class TestSupNormReal:
         assert sup_norm_real(form) == self._full_enumeration(form)
 
     @pytest.mark.parametrize(
-        "shape, block_values",
-        [((5,), None), ((1, 6), None), ((6, 1), None), ((3, 3, 3), None), ((2,) * 6, None),
-         ((70, 3), None), ((70, 4), 70 * 16), ((70, 4), 70 * 7), ((70, 1), None), ((9, 1), None),
-         ((8, 2, 1), None)],
+        "shape, block_values, chunk",
+        [((5,), None, None), ((1, 6), None, None), ((6, 1), None, None), ((3, 3, 3), None, None),
+         ((2,) * 6, None, None), ((70, 3), None, None), ((70, 4), 70 * 16, None), ((70, 4), 70 * 7, None),
+         ((70, 1), None, None), ((9, 1), None, None), ((8, 2, 1), None, None), ((1, 3, 4), None, None),
+         ((1, 3, 4), None, 3), ((1, 2, 2, 5), None, 3), ((2, 3, 2, 4), None, None), ((2, 3, 2, 4), None, 1),
+         ((2, 3, 2, 4), None, 2), ((2, 3, 2, 4), None, 3)],
         ids=["5", "1x6", "6x1", "3x3x3", "2x2x2x2x2x2", "70x3", "70x4-small-blocks", "70x4-lone-blocks",
-             "70x1", "9x1", "8x2x1"],
+             "70x1", "9x1", "8x2x1", "1x3x4", "1x3x4-chunks-of-3", "1x2x2x5-chunks-of-3", "2x3x2x4",
+             "2x3x2x4-chunks-of-1", "2x3x2x4-chunks-of-2", "2x3x2x4-chunks-of-3"],
     )
-    def test_stacked_kernel_matches_full_enumeration(self, shape, block_values, monkeypatch):
+    def test_stacked_kernel_matches_full_enumeration(self, shape, block_values, chunk, monkeypatch):
         if block_values is not None:
             # the 8 last-slot vertices go in one block at K = 1, 2, then in
             # blocks of 5+3, 4+4, 3+3+2 and 2 as K grows (70 * 16); or in
@@ -241,6 +245,11 @@ class TestSupNormReal:
             monkeypatch.setattr(verify, "_BLOCK_VALUES", block_values)
         rng = np.random.default_rng(len(shape) * sum(shape))
         for k in range(1, 9):
+            if chunk is not None:
+                # all last-slot vertices fit one block, so a chunk holds
+                # `chunk` middle combinations: 8 of them in 3+3+2 at
+                # 2x3x2x4, and 4 in 3+1 at 1x3x4 and 1x2x2x5
+                monkeypatch.setattr(verify, "_CHUNK_VALUES", chunk * k * shape[0] * 2 ** (shape[-1] - 1))
             stack = rng.uniform(-1.0, 1.0, size=(k, *shape))
             stack[k // 2] = rng.choice([-1.0, 1.0], size=shape)
             if k > 2:
@@ -252,6 +261,21 @@ class TestSupNormReal:
                 assert float(norm).hex() == reference.hex()
             if k > 2:
                 assert _search_ratios(stack, Field.REAL, 0)[-1] == 0.0
+
+    def test_sign_tables_are_cached_read_only(self):
+        cached = verify._cached_sign_vectors
+        form = random_form((8, 8, 8), Field.REAL, np.random.default_rng(0))
+        sup_norm_real(form)
+        misses = cached.cache_info().misses
+        sup_norm_real(form)
+        assert cached.cache_info().misses == misses
+        assert not cached(8).flags.writeable
+        assert not verify._signs(8, 1, 3).flags.writeable
+        # 2^17 sign vectors exceed one last-slot block: built block by block, never cached
+        cached.cache_clear()
+        wide = MultilinearForm(np.ones((1, 18)), Field.REAL)
+        assert sup_norm_real(wide) == 18.0
+        assert cached.cache_info().currsize == 0
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
