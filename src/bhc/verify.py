@@ -10,9 +10,10 @@ Everything here certifies at desk scale, by exhaustion rather than sampling:
   only negates the value.  The middle slots 2..m-1 are contracted depth
   first, so a shared prefix is contracted once, and their combinations are
   scored a chunk at a time: one ``matmul`` against a block of last-slot
-  vertices, one ``abs`` and one sum over slot 1 per chunk.  One call can
-  take a stack of forms of one shape, and the sign tables of narrow slots
-  are built once per process.
+  vertices, one ``abs`` and one sum over slot 1 per chunk.  Every slot is
+  read a block of sign vectors at a time and every product is capped, so
+  memory stays flat up to the size guard.  One call can take a stack of
+  forms of one shape; the sign tables of narrow slots are cached.
 * The weak-(1) norm on l_inf^N is the max coordinate-wise absolute column
   sum (the extreme points of the dual l1 ball are coordinate functionals).
 
@@ -207,60 +208,58 @@ def khinchine_check(a, p: float) -> VerificationReport:
 # Operator norms
 # --------------------------------------------------------------------------
 
-# Last-slot sign vectors are built at most this many at a time, and fewer
-# when slot 1 is wide or many forms are stacked, so that a block's
-# K x N_1 x block product holds at most _BLOCK_VALUES values: memory stays
-# flat up to the enumeration guard whatever K and N_1 are.
-_LAST_SLOT_BLOCK = 2**16
-_BLOCK_VALUES = 2**22
-
-# Middle-slot combinations are scored a chunk at a time, as many as keep the
-# chunk's C x K x N_1 x block product within _CHUNK_VALUES values (1 MiB),
-# and at least one: a larger gemm amortizes packing the block, and a product
-# this size still sits in cache for the abs and the sum that follow.
+# Every enumerated slot, middle or last, is read at most _SIGN_BLOCK sign
+# vectors at a time, and every scored product holds at most _CHUNK_VALUES
+# values (1 MiB) whatever K, N_1 and the slot widths: a last-slot block has at
+# most _CHUNK_VALUES // (K x N_1) vertices, and a chunk as many middle
+# combinations as fit, one of each at least.  A larger gemm amortizes packing
+# the block, and a product this size still sits in cache for the abs and the
+# sum that follow.
+_SIGN_BLOCK = 2**16
 _CHUNK_VALUES = 2**17
 
 
-def _sign_vectors(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows start..stop-1 (all 2^(n-1) by default) of the length-n sign vectors
-    whose first sign is +1, as +-1.0; row r carries the signs of the bits of 2r."""
-    half = 2 ** (n - 1)
-    rows = np.arange(2 * start, 2 * (half if stop is None else min(stop, half)), 2, dtype=np.int64)
+def _sign_vectors(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the 2^(n-1) length-n sign vectors whose first sign
+    is +1, as +-1.0; row r carries the signs of the bits of 2r."""
+    rows = np.arange(2 * start, 2 * min(stop, 2 ** (n - 1)), 2, dtype=np.int64)
     return np.array([1.0, -1.0])[(rows[:, None] >> np.arange(n)) & 1]
 
 
 @functools.cache
 def _cached_sign_vectors(n: int) -> np.ndarray:
-    """All rows of :func:`_sign_vectors`, read-only; only for n whose table fits one last-slot block."""
-    table = _sign_vectors(n)
+    """All rows of :func:`_sign_vectors`, read-only; only for n whose table fits one sign block."""
+    table = _sign_vectors(n, 0, 2 ** (n - 1))
     table.setflags(write=False)
     return table
 
 
-def _signs(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+def _signs(n: int, start: int, stop: int) -> np.ndarray:
     """:func:`_sign_vectors`, sliced from the cached table when the whole table fits one
-    last-slot block; a wider slot's rows are built on each call, block by block."""
-    if 2 ** (n - 1) > _LAST_SLOT_BLOCK:
+    sign block; a wider slot's rows are built on each call, block by block."""
+    if 2 ** (n - 1) > _SIGN_BLOCK:
         return _sign_vectors(n, start, stop)
     return _cached_sign_vectors(n)[start:stop]
 
 
-def _middle_leaves(w: np.ndarray, tables: list[np.ndarray]):
-    """Yield w with axis 1 contracted by a row of tables[0], the next axis 1 by a row of
-    tables[1], and so on: every combination of rows, depth first.
+def _middle_leaves(w: np.ndarray, widths: tuple[int, ...]):
+    """Yield w with axis 1 contracted by a sign vector of width widths[0], the next
+    axis 1 by one of width widths[1], and so on: every combination, depth first,
+    each slot's sign vectors read a sign block at a time.
 
     Each leaf is its combination's chain of ``np.tensordot(w, eps, axes=([1], [0]))``
     to the bit: a prefix's transpose, the operand ``tensordot`` builds, is taken
     once for every row that extends it, and each row makes the ``dot`` (a gemv)
     that ``tensordot`` makes.
     """
-    if not tables:
+    if not widths:
         yield w
         return
     at = np.moveaxis(w, 1, -1).reshape(-1, w.shape[1])
     shape = w.shape[:1] + w.shape[2:]
-    for eps in tables[0]:
-        yield from _middle_leaves(np.dot(at, eps.reshape(-1, 1)).reshape(shape), tables[1:])
+    for start in range(0, 2 ** (widths[0] - 1), _SIGN_BLOCK):
+        for eps in _signs(widths[0], start, start + _SIGN_BLOCK):
+            yield from _middle_leaves(np.dot(at, eps.reshape(-1, 1)).reshape(shape), widths[1:])
 
 
 def _check_enumerable(dims: tuple[int, ...]) -> None:
@@ -297,19 +296,19 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
     ``tensordot`` per middle slot, ``matmul`` with the last-slot vertices,
     ``abs`` and ``add.reduce`` over slot 1 would give the form alone:
 
+    * Every slot is read in blocks of at most _SIGN_BLOCK sign vectors, and
+      every product holds at most _CHUNK_VALUES values: a last-slot block has
+      at most _CHUNK_VALUES // (K x N_1) vertices, one at least.
     * The middle slots see the stack as one form with K x N_1 rows in slot 1
       and are contracted depth first (:func:`_middle_leaves`), so a prefix
       shared by many combinations is contracted once.
-    * The last slot is walked in blocks of at most _LAST_SLOT_BLOCK vertices,
-      fewer when K x N_1 is large, so a block's K x N_1 x block product holds
-      at most _BLOCK_VALUES values.
     * The middle combinations of a block are scored a chunk at a time
       (_CHUNK_VALUES): their N_1 x N_m matrices are stacked into one buffer
       and meet the block in one gemm, then one ``abs``, one ``add.reduce``
       over slot 1 and one ``maximum`` into the running norms.  With N_1 = 1
       each 1 x N_m row keeps its own gemv, as for a lone form.
     * A form with no middle slot is one ``matmul`` per block, stacked per form.
-    * The sign tables of slots that fit one last-slot block are cached.
+    * The sign tables of slots that fit one sign block are cached.
     """
     dims = stack.shape[1:]
     _check_enumerable(dims)
@@ -317,9 +316,9 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
         return np.abs(stack).sum(axis=1)
     k, n1, nm = *stack.shape[:2], dims[-1]
     rows = stack.reshape(k * n1, *dims[1:])
-    middle = [_signs(n) for n in dims[1:-1]]
-    combinations = math.prod(len(table) for table in middle)
-    block = min(_LAST_SLOT_BLOCK, max(1, _BLOCK_VALUES // (k * n1)))
+    middle = dims[1:-1]
+    combinations = math.prod(2 ** (n - 1) for n in middle)
+    block = min(_SIGN_BLOCK, max(1, _CHUNK_VALUES // (k * n1)))
     best = np.zeros(k)
     for start in range(0, 2 ** (nm - 1), block):
         last = _signs(nm, start, start + block)

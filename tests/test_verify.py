@@ -1,5 +1,6 @@
 """Brute-force oracles: exactness cases, properties, cross-checks."""
 
+import functools
 import itertools
 import math
 import re
@@ -166,22 +167,23 @@ class TestSupNormReal:
     def test_littlewood(self):
         assert sup_norm_real(littlewood_form(2)) == pytest.approx(2.0, rel=1e-15)
 
-    @pytest.mark.parametrize("n1, n2", [(2, 20), (256, 16)])
-    def test_wide_last_slot_in_bounded_memory(self, n1, n2):
+    @pytest.mark.parametrize("dims", [(2, 20), (256, 16), (2, 20, 2)], ids=lambda dims: "-".join(map(str, dims)))
+    def test_wide_last_slot_in_bounded_memory(self, dims):
         # (2, 20): 2^20 last-slot vertices, walked in blocks; building every
         # sign vector at once peaks near 480 MB.  (256, 16): a wide first
-        # slot shrinks the block; one 2^16 block peaks near 264 MB
-        u = np.arange(1.0, n1 + 1) * (-1.0) ** np.arange(n1)
-        v = np.arange(1.0, n2 + 1) * (-1.0) ** np.arange(n2)
-        form = MultilinearForm(np.outer(u, v), Field.REAL)
+        # slot shrinks the block; one 2^16 block peaks near 264 MB.
+        # (2, 20, 2): a middle slot of 2^19 sign vectors, read in blocks;
+        # its whole table peaks near 164 MiB
+        vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in dims]
+        form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
         tracemalloc.start()
         try:
             norm = sup_norm_real(form)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # ||u||_1 ||v||_1, exact for integer coefficients
-        assert norm == (n1 * (n1 + 1) // 2) * (n2 * (n2 + 1) // 2)
+        # the product of the slots' l1 norms, exact for integer coefficients
+        assert norm == math.prod(n * (n + 1) // 2 for n in dims)
         assert peak < 128 * 2**20
 
     @staticmethod
@@ -226,23 +228,26 @@ class TestSupNormReal:
         assert sup_norm_real(form) == self._full_enumeration(form)
 
     @pytest.mark.parametrize(
-        "shape, block_values, chunk",
-        [((5,), None, None), ((1, 6), None, None), ((6, 1), None, None), ((3, 3, 3), None, None),
-         ((2,) * 6, None, None), ((70, 3), None, None), ((70, 4), 70 * 16, None), ((70, 4), 70 * 7, None),
-         ((70, 1), None, None), ((9, 1), None, None), ((8, 2, 1), None, None), ((1, 3, 4), None, None),
-         ((1, 3, 4), None, 3), ((1, 2, 2, 5), None, 3), ((2, 3, 2, 4), None, None), ((2, 3, 2, 4), None, 1),
-         ((2, 3, 2, 4), None, 2), ((2, 3, 2, 4), None, 3)],
+        "shape, patch, chunk",
+        [((5,), {}, None), ((1, 6), {}, None), ((6, 1), {}, None), ((3, 3, 3), {}, None),
+         ((2,) * 6, {}, None), ((70, 3), {}, None), ((70, 4), {"_CHUNK_VALUES": 70 * 16}, None),
+         ((70, 4), {"_CHUNK_VALUES": 70 * 7}, None), ((70, 1), {}, None), ((9, 1), {}, None),
+         ((8, 2, 1), {}, None), ((1, 3, 4), {}, None), ((1, 3, 4), {}, 3), ((1, 2, 2, 5), {}, 3),
+         ((2, 3, 2, 4), {}, None), ((2, 3, 2, 4), {}, 1), ((2, 3, 2, 4), {}, 2), ((2, 3, 2, 4), {}, 3),
+         ((2, 5, 3), {"_SIGN_BLOCK": 4}, None), ((3, 4, 5, 2), {"_SIGN_BLOCK": 4}, None)],
         ids=["5", "1x6", "6x1", "3x3x3", "2x2x2x2x2x2", "70x3", "70x4-small-blocks", "70x4-lone-blocks",
              "70x1", "9x1", "8x2x1", "1x3x4", "1x3x4-chunks-of-3", "1x2x2x5-chunks-of-3", "2x3x2x4",
-             "2x3x2x4-chunks-of-1", "2x3x2x4-chunks-of-2", "2x3x2x4-chunks-of-3"],
+             "2x3x2x4-chunks-of-1", "2x3x2x4-chunks-of-2", "2x3x2x4-chunks-of-3", "2x5x3-sign-blocks-of-4",
+             "3x4x5x2-sign-blocks-of-4"],
     )
-    def test_stacked_kernel_matches_full_enumeration(self, shape, block_values, chunk, monkeypatch):
-        if block_values is not None:
-            # the 8 last-slot vertices go in one block at K = 1, 2, then in
-            # blocks of 5+3, 4+4, 3+3+2 and 2 as K grows (70 * 16); or in
-            # 7+1, 3+3+2, 2+2+2+2, then one at a time (70 * 7), where a lone
-            # vertex's column must still be summed row by row, not pairwise
-            monkeypatch.setattr(verify, "_BLOCK_VALUES", block_values)
+    def test_stacked_kernel_matches_full_enumeration(self, shape, patch, chunk, monkeypatch):
+        # 70x4: the 8 last-slot vertices go in one block at K = 1, 2, then in
+        # blocks of 5+3, 4+4, 3+3+2 and 2 as K grows (70 * 16); or in 7+1,
+        # 3+3+2, 2+2+2+2, then one at a time (70 * 7), where a lone vertex's
+        # column must still be summed row by row, not pairwise.  Sign blocks
+        # of 4: the middle tables of 16 and 8 rows are read in 4-row blocks
+        for name, value in patch.items():
+            monkeypatch.setattr(verify, name, value)
         rng = np.random.default_rng(len(shape) * sum(shape))
         for k in range(1, 9):
             if chunk is not None:
@@ -271,7 +276,7 @@ class TestSupNormReal:
         assert cached.cache_info().misses == misses
         assert not cached(8).flags.writeable
         assert not verify._signs(8, 1, 3).flags.writeable
-        # 2^17 sign vectors exceed one last-slot block: built block by block, never cached
+        # 2^17 sign vectors exceed one sign block: built block by block, never cached
         cached.cache_clear()
         wide = MultilinearForm(np.ones((1, 18)), Field.REAL)
         assert sup_norm_real(wide) == 18.0
