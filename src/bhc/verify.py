@@ -219,11 +219,16 @@ _SIGN_BLOCK = 2**16
 _CHUNK_VALUES = 2**17
 
 
-def _sign_vectors(n: int, start: int, stop: int) -> np.ndarray:
+def _sign_vectors(n: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows start..stop-1 of the 2^(n-1) length-n sign vectors whose first sign
-    is +1, as +-1.0; row r carries the signs of the bits of 2r."""
-    rows = np.arange(2 * start, 2 * min(stop, 2 ** (n - 1)), 2, dtype=np.int64)
-    return np.array([1.0, -1.0])[(rows[:, None] >> np.arange(n)) & 1]
+    is +1, as +-1.0, written into the first rows of ``out`` if given; row r
+    carries the signs of the bits of 2r.  The bits are unpacked one byte each,
+    so the build needs an eighth of the table besides it."""
+    rows = np.arange(2 * start, 2 * min(stop, 2 ** (n - 1)), 2, dtype="<u8")
+    bits = np.unpackbits(rows.view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little")
+    table = np.multiply(bits, -2.0, dtype=np.float64, out=None if out is None else out[: len(rows)])
+    table += 1.0
+    return table
 
 
 @functools.cache
@@ -234,12 +239,19 @@ def _cached_sign_vectors(n: int) -> np.ndarray:
     return table
 
 
-def _signs(n: int, start: int, stop: int) -> np.ndarray:
-    """:func:`_sign_vectors`, sliced from the cached table when the whole table fits one
-    sign block; a wider slot's rows are built on each call, block by block."""
-    if 2 ** (n - 1) > _SIGN_BLOCK:
-        return _sign_vectors(n, start, stop)
-    return _cached_sign_vectors(n)[start:stop]
+def _sign_blocks(n: int, block: int):
+    """Yield the rows of :func:`_sign_vectors` in order, ``block`` at a time: slices of the
+    cached table when the whole table fits one sign block; else each block is built into
+    one buffer, over the block before it, so a wide slot holds one block at a time."""
+    total = 2 ** (n - 1)
+    if total <= _SIGN_BLOCK:
+        table = _cached_sign_vectors(n)
+        for start in range(0, total, block):
+            yield table[start : start + block]
+        return
+    buffer = np.empty((min(block, total), n))
+    for start in range(0, total, block):
+        yield _sign_vectors(n, start, start + block, buffer)
 
 
 def _middle_leaves(w: np.ndarray, widths: tuple[int, ...]):
@@ -257,8 +269,8 @@ def _middle_leaves(w: np.ndarray, widths: tuple[int, ...]):
         return
     at = np.moveaxis(w, 1, -1).reshape(-1, w.shape[1])
     shape = w.shape[:1] + w.shape[2:]
-    for start in range(0, 2 ** (widths[0] - 1), _SIGN_BLOCK):
-        for eps in _signs(widths[0], start, start + _SIGN_BLOCK):
+    for signs in _sign_blocks(widths[0], _SIGN_BLOCK):
+        for eps in signs:
             yield from _middle_leaves(np.dot(at, eps.reshape(-1, 1)).reshape(shape), widths[1:])
 
 
@@ -307,8 +319,11 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
       and meet the block in one gemm, then one ``abs``, one ``add.reduce``
       over slot 1 and one ``maximum`` into the running norms.  With N_1 = 1
       each 1 x N_m row keeps its own gemv, as for a lone form.
-    * A form with no middle slot is one ``matmul`` per block, stacked per form.
-    * The sign tables of slots that fit one sign block are cached.
+    * With no middle slot, a stack whose last slot fits one block meets it
+      in one gemm over all K x N_1 rows; with N_1 = 1, or a last slot of
+      several blocks, each form keeps its own product per block.
+    * The sign tables of slots that fit one sign block are cached; a wider
+      slot's blocks are built in turn into one buffer (:func:`_sign_blocks`).
     """
     dims = stack.shape[1:]
     _check_enumerable(dims)
@@ -319,19 +334,22 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
     middle = dims[1:-1]
     combinations = math.prod(2 ** (n - 1) for n in middle)
     block = min(_SIGN_BLOCK, max(1, _CHUNK_VALUES // (k * n1)))
+    # numpy makes a 1 x N_m form a gemv, and OpenBLAS rounds a gemm over many
+    # forms' rows differently at some partial block widths (above 192, not a
+    # multiple of 8), so only a last slot that fits one block gets one gemm
+    one_gemm = n1 > 1 and block >= 2 ** (nm - 1)
     best = np.zeros(k)
-    for start in range(0, 2 ** (nm - 1), block):
-        last = _signs(nm, start, start + block)
+    for last in _sign_blocks(nm, block):
         if len(last) == 1:
             # numpy sums a lone column pairwise; with the vertex twice, slot 1
             # is summed row by row, as in every wider block
             last = np.repeat(last, 2, axis=0)
+        width = len(last)
         if not middle:
-            product = np.matmul(rows.reshape(k, n1, nm), last.T)
-            sums = np.add.reduce(np.abs(product, out=product), axis=1)
+            product = np.matmul(rows if one_gemm else rows.reshape(k, n1, nm), last.T)
+            sums = np.add.reduce(np.abs(product, out=product).reshape(k, n1, width), axis=1)
             np.maximum(best, sums.max(axis=1), out=best)
             continue
-        width = len(last)
         chunk = min(combinations, max(1, _CHUNK_VALUES // (k * n1 * width)))
         leaves = np.empty((chunk * k * n1, nm))
         product = np.empty((chunk * k * n1, width))
@@ -342,6 +360,7 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
             forms = len(group) * k  # one per (combination, slice)
             matrices, values = leaves[: forms * n1], product[: forms * n1]
             np.concatenate(group, out=matrices)
+            del group  # freed before the next group is drawn
             if n1 == 1:
                 # numpy sends each 1 x N_m slice through gemv, as for a lone form
                 np.matmul(matrices.reshape(forms, 1, nm), last.T, out=values.reshape(forms, 1, width))
@@ -606,14 +625,23 @@ def extremal_search(
     Random restarts (budget/1000 of them) followed by greedy coordinate
     sweeps through each coordinate's :func:`_moves`, then a snap of every
     entry to the unit circle; every tried ratio counts against the budget.
-    A coordinate's candidates are scored as one stacked batch, one tensor
-    per move, by :func:`_search_ratios`, each to the bit what it scores
-    alone, and are then taken in move order, so the climb is the one that
-    tries them one at a time.  Deterministic for a fixed seed.  The best
-    ratio found is re-evaluated with the exact real oracle, so for real
-    scalars the report is a certified lower bound on the extremal ratio;
-    the complex report is diagnostic because its norm is itself only a
-    lower bound.
+    The candidates of the next few coordinates of a sweep are scored as one
+    stacked batch, one tensor per move, by :func:`_search_ratios`, each to
+    the bit what it scores alone, and are then taken in sweep and move
+    order.  An accepted move changes only its own coordinate, so the later
+    coordinates' candidates are known before it; once a coordinate accepts
+    a move, the rest of its batch is discarded and the sweep resumes at the
+    next coordinate.  The climb is therefore the one that tries the moves
+    one at a time, though it scores more candidates than the budget counts.
+    Each sweep starts with one coordinate per batch; a batch that accepts
+    nothing doubles the next one while the stack's vertex values fit one
+    capped product (_CHUNK_VALUES), and an accepted move resets it to one
+    coordinate.  Complex batches stay at one coordinate: each complex norm
+    is its own phase ascent, so a discarded candidate would only cost time.
+    Deterministic for a fixed seed.  The best ratio found is re-evaluated
+    with the exact real oracle, so for real scalars the report is a
+    certified lower bound on the extremal ratio; the complex report is
+    diagnostic because its norm is itself only a lower bound.
     """
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -621,6 +649,9 @@ def extremal_search(
         raise DomainError(f"the evaluation budget must be positive, got {budget}")
     dims = (n,) * m
     _check_enumerable(dims)
+    coords = list(np.ndindex(*dims))
+    # the vertex values the oracle scores for one coordinate's moves
+    coordinate_values = len(_moves(0.0, field)) * n * 2 ** ((n - 1) * (m - 1))
     rng = np.random.default_rng(seed)
     evals = 0
     best_ratio = -1.0
@@ -634,18 +665,39 @@ def extremal_search(
         improved = True
         while improved and evals < budget:
             improved = False
-            for idx in np.ndindex(*dims):
-                kept = arr[idx]
-                moves = _moves(kept, field)[: budget - evals]
-                if not moves:
-                    break
-                stack = np.repeat(arr[None], len(moves), axis=0)
-                stack[(slice(None), *idx)] = moves
-                evals += len(moves)
-                for move, ratio in zip(moves, _search_ratios(stack, field, seed)):
-                    if ratio > current + 1e-15:
-                        current, kept, improved = ratio, move, True
-                arr[idx] = kept
+            at, width = 0, 1
+            while at < len(coords) and evals < budget:
+                # the next `width` coordinates' moves, each cut to the budget left
+                # when its turn comes: until a move is accepted the tensor is arr
+                plan, planned = [], evals
+                for idx in coords[at : at + width]:
+                    moves = _moves(arr[idx], field)[: budget - planned]
+                    if not moves:
+                        break
+                    plan.append((idx, moves))
+                    planned += len(moves)
+                stack = np.repeat(arr[None], planned - evals, axis=0)
+                row = 0
+                for idx, moves in plan:
+                    stack[(slice(row, row + len(moves)), *idx)] = moves
+                    row += len(moves)
+                ratios = iter(_search_ratios(stack, field, seed))
+                accepted = False
+                for idx, moves in plan:
+                    at += 1
+                    evals += len(moves)
+                    kept = arr[idx]
+                    for move, ratio in zip(moves, ratios):
+                        if ratio > current + 1e-15:
+                            current, kept, accepted = ratio, move, True
+                    arr[idx] = kept
+                    if accepted:
+                        break  # the later coordinates were scored against the old tensor
+                improved |= accepted
+                if accepted:
+                    width = 1
+                elif field is Field.REAL and 2 * width * coordinate_values <= _CHUNK_VALUES:
+                    width *= 2
             if not improved and evals < budget:
                 safe = np.where(arr == 0, 1.0, arr)
                 vertex = safe / np.abs(safe)

@@ -52,6 +52,49 @@ EXTREME_SCALES = pytest.mark.parametrize(
 )
 
 
+def _one_coordinate_climb(m, n, field, budget, seed):
+    """extremal_search's climb as it was before it stacked several coordinates
+    in one oracle call: each coordinate's moves scored alone, in sweep order.
+    Returns the evaluations spent and the best tensor."""
+    dims = (n,) * m
+    rng = np.random.default_rng(seed)
+    evals = 0
+    best_ratio = -1.0
+    best_tensor = None
+    for _ in range(max(1, budget // 1000)):
+        if evals >= budget:
+            break
+        arr = verify._draw(dims, field, rng)
+        [current] = _search_ratios(arr[None], field, seed)
+        evals += 1
+        improved = True
+        while improved and evals < budget:
+            improved = False
+            for idx in np.ndindex(*dims):
+                kept = arr[idx]
+                moves = _moves(kept, field)[: budget - evals]
+                if not moves:
+                    break
+                stack = np.repeat(arr[None], len(moves), axis=0)
+                stack[(slice(None), *idx)] = moves
+                evals += len(moves)
+                for move, ratio in zip(moves, _search_ratios(stack, field, seed)):
+                    if ratio > current + 1e-15:
+                        current, kept, improved = ratio, move, True
+                arr[idx] = kept
+            if not improved and evals < budget:
+                safe = np.where(arr == 0, 1.0, arr)
+                vertex = safe / np.abs(safe)
+                [ratio] = _search_ratios(vertex[None], field, seed)
+                evals += 1
+                if ratio > current + 1e-15:
+                    arr, current, improved = vertex, ratio, True
+        if current > best_ratio:
+            best_ratio = current
+            best_tensor = arr.copy()
+    return evals, best_tensor
+
+
 class TestRademacherMoment:
     def test_single_coefficient(self):
         for p in (0.5, 1.0, 3.7):
@@ -234,22 +277,28 @@ class TestSupNormReal:
          ((70, 4), {"_CHUNK_VALUES": 70 * 7}, None), ((70, 1), {}, None), ((9, 1), {}, None),
          ((8, 2, 1), {}, None), ((1, 3, 4), {}, None), ((1, 3, 4), {}, 3), ((1, 2, 2, 5), {}, 3),
          ((2, 3, 2, 4), {}, None), ((2, 3, 2, 4), {}, 1), ((2, 3, 2, 4), {}, 2), ((2, 3, 2, 4), {}, 3),
-         ((2, 5, 3), {"_SIGN_BLOCK": 4}, None), ((3, 4, 5, 2), {"_SIGN_BLOCK": 4}, None)],
+         ((2, 5, 3), {"_SIGN_BLOCK": 4}, None), ((3, 4, 5, 2), {"_SIGN_BLOCK": 4}, None),
+         ((5, 5), {}, None), ((8, 8), {}, None), ((3, 10), {}, None)],
         ids=["5", "1x6", "6x1", "3x3x3", "2x2x2x2x2x2", "70x3", "70x4-small-blocks", "70x4-lone-blocks",
              "70x1", "9x1", "8x2x1", "1x3x4", "1x3x4-chunks-of-3", "1x2x2x5-chunks-of-3", "2x3x2x4",
              "2x3x2x4-chunks-of-1", "2x3x2x4-chunks-of-2", "2x3x2x4-chunks-of-3", "2x5x3-sign-blocks-of-4",
-             "3x4x5x2-sign-blocks-of-4"],
+             "3x4x5x2-sign-blocks-of-4", "5x5", "8x8", "3x10"],
     )
     def test_stacked_kernel_matches_full_enumeration(self, shape, patch, chunk, monkeypatch):
         # 70x4: the 8 last-slot vertices go in one block at K = 1, 2, then in
         # blocks of 5+3, 4+4, 3+3+2 and 2 as K grows (70 * 16); or in 7+1,
         # 3+3+2, 2+2+2+2, then one at a time (70 * 7), where a lone vertex's
         # column must still be summed row by row, not pairwise.  Sign blocks
-        # of 4: the middle tables of 16 and 8 rows are read in 4-row blocks
+        # of 4: the middle tables of 16 and 8 rows are read in 4-row blocks.
+        # 5x5, 8x8 and 1x6 also take the stacks of 16, 64 and 128 forms that a
+        # widened search climb sends: one gemm for the stack, a gemv per form at
+        # 1x6.  At K = 128, 3x10 splits its 512 last-slot vertices into blocks
+        # of 341 and 171, where one gemm for the whole stack rounds differently
         for name, value in patch.items():
             monkeypatch.setattr(verify, name, value)
         rng = np.random.default_rng(len(shape) * sum(shape))
-        for k in range(1, 9):
+        wide = (16, 64, 128) if shape in ((5, 5), (8, 8), (1, 6), (3, 10)) else ()
+        for k in (*range(1, 9), *wide):
             if chunk is not None:
                 # all last-slot vertices fit one block, so a chunk holds
                 # `chunk` middle combinations: 8 of them in 3+3+2 at
@@ -275,12 +324,26 @@ class TestSupNormReal:
         sup_norm_real(form)
         assert cached.cache_info().misses == misses
         assert not cached(8).flags.writeable
-        assert not verify._signs(8, 1, 3).flags.writeable
+        assert not next(verify._sign_blocks(8, 2)).flags.writeable
         # 2^17 sign vectors exceed one sign block: built block by block, never cached
         cached.cache_clear()
         wide = MultilinearForm(np.ones((1, 18)), Field.REAL)
         assert sup_norm_real(wide) == 18.0
         assert cached.cache_info().currsize == 0
+
+    def test_sign_block_builds_in_little_more_than_its_table(self):
+        # one block of a width-18 slot is a 9 MiB table; building it from
+        # full-size int64 bit arrays peaked at 18.5 MiB
+        tracemalloc.start()
+        try:
+            block = verify._sign_vectors(18, 0, 2**16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (2**16, 18) and block.nbytes == 9 * 2**20
+        assert peak < 12 * 2**20
+        bits = (2 * np.arange(2**16)[:, None] >> np.arange(18)) & 1
+        assert np.array_equal(block, 1.0 - 2.0 * bits)
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -662,6 +725,38 @@ class TestExtremalSearch:
         assert report.trials == budget
         assert report.ratio.hex() == ratio_hex
         assert digest_bytes(report.witness.tobytes()) == witness
+
+    @pytest.mark.parametrize(
+        "m, n, field, budget",
+        [(3, 3, Field.REAL, 6000), (2, 5, Field.REAL, 8000), (2, 8, Field.REAL, 2000), (2, 2, Field.COMPLEX, 40),
+         (1, 4, Field.REAL, 2000), (1, 1, Field.REAL, 10), (2, 5, Field.REAL, 1003), (2, 5, Field.REAL, 37)],
+        ids=["real-3x3x3", "real-5x5", "real-8x8", "complex-2x2", "linear-4", "linear-1", "real-5x5-budget-1003",
+             "real-5x5-budget-37"],
+    )
+    def test_batched_climb_is_the_one_coordinate_climb(self, m, n, field, budget):
+        # moves of later coordinates scored in the same call as an accepted
+        # one are discarded, so the climb is the one that scores each
+        # coordinate alone; budgets 1003 and 37 end inside a widened batch
+        report = extremal_search(m, n, field, budget=budget, seed=42)
+        evals, tensor = _one_coordinate_climb(m, n, field, budget, 42)
+        [ratio] = _search_ratios(tensor[None], field, 42, restarts=16)
+        assert report.trials == evals
+        assert report.ratio.hex() == ratio.hex()
+        assert digest_bytes(report.witness.tobytes()) == digest_bytes(tensor.tobytes())
+
+    def test_batched_climb_halves_the_oracle_calls(self, monkeypatch):
+        # one coordinate per call made 1 009 calls here
+        calls = []
+
+        def counted(stack, *args, **kwargs):
+            calls.append(len(stack))
+            return _search_ratios(stack, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "_search_ratios", counted)
+        report = extremal_search(2, 5, Field.REAL, budget=8000, seed=42)
+        assert report.trials == 8000
+        assert len(calls) <= 600
+        assert max(calls) > len(_moves(0.0, Field.REAL))
 
     def test_domain(self):
         with pytest.raises(DomainError):
