@@ -32,7 +32,6 @@ default; a report holds no seed, since the run that asked for it knows it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -282,6 +281,16 @@ def _check_enumerable(dims: tuple[int, ...]) -> None:
         )
 
 
+def _cube(m: int, dim: int) -> tuple[int, ...]:
+    """The dims (dim,)*m of an m-linear form on l_inf^dim, checked against the size guard,
+    so a caller can check them before it draws or builds anything."""
+    if m < 1 or dim < 1:
+        raise DomainError(f"need m >= 1 and dim >= 1, got m={m}, dim={dim}")
+    dims = (dim,) * m
+    _check_enumerable(dims)
+    return dims
+
+
 def sup_norm_real(form: MultilinearForm) -> float:
     """Exact operator norm of a real form.
 
@@ -315,13 +324,12 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
       and are contracted depth first (:func:`_middle_leaves`), so a prefix
       shared by many combinations is contracted once.
     * The middle combinations of a block are scored a chunk at a time
-      (_CHUNK_VALUES): their N_1 x N_m matrices are stacked into one buffer
-      and meet the block in one gemm, then one ``abs``, one ``add.reduce``
-      over slot 1 and one ``maximum`` into the running norms.  With N_1 = 1
-      each 1 x N_m row keeps its own gemv, as for a lone form.
-    * With no middle slot, a stack whose last slot fits one block meets it
-      in one gemm over all K x N_1 rows; with N_1 = 1, or a last slot of
-      several blocks, each form keeps its own product per block.
+      (_CHUNK_VALUES): the walk copies their N_1 x N_m matrices straight into
+      one buffer, then one product, one ``abs``, one ``add.reduce`` over slot
+      1 and one ``maximum`` into the running norms.
+    * One rule picks the product, with or without middle slots: one gemm
+      over all rows when N_1 > 1 and the last slot fits one block, otherwise
+      one product per form, as for a lone form.
     * The sign tables of slots that fit one sign block are cached; a wider
       slot's blocks are built in turn into one buffer (:func:`_sign_blocks`).
     """
@@ -351,24 +359,23 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
             np.maximum(best, sums.max(axis=1), out=best)
             continue
         chunk = min(combinations, max(1, _CHUNK_VALUES // (k * n1 * width)))
-        leaves = np.empty((chunk * k * n1, nm))
-        product = np.empty((chunk * k * n1, width))
+        leaves = np.empty((chunk, k * n1, nm))
+        product = np.empty((chunk * k, n1, width))
         sums = np.empty((chunk * k, width))
         walk = _middle_leaves(rows, middle)
-        # the walk's leaves, `chunk` at a time; the last group may be short
-        for group in iter(lambda: list(itertools.islice(walk, chunk)), []):
-            forms = len(group) * k  # one per (combination, slice)
-            matrices, values = leaves[: forms * n1], product[: forms * n1]
-            np.concatenate(group, out=matrices)
-            del group  # freed before the next group is drawn
-            if n1 == 1:
-                # numpy sends each 1 x N_m slice through gemv, as for a lone form
-                np.matmul(matrices.reshape(forms, 1, nm), last.T, out=values.reshape(forms, 1, width))
+        for start in range(0, combinations, chunk):
+            count = min(chunk, combinations - start)
+            for i, leaf in zip(range(count), walk):
+                leaves[i] = leaf
+            forms = count * k  # one per (combination, slice)
+            matrices, values = leaves[:count].reshape(forms, n1, nm), product[:forms]
+            if one_gemm:
+                np.matmul(matrices.reshape(-1, nm), last.T, out=values.reshape(-1, width))
             else:
                 np.matmul(matrices, last.T, out=values)
             np.abs(values, out=values)
-            np.add.reduce(values.reshape(forms, n1, width), axis=1, out=sums[:forms])
-            np.maximum(best, sums[:forms].reshape(-1, k, width).max(axis=(0, 2)), out=best)
+            np.add.reduce(values, axis=1, out=sums[:forms])
+            np.maximum(best, sums[:forms].reshape(count, k, width).max(axis=(0, 2)), out=best)
     return best
 
 
@@ -643,12 +650,9 @@ def extremal_search(
     certified lower bound on the extremal ratio; the complex report is
     diagnostic because its norm is itself only a lower bound.
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    dims = _cube(m, n)
     if budget < 1:
         raise DomainError(f"the evaluation budget must be positive, got {budget}")
-    dims = (n,) * m
-    _check_enumerable(dims)
     coords = list(np.ndindex(*dims))
     # the vertex values the oracle scores for one coordinate's moves
     coordinate_values = len(_moves(0.0, field)) * n * 2 ** ((n - 1) * (m - 1))
@@ -767,11 +771,6 @@ def canonical_family(dimension: int, field: Field = Field.REAL) -> VectorFamily:
 # Property suites: suite(trials, seed, **flags), each flag with its default
 # --------------------------------------------------------------------------
 
-def _require_shape(m: int, dim: int) -> None:
-    if m < 1 or dim < 1:
-        raise DomainError(f"need m >= 1 and dim >= 1, got m={m}, dim={dim}")
-
-
 def khinchine_suite(trials: int, seed: int, n: int = 10, p: float | None = None) -> list[VerificationReport]:
     """Random coefficient vectors checked against the exact Rademacher oracle.
 
@@ -798,7 +797,7 @@ def bh_suite(trials: int, seed: int, m: int = 2, dim: int = 2) -> list[Verificat
     For bilinear runs the first instance is the Littlewood sign matrix, so
     the maximal ratio 2^(1/2) is always exercised.
     """
-    _require_shape(m, dim)
+    dims = _cube(m, dim)
     constant = compute_constant(m, Field.REAL, Strategy.BEST)
     rng = np.random.default_rng(seed)
     reports = []
@@ -806,7 +805,7 @@ def bh_suite(trials: int, seed: int, m: int = 2, dim: int = 2) -> list[Verificat
         if t == 0 and m == 2 and dim >= 2:
             form = littlewood_form(dim)
         else:
-            form = random_form((dim,) * m, Field.REAL, rng)
+            form = random_form(dims, Field.REAL, rng)
         reports.append(bh_check(form, constant))
     return reports
 
@@ -831,12 +830,12 @@ def blei_suite(trials: int, seed: int) -> list[VerificationReport]:
 
 def summing_suite(trials: int, seed: int, m: int = 2, dim: int = 2) -> list[VerificationReport]:
     """Random real m-linear forms on l_inf^dim and random vector families for the summing check."""
-    _require_shape(m, dim)
+    dims = _cube(m, dim)
     constant = compute_constant(m, Field.REAL, Strategy.BEST)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(trials):
-        form = random_form((dim,) * m, Field.REAL, rng)
+        form = random_form(dims, Field.REAL, rng)
         families = [
             random_family(int(rng.integers(1, dim + 2)), dim, Field.REAL, rng)
             for _ in range(m)

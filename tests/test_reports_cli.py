@@ -209,6 +209,14 @@ class TestCli:
         assert result.exit_code == 2
         assert "--trials must be positive" in result.output
 
+    @pytest.mark.parametrize("subtarget", ["bh", "summing"])
+    def test_verify_oversized_cube_exits_2(self, subtarget):
+        # exit 1 means a certified check failed; a refused size is a usage error
+        result = CliRunner().invoke(main, ["verify", subtarget, "--m", "5", "--dim", "1000", "--trials", "1"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "spans 2^4000 > 2^24 sign vectors" in result.output
+
     def test_verify_failure_exits_one(self, monkeypatch):
         failing = VerificationReport("blei", "forced", 2.0, 1.0, 2.0, None, False, 7, 1)
         monkeypatch.setattr(reports, "blei_suite", lambda *a, **k: [failing])

@@ -316,6 +316,33 @@ class TestSupNormReal:
             if k > 2:
                 assert _search_ratios(stack, Field.REAL, 0)[-1] == 0.0
 
+    @pytest.mark.parametrize("k", [100, 128])
+    def test_multi_block_middle_stack_matches_full_enumeration(self, k):
+        # (3, 2, 10): a middle slot and 512 last-slot vertices in blocks of
+        # 436 + 76 (K = 100) or 341 + 171 (K = 128); one gemm over a whole
+        # chunk's rows rounded slice 80, and slices 6 and 37, differently
+        stack = np.random.default_rng(0).uniform(-1.0, 1.0, size=(k, 3, 2, 10))
+        for coeffs, norm in zip(stack, _sup_norms_real(stack)):
+            reference = self._full_enumeration(MultilinearForm(coeffs, Field.REAL))
+            assert float(norm).hex() == reference.hex()
+
+    def test_middle_leaves_go_straight_into_the_chunk(self):
+        # (2, 16, 2): 2^15 leaves of 2 x 2 values each; gathering a chunk's
+        # leaves as a list of small arrays before concatenating peaked at
+        # 16.3 MiB, copying each into the chunk buffer at 7.3 MiB.  A warm
+        # width-16 sign table would hide part of the peak.
+        vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
+        form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
+        verify._cached_sign_vectors.cache_clear()
+        tracemalloc.start()
+        try:
+            norm = sup_norm_real(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm == 3 * 136 * 3
+        assert peak < 12 * 2**20
+
     def test_sign_tables_are_cached_read_only(self):
         cached = verify._cached_sign_vectors
         form = random_form((8, 8, 8), Field.REAL, np.random.default_rng(0))
@@ -796,6 +823,12 @@ class TestSuites:
         reports = bh_suite(3, 0, m=m, dim=dim)
         assert len(reports) == 3
         assert sum(not r.passed for r in reports) == 0
+
+    @pytest.mark.parametrize("suite", [bh_suite, summing_suite])
+    def test_oversized_cube_is_refused_before_the_draw(self, suite):
+        # the (1000,)*5 tensor would need 7.11 PiB; the guard comes first
+        with pytest.raises(SizeLimitError, match=r"spans 2\^4000 > 2\^24 sign vectors"):
+            suite(1, 0, m=5, dim=1000)
 
     def test_form_validation(self):
         with pytest.raises(DomainError):
