@@ -422,13 +422,13 @@ def sup_norm_complex_lb(form: MultilinearForm, restarts: int = 16, seed: int = 0
                         z_new *= b / abs(b)
                     total = b + v * z_new
                     zs[k][i] = z_new
-            value = float(abs(np.dot(_contract_except(form.coeffs, zs, 0), zs[0])))
+            value = float(abs(np.dot(slot1 := _contract_except(form.coeffs, zs, 0), zs[0])))
             if value <= current * (1.0 + 1e-12) + 1e-300:
                 current = max(current, value)
                 break
             current = value
         # slot-1 collapse: optimal slot-1 phases give the l1 norm
-        collapsed = float(np.abs(_contract_except(form.coeffs, zs, 0)).sum())
+        collapsed = float(np.abs(slot1).sum())
         best = max(best, current, collapsed)
     return best
 

@@ -7,10 +7,12 @@ the float values where no exact closed form exists, because the Khinchine
 constants have left their dyadic branch, and at every level m = 2..2000 of
 every stated (field, strategy).  The Gamma function behind that branch, its
 Khinchine closed form and the crossover between the branches are checked
-against mpmath as well.
+against mpmath as well, and the float real-form norm against exact rationals.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ import pytest
 from bhc.core import Field
 from bhc.recursion import Strategy, compute_constant, constants_columns, is_stated_for
 from bhc.special import a_gamma, crossover_p0, log_gamma
-from bhc.verify import rademacher_moment
+from bhc.verify import _sup_norms_real, rademacher_moment
 
 mpmath = pytest.importorskip("mpmath")
 mpf = mpmath.mpf
@@ -198,3 +200,34 @@ def test_crossover_p0():
             lambda p: mpmath.gamma((p + 1) / 2) - mpmath.sqrt(mpmath.pi) / 2, (1.5, 1.95), solver="bisect"
         )
         assert abs(crossover_p0() - root) <= 1e-11
+
+
+def _exact_sup_norm_real(coeffs):
+    """The exact norm of a real form: every sign vector of slots 2..m, l1 over slot 1, in Fractions."""
+    dims = coeffs.shape[1:]
+    assert sum(dims) <= 16, "exact enumeration is for small forms"
+    bounds = list(itertools.accumulate(dims, initial=0))
+    rows = [[Fraction(x) for x in row] for row in coeffs.reshape(coeffs.shape[0], -1).tolist()]
+    best = Fraction(0)
+    for signs in itertools.product((1, -1), repeat=sum(dims)):
+        slots = (signs[a:b] for a, b in zip(bounds, bounds[1:]))
+        # the rank-one sign tensor over slots 2..m, flattened as the rows are
+        vertex = [math.prod(entry) for entry in itertools.product(*slots)]
+        best = max(best, sum(abs(sum(e * x for e, x in zip(vertex, row))) for row in rows))
+    return best
+
+
+@pytest.mark.parametrize(
+    "shape, count",
+    [((4, 4), 50), ((3, 3, 3), 20), ((2, 2, 2, 2), 20), ((6, 6), 10)],
+    ids=["4x4", "3x3x3", "2x2x2x2", "6x6"],
+)
+def test_real_norm_within_summation_bound_of_exact(shape, count):
+    # Each vertex value is a sum of +-U entries with no rounded product, so
+    # |float - exact| <= gamma_n sum|U| with n = sum N_k, gamma_n = nu/(1 - nu)
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2).
+    stack = np.random.default_rng(sum(shape) * count).uniform(-1.0, 1.0, (count, *shape))
+    nu = Fraction(sum(shape), 2**53)
+    for coeffs, norm in zip(stack, _sup_norms_real(stack).tolist()):
+        bound = nu / (1 - nu) * sum(abs(Fraction(x)) for x in coeffs.ravel().tolist())
+        assert abs(Fraction(norm) - _exact_sup_norm_real(coeffs)) <= bound

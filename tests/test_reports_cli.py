@@ -6,15 +6,19 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
 import bhc
-import bhc.reports as reports
+import bhc.verify as verify
 from bhc.cli import main
 from bhc.core import DomainError, Field
 from bhc.recursion import Strategy, compute_constant, replay_trace
@@ -219,10 +223,39 @@ class TestCli:
 
     def test_verify_failure_exits_one(self, monkeypatch):
         failing = VerificationReport("blei", "forced", 2.0, 1.0, 2.0, None, False, 7, 1)
-        monkeypatch.setattr(reports, "blei_suite", lambda *a, **k: [failing])
+        monkeypatch.setattr(verify, "blei_suite", lambda *a, **k: [failing])
         runner = CliRunner()
         result = runner.invoke(main, ["verify", "blei", "--trials", "1"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "argvs, loaded",
+        [
+            (
+                [
+                    ["constants", "--max-m", "12"],
+                    ["explain", "--m", "12", "--format", "json"],
+                    ["baselines", "--max-m", "10"],
+                ],
+                [],
+            ),
+            ([["verify", "blei", "--trials", "1"]], ["bhc.verify", "numpy"]),
+        ],
+        ids=["constants-engine", "verify"],
+    )
+    def test_oracles_imported_only_where_run(self, argvs, loaded):
+        # a fresh interpreter: this one has imported numpy and bhc.verify already
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from bhc.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv, standalone_mode=False) == 0, argv\n"
+            "print(json.dumps(sorted({'numpy', 'bhc.verify'} & set(sys.modules))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(bhc.__file__).parents[1])}  # this bhc
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert json.loads(done.stdout) == loaded
 
     def test_seed_env_override(self):
         runner = CliRunner()

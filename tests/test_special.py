@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bhc.core import DomainError
+from bhc.core import DomainError, Field
+from bhc.recursion import Strategy, constants_columns, is_stated_for
 from bhc.special import (
     Branch,
     a_dyadic,
@@ -175,3 +176,29 @@ def test_oracle_consistency_small_sample():
         for p in (1.0, 4.0 / 3.0, 1.5, 5.0 / 3.0, 2.0):
             ratio = rademacher_moment(a, p) / l2
             assert khinchine_a(p).a_p - 1e-12 <= ratio <= khinchine_b(p) + 1e-12
+
+
+def test_engine_khinchine_inputs_are_sharp():
+    # Every A_p a stated ladder consumes for m <= 2000, read from the ladders'
+    # own records, against a vector that (nearly) attains it.  On the dyadic
+    # branch (1, 1) attains A_p: its moment is 2^(1 - 1/p) = sqrt(2) A_p
+    # exactly.  The Gamma value is the limit of equal weights as N -> inf and
+    # Haagerup's A_p lies below every finite N, so N = 12 must not fall under it.
+    uses = {}
+    for field in Field:
+        strategies = tuple(s for s in Strategy if s is not Strategy.BEST and is_stated_for(field, s))
+        for column in constants_columns(field, strategies, 2000):
+            steps = {}
+            for record in reversed(column):  # a record's trace covers the levels it rests on
+                if record.m not in steps:
+                    steps.update((step.m, step) for step in record.trace)
+            uses.update((use.p, use) for step in steps.values() for use in step.khinchine)
+    dyadic = [use for use in uses.values() if use.branch is Branch.DYADIC_POWER]
+    gamma = [use for use in uses.values() if use.branch is Branch.GAMMA_FORMULA]
+    assert len(dyadic) + len(gamma) == len(uses) and dyadic and gamma
+    for use in dyadic:
+        expected = math.sqrt(2.0) * use.value
+        assert abs(rademacher_moment([1.0, 1.0], use.p) - expected) <= 4 * math.ulp(expected), use.p
+    equal = np.ones(12)
+    for use in gamma:
+        assert rademacher_moment(equal, use.p) >= use.value * math.sqrt(12.0), use.p
