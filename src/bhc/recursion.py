@@ -182,14 +182,12 @@ class ConstantRecord:
         return None
 
     @property
-    def extra_factor(self) -> str | None:
-        """The exact form when it is not a plain power of two."""
+    def exact_label(self) -> str:
+        """The exact form as printed, or "" when the constant has none."""
         if self.strategy is Strategy.BASELINE_ORIGINAL:  # no PowerProduct holds m^(...)
             m = self.m
             return f"{m}^({m + 1}/{2 * m}) * 2^({m - 1}/2)"
-        if self.closed_form is not None and not self.closed_form.is_dyadic():
-            return self.closed_form.describe()
-        return None
+        return self.closed_form.describe() if self.closed_form is not None else ""
 
 
 def _require_level(m: int) -> None:
@@ -449,31 +447,19 @@ _CANDIDATES = (
 )
 
 
-def _best(candidates: list[_Ladder], m: int) -> ConstantRecord:
-    # min keeps the first of equal values, as the tie rule asks; a candidate
-    # beyond the double range reads inf and never wins: halving stays finite
-    return min(candidates, key=lambda ladder: ladder.value(m)).record(m)
+def _reader(field: Field) -> Callable[[Strategy, int], ConstantRecord]:
+    """A (strategy, m) -> record function whose reads share one ladder per strategy."""
+    ladder = functools.cache(functools.partial(_Ladder, field))
+    candidates = [ladder(s) for s in _CANDIDATES if is_stated_for(field, s)]
 
-
-def _readers(
-    field: Field, strategies: tuple[Strategy, ...]
-) -> list[Callable[[int], ConstantRecord]]:
-    """A level -> record function per strategy, all sharing one ladder per strategy."""
-    ladders: dict[Strategy, _Ladder] = {}
-
-    def ladder(strategy: Strategy) -> _Ladder:
-        if strategy not in ladders:
-            ladders[strategy] = _Ladder(field, strategy)
-        return ladders[strategy]
-
-    readers = []
-    for strategy in strategies:
+    def read(strategy: Strategy, m: int) -> ConstantRecord:
         if strategy is Strategy.BEST:
-            candidates = [ladder(s) for s in _CANDIDATES if is_stated_for(field, s)]
-            readers.append(functools.partial(_best, candidates))
-        else:
-            readers.append(ladder(strategy).record)
-    return readers
+            # min keeps the first of equal values, as the tie rule asks; a candidate
+            # beyond the double range reads inf and never wins: halving stays finite
+            return min(candidates, key=lambda c: c.value(m)).record(m)
+        return ladder(strategy).record(m)
+
+    return read
 
 
 def compute_constant(m: int, field: Field, strategy: Strategy) -> ConstantRecord:
@@ -486,8 +472,7 @@ def compute_constant(m: int, field: Field, strategy: Strategy) -> ConstantRecord
     chain from m = 4095 and the two-step chain from m = 8186.  ``BEST``
     passes over such candidates; halving stays finite.
     """
-    (read,) = _readers(field, (strategy,))
-    return read(m)
+    return _reader(field)(strategy, m)
 
 
 def constants_columns(
@@ -500,8 +485,8 @@ def constants_columns(
     """
     if not isinstance(m_max, int) or m_max < 2:
         raise DomainError(f"m_max must be an integer >= 2, got {m_max!r}")
-    readers = _readers(field, strategies)
-    return tuple(tuple(read(m) for m in range(2, m_max + 1)) for read in readers)
+    read = _reader(field)
+    return tuple(tuple(read(s, m) for m in range(2, m_max + 1)) for s in strategies)
 
 
 # --------------------------------------------------------------------------

@@ -155,9 +155,7 @@ class ReportDocument:
 def _csv_cell(value: Any) -> Any:
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, dict):
-        return json.dumps(value)
-    if isinstance(value, list):
+    if isinstance(value, (dict, list)):
         return json.dumps(value)
     return value
 
@@ -183,13 +181,6 @@ def _exponent_json(record: ConstantRecord) -> dict[str, int] | None:
     return {"num": exponent.numerator, "den": exponent.denominator}
 
 
-def _exact_label(record: ConstantRecord) -> str:
-    exponent = record.dyadic_exponent
-    if exponent is not None:
-        return f"2^({exponent})"
-    return record.extra_factor or ""
-
-
 def constant_row(record: ConstantRecord, compare_with: tuple = ()) -> dict[str, Any]:
     row: dict[str, Any] = {
         "m": record.m,
@@ -197,11 +188,11 @@ def constant_row(record: ConstantRecord, compare_with: tuple = ()) -> dict[str, 
         "strategy": record.strategy.value,
         "value": record.value,
         "exponent": _exponent_json(record),
-        "exact": _exact_label(record),
+        "exact": record.exact_label,
     }
     for label, other in compare_with:
         row[label] = other.value
-        row[f"{label}_exact"] = _exact_label(other)
+        row[f"{label}_exact"] = other.exact_label
     return row
 
 
@@ -282,9 +273,7 @@ def run_constants(cfg: RunConfig) -> ReportDocument:
 def run_explain(cfg: RunConfig) -> ReportDocument:
     record = compute_constant(cfg.m, cfg.field, cfg.strategy)
     rows = [trace_row(step) for step in record.trace]
-    doc = ReportDocument(cfg, rows)
-    doc.title = _explain_text(record, cfg.precision)
-    return doc
+    return ReportDocument(cfg, rows, title=_explain_text(record, cfg.precision))
 
 
 def _explain_text(record: ConstantRecord, precision: int) -> str:
@@ -307,7 +296,7 @@ def _explain_text(record: ConstantRecord, precision: int) -> str:
         lines.append(
             f"  [{step.rule}] {tag}({step.m}) from {children}: {split_text}; {used} -> {approx}"
         )
-    exact = _exact_label(record)
+    exact = record.exact_label
     exact_text = f"{exact} ≈ " if exact else ""
     lines.append(f"  result: {tag}({record.m}) = {exact_text}{record.value:.{precision}g}")
     return "\n".join(lines)

@@ -7,9 +7,12 @@ the float values where no exact closed form exists, because the Khinchine
 constants have left their dyadic branch, and at every level m = 2..2000 of
 every stated (field, strategy).  The Gamma function behind that branch, its
 Khinchine closed form and the crossover between the branches are checked
-against mpmath as well, and the float real-form norm against exact rationals.
+against mpmath as well, and the float real-form norm against exact rationals,
+with its rounding bounded by a tenth of the certificate slack at every cube
+the CLI admits.
 """
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -17,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bhc.core import Field
+from bhc.core import Field, SizeLimitError
 from bhc.recursion import Strategy, compute_constant, constants_columns, is_stated_for
 from bhc.special import a_gamma, crossover_p0, log_gamma
-from bhc.verify import _sup_norms_real, rademacher_moment
+from bhc.verify import CERTIFIED_SLACK, MAX_ENUM_BITS, _cube, _sup_norms_real, rademacher_moment
 
 mpmath = pytest.importorskip("mpmath")
 mpf = mpmath.mpf
@@ -231,3 +234,22 @@ def test_real_norm_within_summation_bound_of_exact(shape, count):
     for coeffs, norm in zip(stack, _sup_norms_real(stack).tolist()):
         bound = nu / (1 - nu) * sum(abs(Fraction(x)) for x in coeffs.ravel().tolist())
         assert abs(Fraction(norm) - _exact_sup_norm_real(coeffs)) <= bound
+
+
+def test_norm_rounding_within_a_tenth_of_the_slack_at_every_admitted_cube():
+    # ||U|| >= max|entry|, so sum|U| <= prod N_k ||U|| and the summation bound
+    # above caps the float norm's relative error at gamma_n prod N_k from the
+    # shape alone.  The grid reaches past the guard in both m and dim, so it
+    # holds every cube (dim,)^m that the CLI admits.
+    with pytest.raises(SizeLimitError):
+        _cube(MAX_ENUM_BITS + 2, 1)
+    with pytest.raises(SizeLimitError):
+        _cube(2, MAX_ENUM_BITS + 1)
+    cubes = []
+    for m, dim in itertools.product(range(2, MAX_ENUM_BITS + 3), range(1, MAX_ENUM_BITS + 2)):
+        with contextlib.suppress(SizeLimitError):
+            cubes.append(_cube(m, dim))
+    assert cubes
+    for dims in cubes:
+        nu = Fraction(sum(dims), 2**53)
+        assert nu / (1 - nu) * math.prod(dims) <= Fraction(CERTIFIED_SLACK) / 10, dims

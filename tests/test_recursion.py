@@ -21,7 +21,7 @@ from bhc.recursion import (
     is_stated_for,
     replay_trace,
 )
-from bhc.reports import RunConfig, run_explain
+from bhc.reports import _COMPARE_COLUMNS, RunConfig, run_explain
 from bhc.special import Branch, khinchine_a
 from bhc.verify import bh_check, littlewood_form
 
@@ -185,7 +185,7 @@ class TestComplexOneStep:
         for m in (2, 5, 9, 13):
             rec = compute_constant(m, Field.COMPLEX, Strategy.ONE_STEP)
             assert rec.dyadic_exponent is None
-            assert "K_G" in rec.extra_factor
+            assert "K_G" in rec.exact_label
 
 
 class TestComplexHalving:
@@ -472,7 +472,7 @@ class TestTableAndDispatch:
 
 class TestTableCost:
     @staticmethod
-    def _derive_calls(monkeypatch, m_max):
+    def _derive_calls(monkeypatch, m_max, field=Field.REAL, strategies=(Strategy.BEST,)):
         calls = 0
         original = bhc.recursion._Ladder.derive
 
@@ -482,7 +482,7 @@ class TestTableCost:
             return original(self, k)
 
         monkeypatch.setattr(bhc.recursion._Ladder, "derive", counted)
-        constants_columns(Field.REAL, (Strategy.BEST,), m_max)
+        constants_columns(field, strategies, m_max)
         return calls
 
     def test_best_table_is_linear_in_m_max(self, monkeypatch):
@@ -490,6 +490,13 @@ class TestTableCost:
         small = self._derive_calls(monkeypatch, 100)
         large = self._derive_calls(monkeypatch, 200)
         assert 0 < small and large <= 2.5 * small
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_compare_columns_derive_no_level_again(self, monkeypatch, field):
+        # the compare columns are candidates of BEST: they read its ladders
+        compare = tuple(strategy for _, strategy in _COMPARE_COLUMNS[field])
+        alone = self._derive_calls(monkeypatch, 150, field)
+        assert self._derive_calls(monkeypatch, 150, field, (Strategy.BEST, *compare)) == alone
 
     def test_engine_makes_no_blei_call(self, monkeypatch):
         # every split is built in closed form: w = 2k/(k+1), f_i = m_i/k

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import gc
+import inspect
 import io
 import json
 import math
@@ -22,7 +23,15 @@ import bhc.verify as verify
 from bhc.cli import main
 from bhc.core import DomainError, Field
 from bhc.recursion import Strategy, compute_constant, replay_trace
-from bhc.reports import RunConfig, run_baselines, run_constants, run_explain, run_search, run_verify
+from bhc.reports import (
+    _VERIFY_FLAGS,
+    RunConfig,
+    run_baselines,
+    run_constants,
+    run_explain,
+    run_search,
+    run_verify,
+)
 from bhc.verify import VerificationReport
 
 
@@ -227,6 +236,14 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["verify", "blei", "--trials", "1"])
         assert result.exit_code == 1
+
+    def test_verify_flags_are_the_suites_parameters(self):
+        # run_verify passes the given flags by name, so the table must list
+        # exactly the parameters each suite takes after (trials, seed)
+        for name, flags in _VERIFY_FLAGS.items():
+            params = tuple(inspect.signature(getattr(verify, f"{name}_suite")).parameters)
+            assert params[:2] == ("trials", "seed")
+            assert params[2:] == flags, name
 
     @pytest.mark.parametrize(
         "argvs, loaded",
