@@ -13,7 +13,7 @@ fills and ``--field``/``--strategy`` yield enum members, so a command hands
 its options to ``RunConfig`` as they are.
 
 Exit codes: 0 all checks passed, 1 a certified check failed, 2 bad arguments
-(including a request beyond a size guard).
+(including a request beyond a size guard or one that does not fit in memory).
 The default seed is 42 and can be overridden by the BHC_SEED environment
 variable, so bare invocations are reproducible; a seed is a non-negative
 integer.
@@ -82,6 +82,8 @@ def _emit(runner, **options) -> None:
         doc: ReportDocument = runner(RunConfig(command=ctx.command.name, **options))
     except (DomainError, SizeLimitError) as exc:
         raise click.UsageError(str(exc))
+    except MemoryError:
+        raise click.UsageError("the requested shape does not fit in memory")
     doc.wall_time = time.perf_counter() - started
     # An explicit file: left to itself, click.echo keeps every stdout object
     # it is handed in a cache whose values refer to their keys, so a caller

@@ -449,6 +449,8 @@ _CANDIDATES = (
 
 def _reader(field: Field) -> Callable[[Strategy, int], ConstantRecord]:
     """A (strategy, m) -> record function whose reads share one ladder per strategy."""
+    if not isinstance(field, Field):
+        raise DomainError(f"unknown field {field!r}")
     ladder = functools.cache(functools.partial(_Ladder, field))
     candidates = [ladder(s) for s in _CANDIDATES if is_stated_for(field, s)]
 

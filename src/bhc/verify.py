@@ -13,7 +13,10 @@ Everything here certifies at desk scale, by exhaustion rather than sampling:
   vertices, one ``abs`` and one sum over slot 1 per chunk.  Every slot is
   read a block of sign vectors at a time and every product is capped, so
   memory stays flat up to the size guard.  One call can take a stack of
-  forms of one shape; the sign tables of narrow slots are cached.
+  forms of one shape; the sign tables of narrow slots are cached.  A large
+  call spreads over threads when the BLAS leaves CPUs idle, each thread
+  walking one range of a slot's sign vectors, with the same norms to the
+  bit.
 * The weak-(1) norm on l_inf^N is the max coordinate-wise absolute column
   sum (the extreme points of the dual l1 ball are coordinate functionals).
 
@@ -33,6 +36,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,6 +222,15 @@ def khinchine_check(a, p: float) -> VerificationReport:
 _SIGN_BLOCK = 2**16
 _CHUNK_VALUES = 2**17
 
+# A call takes one more thread per _PARALLEL_VALUES vertex values (see _workers),
+# and a call with middle slots takes threads only if each middle combination
+# meets _LEAF_VALUES vertex values or more: below that, the walk's Python step
+# per combination holds the GIL for most of the call, and a second thread only
+# waits for it.  With a one-thread BLAS on 2 CPUs, two threads saved 12-30 % of
+# a call from 2^21 values on, and broke even at 2^11 values per combination.
+_PARALLEL_VALUES = 2**20
+_LEAF_VALUES = 2**12
+
 
 def _sign_vectors(n: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows start..stop-1 of the 2^(n-1) length-n sign vectors whose first sign
@@ -238,25 +252,28 @@ def _cached_sign_vectors(n: int) -> np.ndarray:
     return table
 
 
-def _sign_blocks(n: int, block: int):
-    """Yield the rows of :func:`_sign_vectors` in order, ``block`` at a time: slices of the
-    cached table when the whole table fits one sign block; else each block is built into
-    one buffer, over the block before it, so a wide slot holds one block at a time."""
+def _sign_blocks(n: int, block: int, start: int = 0, stop: int | None = None):
+    """Yield rows start..stop-1 of :func:`_sign_vectors` in order, ``block`` at a time (all
+    rows by default): slices of the cached table when the whole table fits one sign block;
+    else each block is built into one buffer, over the block before it, so a wide slot
+    holds one block at a time."""
     total = 2 ** (n - 1)
+    stop = total if stop is None else min(stop, total)
     if total <= _SIGN_BLOCK:
         table = _cached_sign_vectors(n)
-        for start in range(0, total, block):
-            yield table[start : start + block]
+        for at in range(start, stop, block):
+            yield table[at : min(at + block, stop)]
         return
-    buffer = np.empty((min(block, total), n))
-    for start in range(0, total, block):
-        yield _sign_vectors(n, start, start + block, buffer)
+    buffer = np.empty((min(block, stop - start), n))
+    for at in range(start, stop, block):
+        yield _sign_vectors(n, at, min(at + block, stop), buffer)
 
 
-def _middle_leaves(w: np.ndarray, widths: tuple[int, ...]):
+def _middle_leaves(w: np.ndarray, widths: tuple[int, ...], start: int = 0, stop: int | None = None):
     """Yield w with axis 1 contracted by a sign vector of width widths[0], the next
     axis 1 by one of width widths[1], and so on: every combination, depth first,
-    each slot's sign vectors read a sign block at a time.
+    each slot's sign vectors read a sign block at a time, the first slot's only
+    from rows start..stop-1.
 
     Each leaf is its combination's chain of ``np.tensordot(w, eps, axes=([1], [0]))``
     to the bit: a prefix's transpose, the operand ``tensordot`` builds, is taken
@@ -268,7 +285,7 @@ def _middle_leaves(w: np.ndarray, widths: tuple[int, ...]):
         return
     at = np.moveaxis(w, 1, -1).reshape(-1, w.shape[1])
     shape = w.shape[:1] + w.shape[2:]
-    for signs in _sign_blocks(widths[0], _SIGN_BLOCK):
+    for signs in _sign_blocks(widths[0], _SIGN_BLOCK, start, stop):
         for eps in signs:
             yield from _middle_leaves(np.dot(at, eps.reshape(-1, 1)).reshape(shape), widths[1:])
 
@@ -332,6 +349,13 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
       one product per form, as for a lone form.
     * The sign tables of slots that fit one sign block are cached; a wider
       slot's blocks are built in turn into one buffer (:func:`_sign_blocks`).
+    * A large call is walked by :func:`_workers` threads: each takes one
+      contiguous range of the first middle slot's rows, or with no middle
+      slot of the last slot's blocks, and walks it with its own buffers and
+      running norms (:func:`_walk`); the caller takes the first range and
+      the maximum over all (:func:`_fan_out`).  Every product is one the
+      serial walk makes and a maximum is exact in any order, so the norms do
+      not depend on the thread count; one worker runs inline, with no thread.
     """
     dims = stack.shape[1:]
     _check_enumerable(dims)
@@ -340,14 +364,46 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
     k, n1, nm = *stack.shape[:2], dims[-1]
     rows = stack.reshape(k * n1, *dims[1:])
     middle = dims[1:-1]
-    combinations = math.prod(2 ** (n - 1) for n in middle)
     block = min(_SIGN_BLOCK, max(1, _CHUNK_VALUES // (k * n1)))
+    vertices = 2 ** (nm - 1)
     # numpy makes a 1 x N_m form a gemv, and OpenBLAS rounds a gemm over many
     # forms' rows differently at some partial block widths (above 192, not a
     # multiple of 8), so only a last slot that fits one block gets one gemm
-    one_gemm = n1 > 1 and block >= 2 ** (nm - 1)
+    one_gemm = n1 > 1 and block >= vertices
+    # a worker walks a range of the first middle slot's rows, else of the last slot's blocks
+    units = 2 ** (middle[0] - 1) if middle else -(-vertices // block)
+    leaf_values = k * n1 * vertices  # the vertex values of one middle combination
+    # the call's vertex values: leaf_values times 2^(N_j - 1) per middle slot
+    workers = _workers(units, leaf_values * 2 ** (sum(middle) - len(middle)), leaf_values)
+    if workers == 1:
+        return _walk(rows, k, n1, middle, block, one_gemm, 0, units, _NEVER_SET)
+    for n in dims[1:]:
+        if 2 ** (n - 1) <= _SIGN_BLOCK:
+            _cached_sign_vectors(n)  # built once, before the workers read it
+    return _fan_out(functools.partial(_walk, rows, k, n1, middle, block, one_gemm), units, workers)
+
+
+def _walk(
+    rows: np.ndarray,
+    k: int,
+    n1: int,
+    middle: tuple[int, ...],
+    block: int,
+    one_gemm: bool,
+    lo: int,
+    hi: int,
+    stop: threading.Event,
+) -> np.ndarray:
+    """The running norms of :func:`_sup_norms_real` over rows lo..hi-1 of the first
+    middle slot's sign table, or with no middle slot over the last slot's blocks
+    lo..hi-1; ``rows`` is the stack seen as one form of K x N_1 rows.  Returns
+    early, with the norms so far, once ``stop`` is set."""
+    nm = rows.shape[-1]
     best = np.zeros(k)
-    for last in _sign_blocks(nm, block):
+    blocks = _sign_blocks(nm, block) if middle else _sign_blocks(nm, block, lo * block, hi * block)
+    for last in blocks:
+        if stop.is_set():
+            break
         if len(last) == 1:
             # numpy sums a lone column pairwise; with the vertex twice, slot 1
             # is summed row by row, as in every wider block
@@ -356,14 +412,18 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
         if not middle:
             product = np.matmul(rows if one_gemm else rows.reshape(k, n1, nm), last.T)
             sums = np.add.reduce(np.abs(product, out=product).reshape(k, n1, width), axis=1)
-            np.maximum(best, sums.max(axis=1), out=best)
+            np.maximum(best, np.maximum.reduce(sums, axis=1), out=best)
             continue
+        # the middle combinations that extend rows lo..hi-1 of the first middle slot
+        combinations = 2 ** (sum(middle[1:]) - len(middle[1:])) * (hi - lo)
         chunk = min(combinations, max(1, _CHUNK_VALUES // (k * n1 * width)))
         leaves = np.empty((chunk, k * n1, nm))
         product = np.empty((chunk * k, n1, width))
         sums = np.empty((chunk * k, width))
-        walk = _middle_leaves(rows, middle)
+        walk = _middle_leaves(rows, middle, lo, hi)
         for start in range(0, combinations, chunk):
+            if stop.is_set():
+                break
             count = min(chunk, combinations - start)
             for i, leaf in zip(range(count), walk):
                 leaves[i] = leaf
@@ -375,8 +435,76 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
                 np.matmul(matrices, last.T, out=values)
             np.abs(values, out=values)
             np.add.reduce(values, axis=1, out=sums[:forms])
-            np.maximum(best, sums[:forms].reshape(count, k, width).max(axis=(0, 2)), out=best)
+            np.maximum(best, np.maximum.reduce(sums[:forms].reshape(count, k, width), axis=(0, 2)), out=best)
     return best
+
+
+def _workers(units: int, values: int, leaf_values: int) -> int:
+    """The threads one oracle call of ``values`` vertex values spreads over, splitting
+    ``units`` rows: at most one per _PARALLEL_VALUES values and one per row, and no
+    more than the usable CPUs over the BLAS's own threads; one if a middle
+    combination has fewer than _LEAF_VALUES vertex values (``leaf_values``).
+
+    The BLAS threads are read as OpenBLAS reads them: OPENBLAS_NUM_THREADS, then
+    GOTO_NUM_THREADS, then OMP_NUM_THREADS, a value that is not a positive integer
+    counting as unset; with none set the BLAS takes one thread per usable CPU, and
+    every call stays in one thread, since threads over a threaded BLAS run slower.
+    """
+    workers = min(units, values // _PARALLEL_VALUES)
+    if workers < 2 or leaf_values < _LEAF_VALUES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(workers, cpus // blas))
+
+
+_NEVER_SET = threading.Event()  # the stop signal of a walk that runs inline, in one worker
+
+
+def _fan_out(task, units: int, workers: int) -> np.ndarray:
+    """The elementwise maximum of ``task(lo, hi, stop)`` over ``workers`` contiguous
+    ranges lo..hi-1 that cover rows 0..units-1, the first walked by the caller and
+    the others by one thread each.
+
+    If a task raises, or the caller is interrupted, ``stop`` is set and every
+    task returns at its next chunk; the error is raised once every thread is
+    joined, so no thread outlives the call.
+    """
+    bounds = [units * i // workers for i in range(workers + 1)]
+    stop = threading.Event()
+    results, errors, threads = [None] * workers, [], []
+
+    def run(i: int) -> None:
+        try:
+            results[i] = task(bounds[i], bounds[i + 1], stop)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        results[0] = task(bounds[0], bounds[1], stop)
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        stop.set()
+        for thread in threads:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    return np.maximum.reduce(results)
 
 
 def _contract_except(coeffs: np.ndarray, zs: list[np.ndarray], k: int) -> np.ndarray:
@@ -448,7 +576,7 @@ def _lp_norms(rows, p: float) -> list[float]:
     """(sum |v|^p)^(1/p) of each of rows[0], rows[1], ..., summed flat; a sum that leaves the
     normal double range is taken over |v| / max|v| instead, if that max is positive and finite."""
     rows = np.abs(rows).reshape(len(rows), -1)
-    norms = np.sum(rows**p, axis=1).tolist()
+    norms = np.add.reduce(rows**p, axis=1).tolist()  # np.sum's reduce, without its Python wrapper
     for i, total in enumerate(norms):
         if _TINY <= total < math.inf or not 0.0 < (top := rows[i].max(initial=0.0)) < math.inf:
             norms[i] = total ** (1.0 / p)
@@ -600,7 +728,7 @@ _STEPS = (1.0, 0.1, 0.01)  # the climb's continuous step sizes
 def _search_ratios(stack: np.ndarray, field: Field, seed: int, restarts: int = 4) -> list[float]:
     """The ratios of the forms stack[0], stack[1], ..., each to the bit its ratio alone; a
     complex norm takes ``restarts`` phase-ascent restarts, so 16 and seed 0 give bh_check's."""
-    if not np.all(np.isfinite(stack)):
+    if not np.isfinite(stack).all():
         raise DomainError("form coefficients must be finite")
     m = stack.ndim - 1
     lhs = _lp_norms(stack, 2.0 * m / (m + 1.0))

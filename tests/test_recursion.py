@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -450,6 +451,16 @@ class TestTableAndDispatch:
     def test_unknown_strategy(self):
         with pytest.raises(DomainError, match="unknown strategy"):
             compute_constant(2, Field.REAL, "halving")
+
+    @pytest.mark.parametrize("field", ["real", "complex", None, Strategy.BEST], ids=repr)
+    @pytest.mark.parametrize("strategy", [Strategy.BEST, Strategy.HALVING, Strategy.ONE_STEP])
+    def test_unknown_field(self, field, strategy):
+        # a field that is not a Field is named, whatever the strategy; "real" once
+        # reached an empty min() under BEST and was called unstated under HALVING
+        with pytest.raises(DomainError, match=f"unknown field {re.escape(repr(field))}"):
+            compute_constant(3, field, strategy)
+        with pytest.raises(DomainError, match=f"unknown field {re.escape(repr(field))}"):
+            constants_columns(field, (strategy,), 5)
 
     def test_dispatch_covers_baselines(self):
         rec = compute_constant(5, Field.REAL, Strategy.BASELINE_KAIJSER)

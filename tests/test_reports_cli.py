@@ -230,6 +230,16 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "spans 2^4000 > 2^24 sign vectors" in result.output
 
+    def test_shape_beyond_memory_exits_2(self):
+        # the guard counts slots 2..m only, so an m = 1 search takes any width;
+        # its coordinates do not fit in memory, which is a usage error, not a
+        # failed check (exit 1).  A list of 10^18 coordinates needs more bytes
+        # than any address space, so the allocation fails at once on every host
+        result = CliRunner().invoke(main, ["search", "--m", "1", "--dim", str(10**18), "--budget", "1"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "the requested shape does not fit in memory" in result.output
+
     def test_verify_failure_exits_one(self, monkeypatch):
         failing = VerificationReport("blei", "forced", 2.0, 1.0, 2.0, None, False, 7, 1)
         monkeypatch.setattr(verify, "blei_suite", lambda *a, **k: [failing])
