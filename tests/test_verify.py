@@ -18,6 +18,7 @@ from bhc.core import DomainError, Field, SizeLimitError, digest_bytes
 from bhc import verify
 from bhc.exponents import blei_f, blei_w
 from bhc.recursion import Strategy, compute_constant
+from bhc.reports import ReportDocument, RunConfig, report_row
 from bhc.verify import (
     MultilinearForm,
     VectorFamily,
@@ -96,6 +97,51 @@ def _one_coordinate_climb(m, n, field, budget, seed):
             best_ratio = current
             best_tensor = arr.copy()
     return evals, best_tensor
+
+
+def _tensordot_ascent(form, restarts, seed):
+    """sup_norm_complex_lb as it was before its contractions were taken apart: every
+    slot but k contracted by a fresh ``np.tensordot`` chain, slot 1 again for every
+    iteration's first update."""
+
+    def contract_except(coeffs, zs, k):
+        w = coeffs
+        for j in reversed(range(coeffs.ndim)):
+            if j != k:
+                w = np.tensordot(w, zs[j], axes=([j], [0]))
+        return w
+
+    rng = np.random.default_rng(seed)
+    dims = form.dims
+    best = 0.0
+    for restart in range(max(1, restarts)):
+        if restart == 0:
+            zs = [np.ones(n, dtype=np.complex128) for n in dims]
+        else:
+            zs = [np.exp(2j * np.pi * rng.random(n)) for n in dims]
+        current = 0.0
+        for _ in range(200):
+            for k in range(form.m):
+                partial = contract_except(form.coeffs, zs, k)
+                total = np.dot(partial, zs[k])
+                for i in range(dims[k]):
+                    v = partial[i]
+                    if v == 0:
+                        continue
+                    b = total - v * zs[k][i]
+                    z_new = np.conj(v) / abs(v)
+                    if b != 0:
+                        z_new *= b / abs(b)
+                    total = b + v * z_new
+                    zs[k][i] = z_new
+            value = float(abs(np.dot(slot1 := contract_except(form.coeffs, zs, 0), zs[0])))
+            if value <= current * (1.0 + 1e-12) + 1e-300:
+                current = max(current, value)
+                break
+            current = value
+        collapsed = float(np.abs(slot1).sum())
+        best = max(best, current, collapsed)
+    return best
 
 
 class TestRademacherMoment:
@@ -581,6 +627,67 @@ class TestSupNormComplexLb:
             form = random_form((2, 2), Field.COMPLEX, rng)
             assert type(sup_norm_complex_lb(form, restarts=2, seed=0)) is float
 
+    @pytest.mark.parametrize(
+        "dims",
+        [(2, 2), (3, 3), (2, 2, 2), (4, 4), (3, 2, 4), (5,), (1, 4), (4, 1), (2, 3, 2, 2), (6, 6)],
+        ids=str,
+    )
+    def test_the_tensordot_ascent_to_the_bit(self, dims):
+        # every contraction is the gemv tensordot makes, on the same operands; a
+        # transposed operand is a view or a copy, and width-1 slots make either
+        rng = np.random.default_rng(54)
+        coefficient_sets = [np.zeros(dims, dtype=complex)]
+        for _ in range(3):
+            coefficient_sets.append(verify._draw(dims, Field.COMPLEX, rng))
+        coefficient_sets[-1][rng.random(dims) < 0.4] = 0.0  # partly zeroed
+        for coeffs in coefficient_sets:
+            form = MultilinearForm(coeffs, Field.COMPLEX)
+            for restarts, seed in ((4, 0), (16, 7), (1, 3)):
+                expected = _tensordot_ascent(form, restarts, seed)
+                assert sup_norm_complex_lb(form, restarts, seed).hex() == expected.hex()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)], ids=str)
+    def test_an_iteration_contracts_each_slot_once(self, dims, monkeypatch):
+        # a restart's first iteration contracts slot 1, the others and slot 1 for its
+        # check (m + 1); every later iteration takes the check's slot 1 (m)
+        contracted = []
+
+        def counted(chains, cols, k):
+            contracted.append(str(k))
+            return contract(chains, cols, k)
+
+        contract = verify._contract
+        monkeypatch.setattr(verify, "_contract", counted)
+        form = random_form(dims, Field.COMPLEX, np.random.default_rng(55))
+        sup_norm_complex_lb(form, restarts=4, seed=0)
+        later = "".join(map(str, range(1, len(dims)))) + "0"  # one later iteration
+        restarts = re.findall(f"0((?:{later})+)", "".join(contracted))
+        assert len(restarts) == 4 and "".join(f"0{r}" for r in restarts) == "".join(contracted)
+        # every restart runs later iterations, so both counts are seen
+        assert all(len(r) // len(dims) >= 2 for r in restarts)
+
+    def test_bound_is_scale_free(self):
+        # a modulus outside [2^-512, 2^512] runs the ascent on the form scaled by a power
+        # of two into [0.5, 1): no subnormal |v| overflows a reciprocal, and the stop
+        # rule's absolute 1e-300 does not end the ascent early
+        coeffs = verify._draw((3, 3), Field.COMPLEX, np.random.default_rng(56))
+        assert 0.5 <= np.abs(coeffs).max() < 1.0
+        base = sup_norm_complex_lb(MultilinearForm(coeffs, Field.COMPLEX))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for exponent in (-900, 600):
+                scaled = MultilinearForm(coeffs * 2.0**exponent, Field.COMPLEX)
+                assert sup_norm_complex_lb(scaled) == base * 2.0**exponent
+            for scale in (1e-310, 1e-300):
+                scaled = MultilinearForm(coeffs * scale, Field.COMPLEX)
+                assert sup_norm_complex_lb(scaled) == pytest.approx(base * scale, rel=1e-9)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_are_refused(self, restarts):
+        form = random_form((2, 2), Field.COMPLEX, np.random.default_rng(57))
+        with pytest.raises(DomainError, match=f"restarts={restarts}"):
+            sup_norm_complex_lb(form, restarts=restarts)
+
 
 class TestMixedNorm:
     def test_littlewood(self):
@@ -615,6 +722,16 @@ class TestMixedNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert lp_norm([1e300, 1e300], 1.5) == 1e300 * 2 ** (2 / 3)
+
+    @pytest.mark.parametrize("scale", [1e307, 1e-300], ids=["1e307", "1e-300"])
+    def test_rescaled_sums_give_python_floats(self, scale):
+        # the sum over |v| / max|v| is scaled back by a float, not a numpy scalar
+        form = MultilinearForm(scale * EXTREME_BASE, Field.REAL)
+        report = bh_check(form, compute_constant(2, Field.REAL, Strategy.BEST))
+        for value in (lp_norm(form.coeffs, 1.5), mixed_norm_lhs(form), report.lhs, report.ratio):
+            assert type(value) is float
+        table = ReportDocument(RunConfig("verify", format="csv"), [report_row(report, 0)]).to_csv()
+        assert "np." not in table
 
     def test_lp_norm_monotone_in_exponent(self):
         rng = np.random.default_rng(61)
@@ -877,8 +994,11 @@ class TestExtremalSearch:
             (3, 3, Field.REAL, 6000, "0x1.16b1563f65b64p+0", "679a28597618"),
             (2, 5, Field.REAL, 8000, "0x1.16c19cdb26033p+0", "c5d4700fa36f"),
             (2, 2, Field.COMPLEX, 20, "0x1.ec58f96124a39p-1", "596fa3f30da4"),
+            # m = 3 contracts a middle slot and copies a transposed operand; (3,3) makes 3-wide gemvs
+            (3, 2, Field.COMPLEX, 40, "0x1.81f64cec495afp-1", "d04b2be3e5b2"),
+            (2, 3, Field.COMPLEX, 40, "0x1.90cddfe781140p-1", "cb7be55abc43"),
         ],
-        ids=["real-3x3x3", "real-5x5", "complex-2x2"],
+        ids=["real-3x3x3", "real-5x5", "complex-2x2", "complex-2x2x2", "complex-3x3"],
     )
     def test_trajectory_pinned(self, m, n, field, budget, ratio_hex, witness):
         # every tried ratio steers the climb, so one bit of drift in any
