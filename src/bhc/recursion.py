@@ -23,8 +23,11 @@ shift.  Everything else follows from the partition: the children m_i are
 the other parts, each consumes A_{s_i}^(m - m_i), and its weight is
 f_i = m_i/m: at q = 2 the Blei split is in closed form, w = 2m/(m+1) and
 f_i = m_i/m, so no Blei formula is evaluated.  One float update and one
-exact update read an entry; the ladders derive their levels through both,
-and ``replay_trace`` recomputes a trace through the float one.
+exact update read an entry, with the weights taken from m and the children,
+not from the split; the ladders derive their levels through both, and
+``replay_trace`` recomputes a trace through the float one.  No level's value
+or closed form reads its split: ``TraceStep.split`` is built from the rule
+and m when first read, which only ``explain`` does.
 
 While the consumed Khinchine constants stay on their dyadic branch, each
 constant is exactly of the form 2^a * (2/sqrt(pi))^b * K_G^c with rational
@@ -44,6 +47,9 @@ graph serves both: the ladder derives the levels it yields, passing over
 those already derived, and a record's trace, built when first read, is the
 steps it yields.  So ``constants_columns`` holds and costs O(M) steps for
 m = 2..M, and ``compute_constant`` derives only the levels that m rests on.
+The ladders of one call share one table of the Khinchine constants
+A_{2c/(c+1)} by part size c, so each is computed once per call; like the
+ladders, the table is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from types import MappingProxyType
 
 from .core import DomainError, Field
 from .exponents import ExponentSplit, blei_f  # blei_f unused; perfbench/tests pins this binding
-from .special import Branch, khinchine_a
+from .special import Branch, HaagerupConstants, khinchine_a
 
 __all__ = [
     "K_G_UPPER",
@@ -152,9 +158,14 @@ class TraceStep:
     rule: str  # "base" | "baseline" | a key of ``_RULES``
     m: int
     children: tuple[int, ...]
-    split: ExponentSplit | None
     khinchine: tuple[KhinchineUse, ...]
     value: float
+
+    @functools.cached_property
+    def split(self) -> ExponentSplit | None:
+        """The Blei split of a rule step, built when first read; None for a base or baseline."""
+        rule = _RULES.get(self.rule)
+        return None if rule is None else _split(self.m, rule.parts(self.m))
 
 
 @dataclass(frozen=True)
@@ -241,8 +252,11 @@ class _Rule:
     f_i = m_i/k.  With ``folded`` the first part is no child: its factor
     is folded into ``shift``.  The children c_i are the other parts, equal
     parts merged, each with its part's s_i and weight f_i (merged weights
-    add up).  The float update takes ``float_weights`` where set, float(f_i)
-    otherwise.
+    add up).  The weights come from k and the children alone, not from the
+    split, which only ``explain`` reads: f_i = n_i/k with n_i the child's
+    parts summed.  The exact update takes them as ``Fraction``s; the float
+    update takes ``float_weights`` where set and n_i / k otherwise, the
+    correctly rounded quotient, so float(f_i) bit for bit.
     """
 
     parts: Callable[[int], tuple[int, int]]
@@ -254,11 +268,15 @@ class _Rule:
         parts = self.parts(k)
         return tuple(dict.fromkeys(parts[1:] if self.folded else parts))
 
-    def weights(self, split: ExponentSplit, children: Sequence) -> tuple[Fraction, ...]:
-        """The exact f_i of the children; reads no more of the split than f1 and f2."""
-        if self.folded:
-            return (split.f2,)
-        return (split.f1, split.f2) if len(children) == 2 else (split.f1 + split.f2,)
+    def numerators(self, children: Sequence[int]) -> tuple[int, ...]:
+        """The n_i of the children's weights f_i = n_i/k: c_i, or 2c_i = k for merged equal parts."""
+        if self.folded or len(children) == 2:
+            return tuple(children)
+        return tuple(2 * c for c in children)
+
+    def weights(self, k: int, children: Sequence[int]) -> tuple[Fraction, ...]:
+        """The exact f_i = c_i/k of the children, or 1 for merged equal parts."""
+        return tuple(Fraction(n, k) for n in self.numerators(children))
 
 
 _RULES = {
@@ -283,32 +301,34 @@ _RULES = {
 def _float_update(
     rule: _Rule,
     k: int,
-    weights: Sequence[Fraction],
-    children: Sequence[float],
+    children: Sequence[int],
+    values: Sequence[float],
     uses: Sequence[KhinchineUse],
 ) -> float:
-    """The float value of level k from its children's values, weights and constants."""
+    """The float value of level k from its children's levels and values and its constants."""
     if rule.float_weights:
         weights = rule.float_weights(k)
+    else:
+        weights = [n / k for n in rule.numerators(children)]
     return 2.0 ** float(rule.shift(k)) * math.prod(
-        (child / use.value ** float(use.power)) ** float(w)
-        for child, use, w in zip(children, uses, weights)
+        (value / use.value ** float(use.power)) ** w
+        for value, use, w in zip(values, uses, weights)
     )
 
 
 def _exact_update(
     rule: _Rule,
     k: int,
-    weights: Sequence[Fraction],
-    children: Sequence[PowerProduct | None],
+    children: Sequence[int],
+    closed: Sequence[PowerProduct | None],
     uses: Sequence[KhinchineUse],
 ) -> PowerProduct | None:
     """The closed form of level k, if every child has one and every constant is dyadic."""
-    if None in children or any(use.exponent is None for use in uses):
+    if None in closed or any(use.exponent is None for use in uses):
         return None
     terms = (
-        child.shift_two(-use.power * use.exponent).scale(w)
-        for child, use, w in zip(children, uses, weights)
+        form.shift_two(-use.power * use.exponent).scale(w)
+        for form, use, w in zip(closed, uses, rule.weights(k, children))
     )
     return functools.reduce(PowerProduct.combine, terms).shift_two(rule.shift(k))
 
@@ -381,10 +401,13 @@ class _Ladder:
 
     Level k is one :class:`TraceStep` and its exact closed form.  A ladder
     lives for one call, and every record the call returns reads its value,
-    closed form and trace from these shared levels.
+    closed form and trace from these shared levels.  ``khinchine`` maps a
+    part size c to A_{2c/(c+1)}; the call's ladders share it.
     """
 
-    def __init__(self, field: Field, strategy: Strategy) -> None:
+    def __init__(
+        self, field: Field, strategy: Strategy, khinchine: Callable[[int], HaagerupConstants]
+    ) -> None:
         plan = _STRATEGIES.get(strategy)
         if plan is None:
             raise DomainError(f"unknown strategy {strategy!r}")
@@ -392,11 +415,12 @@ class _Ladder:
             stated = " and ".join(f.value for f in plan.bases)
             raise DomainError(f"the {strategy.value} strategy is stated for {stated} scalars only")
         self.field, self.strategy, self.rules = field, strategy, plan.rules
+        self.khinchine = khinchine
         self.steps: dict[int, TraceStep] = {}
         self.closed: dict[int, PowerProduct | None] = {}
         self.view = MappingProxyType(self.steps)
         for k, (value, closed) in plan.bases[field].items():
-            self.steps[k] = TraceStep("base", k, (), None, (), value)
+            self.steps[k] = TraceStep("base", k, (), (), value)
             self.closed[k] = closed
 
     def children(self, k: int) -> tuple[int, ...]:
@@ -405,26 +429,24 @@ class _Ladder:
     def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
         if not self.rules:
             value, closed = _classical(self.strategy, k)
-            return TraceStep("baseline", k, (), None, (), value), closed
+            return TraceStep("baseline", k, (), (), value), closed
         name = self.rules[k % 2]
         rule = _RULES[name]
-        parts = rule.parts(k)
-        split = _split(k, parts)
         children = rule.children(k)
         uses = []
         for c in children:
-            a = khinchine_a(split.s1 if c == parts[0] else split.s2)  # the child's part's s_i
+            a = self.khinchine(c)  # at the child's part's s_i = 2c/(c+1)
             uses.append(KhinchineUse(a.p, a.a_p, Fraction(k - c), a.branch, a.a_exponent))
-        weights = rule.weights(split, children)
-        value = _float_update(rule, k, weights, [self.steps[c].value for c in children], uses)
-        closed = _exact_update(rule, k, weights, [self.closed[c] for c in children], uses)
-        return TraceStep(name, k, children, split, tuple(uses), value), closed
+        value = _float_update(rule, k, children, [self.steps[c].value for c in children], uses)
+        closed = _exact_update(rule, k, children, [self.closed[c] for c in children], uses)
+        return TraceStep(name, k, children, tuple(uses), value), closed
 
     def value(self, m: int) -> float:
         """Value of level m, deriving first the levels it rests on."""
-        _require_level(m)
-        for k in _post_order(m, self.children, self.steps):
-            self.steps[k], self.closed[k] = self.derive(k)
+        _require_level(m)  # ahead of the lookup: 2.0 and 3.0 hash like levels 2 and 3
+        if m not in self.steps:
+            for k in _post_order(m, self.children, self.steps):
+                self.steps[k], self.closed[k] = self.derive(k)
         return self.steps[m].value
 
     def record(self, m: int) -> ConstantRecord:
@@ -448,10 +470,15 @@ _CANDIDATES = (
 
 
 def _reader(field: Field) -> Callable[[Strategy, int], ConstantRecord]:
-    """A (strategy, m) -> record function whose reads share one ladder per strategy."""
+    """A (strategy, m) -> record function whose reads share one ladder per strategy.
+
+    The ladders share one table of the Khinchine constants at 2c/(c+1), which
+    lives, as they do, for this call only.
+    """
     if not isinstance(field, Field):
         raise DomainError(f"unknown field {field!r}")
-    ladder = functools.cache(functools.partial(_Ladder, field))
+    khinchine = functools.cache(lambda c: khinchine_a(Fraction(2 * c, c + 1)))
+    ladder = functools.cache(functools.partial(_Ladder, field, khinchine=khinchine))
     candidates = [ladder(s) for s in _CANDIDATES if is_stated_for(field, s)]
 
     def read(strategy: Strategy, m: int) -> ConstantRecord:
@@ -510,9 +537,7 @@ def replay_trace(trace: tuple[TraceStep, ...]) -> float:
             result = step.value
         elif step.rule in _RULES:
             children = [values[c] for c in step.children]
-            rule = _RULES[step.rule]
-            weights = rule.weights(step.split, children)
-            result = _float_update(rule, step.m, weights, children, step.khinchine)
+            result = _float_update(_RULES[step.rule], step.m, step.children, children, step.khinchine)
         else:
             raise ValueError(f"unknown trace rule {step.rule!r}")
         values[step.m] = result

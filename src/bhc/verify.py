@@ -547,6 +547,13 @@ def _contract(chains: list[tuple[np.ndarray, list[tuple]]], cols: list[np.ndarra
     return w
 
 
+def _subnormal_phase(x):
+    """x / |x| for a complex scalar x of subnormal modulus.  numpy divides by |x| through
+    its reciprocal, which overflows there, so x is first scaled up by 2^600, exactly."""
+    x = x * 2.0**600
+    return x / abs(x)
+
+
 def sup_norm_complex_lb(form: MultilinearForm, restarts: int = 16, seed: int = 0) -> float:
     """Seeded lower bound on the operator norm of a complex form.
 
@@ -562,7 +569,9 @@ def sup_norm_complex_lb(form: MultilinearForm, restarts: int = 16, seed: int = 0
     check's slot-1 contraction serves that update too.  A form whose largest
     coefficient modulus lies outside [2^-512, 2^512] is scaled by a power of
     two to bring it into [0.5, 1), and its bound scaled back, so the bound
-    neither over- nor underflows inside the ascent.
+    neither over- nor underflows inside the ascent.  A partial contraction
+    or coordinate sum of subnormal modulus, which a form inside that range
+    can still have, gets its phase from :func:`_subnormal_phase`.
     """
     if form.field is not Field.COMPLEX:
         raise DomainError("sup_norm_complex_lb handles complex forms only")
@@ -594,9 +603,11 @@ def sup_norm_complex_lb(form: MultilinearForm, restarts: int = 16, seed: int = 0
                     if v == 0:
                         continue
                     b = total - v * zs[k][i]
-                    z_new = np.conj(v) / abs(v)
+                    r = abs(v)
+                    z_new = np.conj(v) / r if r >= _TINY else _subnormal_phase(np.conj(v))
                     if b != 0:
-                        z_new *= b / abs(b)
+                        r = abs(b)
+                        z_new *= b / r if r >= _TINY else _subnormal_phase(b)
                     total = b + v * z_new
                     zs[k][i] = z_new
             value = float(abs(np.dot(slot1 := _contract(chains, cols, 0), zs[0])))

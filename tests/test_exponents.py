@@ -192,7 +192,7 @@ class TestSplits:
             unfolded = parts[1:] if _RULES[rule].folded else parts
             children = _RULES[rule].children(k)
             assert children == tuple(sorted(set(unfolded)))
-            weights = _RULES[rule].weights(self.split(rule, k), children)
+            weights = _RULES[rule].weights(k, children)
             assert weights == tuple(F(unfolded.count(c) * c, k) for c in children)
 
     @pytest.mark.parametrize("parts", [(0, 1), (1, 0), (-1, 3)], ids=["0+1", "1+0", "-1+3"])

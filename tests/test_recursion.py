@@ -72,10 +72,12 @@ class TestBases:
 
     @pytest.mark.parametrize("field, strategy", STATED)
     def test_domain(self, field, strategy):
-        with pytest.raises(DomainError):
-            compute_constant(1, field, strategy)
-        with pytest.raises(DomainError):
-            compute_constant(0, field, strategy)
+        # the level is checked before a ladder looks it up: 2.0 and 3.0 hash like
+        # the base levels 2 and 3, which the real halving and two-step ladders
+        # hold from the start
+        for m in (1, 0, 2.0, 3.0, True, "2"):
+            with pytest.raises(DomainError, match="must be an integer >= 2"):
+                compute_constant(m, field, strategy)
 
 
 class TestRealOneStep:
@@ -370,6 +372,20 @@ class TestTraces:
         assert len(rec.trace) == steps
         assert replay_trace(rec.trace) == rec.value
 
+    @pytest.mark.parametrize(
+        "m, field, strategy",
+        [(2000, Field.REAL, Strategy.BEST), (1000, Field.COMPLEX, Strategy.HALVING)],
+        ids=["real-best", "complex-halving"],
+    )
+    def test_split_is_built_once_when_read(self, m, field, strategy):
+        trace = compute_constant(m, field, strategy).trace
+        for step in trace:
+            rule = bhc.recursion._RULES.get(step.rule)
+            split = step.split
+            assert split == (None if rule is None else bhc.recursion._split(step.m, rule.parts(step.m)))
+            assert step.split is split
+        assert sum(step.split is not None for step in trace) > 1
+
     def test_trace_is_walked_once(self):
         rec = compute_constant(23, Field.REAL, Strategy.HALVING)
         assert rec.trace is rec.trace
@@ -523,6 +539,31 @@ class TestTableCost:
         cfg = RunConfig(command="explain", field=Field.REAL, strategy=Strategy.TWO_STEP, m=999)
         doc = run_explain(cfg)
         assert len(doc.rows) == 499  # the two-step chain 999, 997, ..., 5 and the base 3
+
+    def test_tables_build_no_split(self, monkeypatch):
+        # a level's value and closed form need no split; only explain reads one
+        def broken(*args):
+            raise AssertionError("a table built a Blei split")
+
+        monkeypatch.setattr(bhc.recursion, "_split", broken)
+        for field, strategy in STATED:
+            (column,) = constants_columns(field, (strategy,), 300)
+            assert len(column) == 299
+
+    def test_one_khinchine_table_per_call(self, monkeypatch):
+        # the ladders of a call share one table of A_{2c/(c+1)}, and no call
+        # reads the table of another
+        exponents = []
+
+        def counted(p):
+            exponents.append(p)
+            return khinchine_a(p)
+
+        monkeypatch.setattr(bhc.recursion, "khinchine_a", counted)
+        for _ in range(2):
+            exponents.clear()
+            constants_columns(Field.REAL, (Strategy.BEST,), 150)
+            assert len(exponents) == len(set(exponents)) == 148
 
     def test_chain_table_memory_is_linear_in_m_max(self):
         # the records share their ladder's steps; a trace tuple per record

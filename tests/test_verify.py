@@ -682,6 +682,18 @@ class TestSupNormComplexLb:
                 scaled = MultilinearForm(coeffs * scale, Field.COMPLEX)
                 assert sup_norm_complex_lb(scaled) == pytest.approx(base * scale, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "coeffs", [[[1, 1e-310]], [[1e-310, 1]], [[1, 1e-320j]]], ids=["1e-310 last", "1e-310 first", "1e-320j"]
+    )
+    def test_subnormal_partial_contraction(self, coeffs):
+        # the largest modulus is 1, so the form is ascended unscaled, but a partial
+        # contraction or a coordinate sum b has a subnormal modulus, whose reciprocal
+        # overflows; its phase is taken after an exact power-of-two scaling
+        form = MultilinearForm(np.array(coeffs, dtype=complex), Field.COMPLEX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(sup_norm_complex_lb(form) - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_restarts_below_one_are_refused(self, restarts):
         form = random_form((2, 2), Field.COMPLEX, np.random.default_rng(57))
