@@ -7,8 +7,11 @@ Queffelec / Defant-Sevilla-Peris) and three recursions, one-step (level m
 from m-1), two-step (from m-2, real scalars only) and halving (from m/2, or
 from (m-1)/2 and (m+1)/2), the sharpest strategy and the source of the
 reported tables.  Every value is a valid upper bound; ``Strategy.BEST``
-takes the minimum.  ``compute_constant`` gives one level and
-``constants_columns`` the levels 2..M of several strategies.
+takes the minimum of the only ones ever smallest: Kaijser's and Queffelec's
+baselines, which win the ties at halving's bases, and halving, the smallest
+from m = 3 (real) or 7 (complex) and the only one finite past m = 8185.
+``compute_constant`` gives one level and ``constants_columns`` the levels
+2..M of several strategies.
 
 Every recursion takes the same Blei/Khinchine step
 
@@ -20,14 +23,14 @@ each part's own exponent s_i = 2m_i/(m_i+1).  ``_RULES`` holds one entry
 per rule (``one-step``, ``two-step``, ``even-halving``, ``odd-split``): its
 partition of m, whether the first part is folded into the shift a, and the
 shift.  Everything else follows from the partition: the children m_i are
-the other parts, each consumes A_{s_i}^(m - m_i), and its weight is
-f_i = m_i/m: at q = 2 the Blei split is in closed form, w = 2m/(m+1) and
-f_i = m_i/m, so no Blei formula is evaluated.  One float update and one
-exact update read an entry, with the weights taken from m and the children,
-not from the split; the ladders derive their levels through both, and
-``replay_trace`` recomputes a trace through the float one.  No level's value
-or closed form reads its split: ``TraceStep.split`` is built from the rule
-and m when first read, which only ``explain`` does.
+the other parts, each consumes A_{s_i}^(m - m_i), an integer power, and its
+weight is f_i = m_i/m (at q = 2 the Blei split is in closed form, so no
+Blei formula is evaluated).  One float update and one exact update, a
+single expression per exponent, read an entry, with the weights taken from
+m and the children, not from the split; the ladders derive their levels
+through both, and ``replay_trace`` recomputes a trace through the float
+one.  No level's value or closed form reads its split: ``TraceStep.split``
+is built from the rule and m when first read, which only ``explain`` does.
 
 While the consumed Khinchine constants stay on their dyadic branch, each
 constant is exactly of the form 2^a * (2/sqrt(pi))^b * K_G^c with rational
@@ -43,13 +46,14 @@ new strategy needs its ``Strategy`` member and its entry there, no more.
 One ``_Ladder`` reads it and derives each level of a (field, strategy) once
 per call, with its float value, closed form and one :class:`TraceStep`.
 Every record reads these shared levels.  One post-order walk over the level
-graph serves both: the ladder derives the levels it yields, passing over
-those already derived, and a record's trace, built when first read, is the
-steps it yields.  So ``constants_columns`` holds and costs O(M) steps for
-m = 2..M, and ``compute_constant`` derives only the levels that m rests on.
-The ladders of one call share one table of the Khinchine constants
-A_{2c/(c+1)} by part size c, so each is computed once per call; like the
-ladders, the table is dropped when the call returns.
+graph serves both; it takes each level's children once and yields them with
+the level.  The ladder derives the levels it yields from those children,
+passing over those already derived, and a record's trace, built when first
+read, is the steps it yields.  So ``constants_columns`` holds and costs O(M)
+steps for m = 2..M, and ``compute_constant`` derives only the levels that m
+rests on.  The ladders of one call share one table of the Khinchine
+constants A_{2c/(c+1)} by part size c, so each is computed once per call;
+like the ladders, the table is dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -92,10 +96,10 @@ class Strategy(Enum):
     ONE_STEP = "one-step"
     TWO_STEP = "two-step"
     HALVING = "halving"
-    # The smallest of ``_CANDIDATES`` stated for the field.  Each candidate
-    # is a valid upper bound, so the minimum is one as well, and the winning
-    # record is returned unchanged, trace included: the best-of choice is a
-    # feature of this tool, not a sharper theorem.
+    # The smallest of ``_CANDIDATES``, the only strategies that can be the
+    # smallest, stated for the field.  Each is a valid upper bound, so their
+    # minimum is one too; the winning record is returned unchanged, trace
+    # included: the best-of choice is a tool feature, not a sharper theorem.
     BEST = "best"
     BASELINE_ORIGINAL = "baseline-original"
     BASELINE_KAIJSER = "baseline-kaijser"
@@ -130,15 +134,6 @@ class PowerProduct:
             parts.append(f"K_G^({self.kg})")
         return " * ".join(parts) if parts else "1"
 
-    def scale(self, factor: Fraction) -> "PowerProduct":
-        return PowerProduct(self.two * factor, self.tosp * factor, self.kg * factor)
-
-    def shift_two(self, delta: Fraction) -> "PowerProduct":
-        return PowerProduct(self.two + delta, self.tosp, self.kg)
-
-    def combine(self, other: "PowerProduct") -> "PowerProduct":
-        return PowerProduct(self.two + other.two, self.tosp + other.tosp, self.kg + other.kg)
-
 
 @dataclass(frozen=True)
 class KhinchineUse:
@@ -146,7 +141,7 @@ class KhinchineUse:
 
     p: float
     value: float
-    power: Fraction
+    power: int  # k - c: A_p is raised to it in the step of level k from child c
     branch: Branch
     exponent: Fraction | None  # A_p's exact base-2 exponent on the dyadic branch
 
@@ -183,7 +178,7 @@ class ConstantRecord:
     def trace(self) -> tuple[TraceStep, ...]:
         """The steps of level m and of the levels it rests on, children first."""
         steps = self._steps
-        return tuple(steps[k] for k in _post_order(self.m, lambda k: steps[k].children))
+        return tuple(steps[k] for k, _ in _post_order(self.m, lambda k: steps[k].children))
 
     @property
     def dyadic_exponent(self) -> Fraction | None:
@@ -206,20 +201,24 @@ def _require_level(m: int) -> None:
         raise DomainError(f"the level m must be an integer >= 2, got {m!r}")
 
 
-def _post_order(m: int, children: Callable[[int], Sequence[int]], done=()) -> Iterator[int]:
-    """m and the levels it rests on, each once, after its children (low child first).
+def _post_order(
+    m: int, children: Callable[[int], Sequence[int]], done=()
+) -> Iterator[tuple[int, Sequence[int]]]:
+    """m and the levels it rests on, each once with its children, after them (low child first).
 
-    Passes over levels in ``done``; a loop, since a chain descends m levels.
+    ``children`` is called once per level, when the walk expands it.  Passes
+    over levels in ``done``; a loop, since a chain descends m levels.
     """
-    seen, pending = set(), [(m, False)]
+    seen, pending = set(), [(m, None)]
     while pending:
-        k, expanded = pending.pop()
-        if expanded:
-            yield k
+        k, kids = pending.pop()
+        if kids is not None:
+            yield k, kids
         elif k not in seen and k not in done:
             seen.add(k)
-            pending.append((k, True))
-            pending.extend((c, False) for c in reversed(children(k)))
+            kids = children(k)
+            pending.append((k, kids))
+            pending.extend((c, None) for c in reversed(kids))
 
 
 # --------------------------------------------------------------------------
@@ -326,11 +325,13 @@ def _exact_update(
     """The closed form of level k, if every child has one and every constant is dyadic."""
     if None in closed or any(use.exponent is None for use in uses):
         return None
-    terms = (
-        form.shift_two(-use.power * use.exponent).scale(w)
-        for form, use, w in zip(closed, uses, rule.weights(k, children))
+    weights = rule.weights(k, children)
+    return PowerProduct(
+        rule.shift(k)
+        + sum(w * (form.two - use.power * use.exponent) for form, use, w in zip(closed, uses, weights)),
+        sum(w * form.tosp for form, w in zip(closed, weights)),
+        sum(w * form.kg for form, w in zip(closed, weights)),
     )
-    return functools.reduce(PowerProduct.combine, terms).shift_two(rule.shift(k))
 
 
 # --------------------------------------------------------------------------
@@ -426,17 +427,16 @@ class _Ladder:
     def children(self, k: int) -> tuple[int, ...]:
         return _RULES[self.rules[k % 2]].children(k) if self.rules else ()
 
-    def derive(self, k: int) -> tuple[TraceStep, PowerProduct | None]:
+    def derive(self, k: int, children: Sequence[int]) -> tuple[TraceStep, PowerProduct | None]:
         if not self.rules:
             value, closed = _classical(self.strategy, k)
             return TraceStep("baseline", k, (), (), value), closed
         name = self.rules[k % 2]
         rule = _RULES[name]
-        children = rule.children(k)
         uses = []
         for c in children:
             a = self.khinchine(c)  # at the child's part's s_i = 2c/(c+1)
-            uses.append(KhinchineUse(a.p, a.a_p, Fraction(k - c), a.branch, a.a_exponent))
+            uses.append(KhinchineUse(a.p, a.a_p, k - c, a.branch, a.a_exponent))
         value = _float_update(rule, k, children, [self.steps[c].value for c in children], uses)
         closed = _exact_update(rule, k, children, [self.closed[c] for c in children], uses)
         return TraceStep(name, k, children, tuple(uses), value), closed
@@ -445,8 +445,8 @@ class _Ladder:
         """Value of level m, deriving first the levels it rests on."""
         _require_level(m)  # ahead of the lookup: 2.0 and 3.0 hash like levels 2 and 3
         if m not in self.steps:
-            for k in _post_order(m, self.children, self.steps):
-                self.steps[k], self.closed[k] = self.derive(k)
+            for k, children in _post_order(m, self.children, self.steps):
+                self.steps[k], self.closed[k] = self.derive(k, children)
         return self.steps[m].value
 
     def record(self, m: int) -> ConstantRecord:
@@ -460,13 +460,12 @@ class _Ladder:
 # Single levels, best-of and tables
 # --------------------------------------------------------------------------
 
-# The candidates of ``BEST``, each where it is stated.  Ties keep the
-# earliest, so equal-valued baselines win over the strategies that merely
-# reproduce them.  A candidate beyond the double range never wins.
-_CANDIDATES = (
-    Strategy.BASELINE_ORIGINAL, Strategy.BASELINE_KAIJSER, Strategy.BASELINE_QUEFFELEC_DS,
-    Strategy.HALVING, Strategy.TWO_STEP, Strategy.ONE_STEP,
-)
+# The candidates of ``BEST``, each where it is stated: the only strategies
+# ever smallest.  Ties keep the earliest, so the baselines win where halving's
+# bases reproduce them (real m = 2, complex m = 2..6).  The original baseline,
+# one-step and two-step are never below these and overflow by m = 8186, where a
+# chain stays inf and a closed form grows with m; halving stays finite.
+_CANDIDATES = (Strategy.BASELINE_KAIJSER, Strategy.BASELINE_QUEFFELEC_DS, Strategy.HALVING)
 
 
 def _reader(field: Field) -> Callable[[Strategy, int], ConstantRecord]:

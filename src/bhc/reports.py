@@ -273,7 +273,8 @@ def run_constants(cfg: RunConfig) -> ReportDocument:
 def run_explain(cfg: RunConfig) -> ReportDocument:
     record = compute_constant(cfg.m, cfg.field, cfg.strategy)
     rows = [trace_row(step) for step in record.trace]
-    return ReportDocument(cfg, rows, title=_explain_text(record, cfg.precision))
+    title = _explain_text(record, cfg.precision) if cfg.format == "table" else ""  # only a table prints it
+    return ReportDocument(cfg, rows, title=title)
 
 
 def _explain_text(record: ConstantRecord, precision: int) -> str:

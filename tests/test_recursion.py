@@ -1,10 +1,12 @@
 """Constants under every strategy: closed forms, tables, identities, traces."""
 
 import dataclasses
+import json
 import math
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from bhc.recursion import (
     is_stated_for,
     replay_trace,
 )
-from bhc.reports import _COMPARE_COLUMNS, RunConfig, run_explain
+from bhc.reports import _COMPARE_COLUMNS, RunConfig, run_explain, trace_row
 from bhc.special import Branch, khinchine_a
 from bhc.verify import bh_check, littlewood_form
 
@@ -259,6 +261,37 @@ class TestBestConstant:
         rec = compute_constant(2, Field.REAL, Strategy.BEST)
         assert rec.value == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
+    @pytest.mark.parametrize("field", list(Field))
+    def test_best_is_the_first_smallest_of_the_former_candidates(self, field):
+        # BEST reads only the strategies that can be the smallest; at every level
+        # up to m = 8186, where the last dropped candidate (two-step) leaves the
+        # double range, it returns the record the former six candidates' minimum did
+        former = (
+            Strategy.BASELINE_ORIGINAL, Strategy.BASELINE_KAIJSER, Strategy.BASELINE_QUEFFELEC_DS,
+            Strategy.HALVING, Strategy.TWO_STEP, Strategy.ONE_STEP,
+        )
+        former = [s for s in former if is_stated_for(field, s)]
+        read = bhc.recursion._reader(field)
+
+        def value(strategy, m):
+            try:
+                return read(strategy, m).value
+            except DomainError as error:
+                assert "exceeds the double range" in str(error)
+                return math.inf
+
+        for m in range(2, 8187):
+            values = [value(s, m) for s in former]
+            first = values.index(min(values))
+            best = read(Strategy.BEST, m)
+            assert (best.strategy, best.value) == (former[first], values[first]), m
+        # past m = 8187 none of the dropped can win either: an overflowed chain
+        # stays inf, a closed form grows with m, and halving stays finite
+        dropped = (Strategy.BASELINE_ORIGINAL, Strategy.TWO_STEP, Strategy.ONE_STEP)
+        for m in (8186, 8187):
+            assert all(value(s, m) == math.inf for s in dropped if s in former)
+        assert math.isfinite(value(Strategy.HALVING, 8187))
+
     def test_dominance(self):
         for m in range(2, 51):
             best = compute_constant(m, Field.REAL, Strategy.BEST)
@@ -436,6 +469,30 @@ class TestTraces:
         rec = compute_constant(m, field, strategy)
         assert replay_trace(rec.trace) == rec.value
 
+    @pytest.mark.parametrize("field, strategy", STATED)
+    def test_integer_powers_replay_from_json(self, field, strategy):
+        # a step of level k raises A_p to the int k - c for its child c; JSON
+        # prints it as str(k - c), and a reader that takes it back as a Fraction,
+        # as perfbench does, replays every value bit for bit
+        read_back = {}
+
+        def from_json(step):
+            for c, use in zip(step.children, step.khinchine, strict=True):
+                assert type(use.power) is int and use.power == step.m - c
+            row = json.loads(json.dumps(trace_row(step)))
+            uses = (SimpleNamespace(value=u["value"], power=Fraction(u["power"])) for u in row["khinchine"])
+            return SimpleNamespace(
+                rule=row["rule"], m=row["m"], children=tuple(row["children"]),
+                khinchine=tuple(uses), value=row["value"],
+            )
+
+        for rec in constants_columns(field, (strategy,), 300)[0]:
+            for step in rec.trace:  # the records share their steps: read each back once
+                if id(step) not in read_back:
+                    read_back[id(step)] = from_json(step)
+            rows = tuple(read_back[id(step)] for step in rec.trace)
+            assert replay_trace(rec.trace) == replay_trace(rows) == rec.value
+
     def test_replay_rejects_unknown_rule(self):
         trace = compute_constant(4, Field.REAL, Strategy.HALVING).trace
         forged = (*trace[:-1], dataclasses.replace(trace[-1], rule="tripling"))
@@ -500,30 +557,56 @@ class TestTableAndDispatch:
 class TestTableCost:
     @staticmethod
     def _derive_calls(monkeypatch, m_max, field=Field.REAL, strategies=(Strategy.BEST,)):
-        calls = 0
+        """The (strategy, level) of every ``derive`` call of one table."""
+        calls = []
         original = bhc.recursion._Ladder.derive
+
+        def counted(self, k, *args):
+            calls.append((self.strategy, k))
+            return original(self, k, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bhc.recursion._Ladder, "derive", counted)
+            constants_columns(field, strategies, m_max)
+        return calls
+
+    def test_best_table_is_linear_in_m_max(self, monkeypatch):
+        # every strategy's level is derived once per table, not once per row
+        small = len(self._derive_calls(monkeypatch, 100))
+        large = len(self._derive_calls(monkeypatch, 200))
+        assert 0 < small and large <= 2.5 * small
+
+    @pytest.mark.parametrize(
+        "field, others",
+        [(Field.REAL, (Strategy.ONE_STEP,)), (Field.COMPLEX, (Strategy.BASELINE_ORIGINAL,))],
+        ids=["real", "complex"],
+    )
+    def test_compare_columns_derive_no_level_again(self, monkeypatch, field, others):
+        # the compare columns that are candidates of BEST read its ladders; the
+        # others derive their own levels, and no level is derived twice
+        compare = tuple(strategy for _, strategy in _COMPARE_COLUMNS[field])
+        assert [s for s in compare if s not in bhc.recursion._CANDIDATES] == list(others)
+        alone = self._derive_calls(monkeypatch, 150, field)
+        apart = self._derive_calls(monkeypatch, 150, field, others)
+        together = self._derive_calls(monkeypatch, 150, field, (Strategy.BEST, *compare))
+        assert len(together) == len(set(together)) == len(alone) + len(apart)
+
+    def test_one_children_call_per_level(self, monkeypatch):
+        # the post-order walk takes a level's children once and hands them to derive
+        calls = 0
+        original = bhc.recursion._Rule.children
 
         def counted(self, k):
             nonlocal calls
             calls += 1
             return original(self, k)
 
-        monkeypatch.setattr(bhc.recursion._Ladder, "derive", counted)
-        constants_columns(field, strategies, m_max)
-        return calls
-
-    def test_best_table_is_linear_in_m_max(self, monkeypatch):
-        # every strategy's level is derived once per table, not once per row
-        small = self._derive_calls(monkeypatch, 100)
-        large = self._derive_calls(monkeypatch, 200)
-        assert 0 < small and large <= 2.5 * small
-
-    @pytest.mark.parametrize("field", list(Field))
-    def test_compare_columns_derive_no_level_again(self, monkeypatch, field):
-        # the compare columns are candidates of BEST: they read its ladders
-        compare = tuple(strategy for _, strategy in _COMPARE_COLUMNS[field])
-        alone = self._derive_calls(monkeypatch, 150, field)
-        assert self._derive_calls(monkeypatch, 150, field, (Strategy.BEST, *compare)) == alone
+        monkeypatch.setattr(bhc.recursion._Rule, "children", counted)
+        derived = self._derive_calls(
+            monkeypatch, 500, Field.REAL, (Strategy.ONE_STEP, Strategy.HALVING, Strategy.TWO_STEP)
+        )
+        # one-step derives 3..500 from the base 2, halving and two-step 4..500 from 2 and 3
+        assert calls == len(derived) == 498 + 497 + 497
 
     def test_engine_makes_no_blei_call(self, monkeypatch):
         # every split is built in closed form: w = 2k/(k+1), f_i = m_i/k
@@ -562,7 +645,8 @@ class TestTableCost:
         monkeypatch.setattr(bhc.recursion, "khinchine_a", counted)
         for _ in range(2):
             exponents.clear()
-            constants_columns(Field.REAL, (Strategy.BEST,), 150)
+            # one-step consumes A_{2c/(c+1)} at every c = 2..149
+            constants_columns(Field.REAL, (Strategy.BEST, Strategy.ONE_STEP), 150)
             assert len(exponents) == len(set(exponents)) == 148
 
     def test_chain_table_memory_is_linear_in_m_max(self):
@@ -601,7 +685,7 @@ class TestDoubleRange:
         assert math.isfinite(compute_constant(4094, Field.COMPLEX, Strategy.ONE_STEP).value)
         with pytest.raises(DomainError, match="one-step constant at m=4095 exceeds the double range"):
             compute_constant(4095, Field.COMPLEX, Strategy.ONE_STEP)
-        # best reads the infinite one-step candidate and passes it over
+        # best, which does not read the one-step chain, stays finite past its overflow
         rec = compute_constant(4095, Field.COMPLEX, Strategy.BEST)
         assert rec.strategy is Strategy.HALVING and math.isfinite(rec.value)
 

@@ -212,6 +212,24 @@ class TestCli:
         record = compute_constant(m, Field(field), Strategy(strategy))
         assert replay_trace(tuple(step(row) for row in rows)) == record.value == rows[-1]["value"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_explain_text_only_for_a_table(self, monkeypatch, fmt):
+        # JSON and CSV print no title, so they must not build the derivation
+        # text, and breaking it leaves their output as it was (wall_time apart)
+        argv = ["explain", "--field", "real", "--strategy", "two-step", "--m", "257", "--format", fmt]
+        expected = CliRunner().invoke(main, argv).output
+
+        def broken(*args):
+            raise AssertionError("built the derivation text of a JSON or CSV explain")
+
+        monkeypatch.setattr("bhc.reports._explain_text", broken)
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 0
+        if fmt == "json":
+            assert _strip_wall_time(result.output) == _strip_wall_time(expected)
+        else:
+            assert result.output == expected
+
     def test_verify_exit_zero(self):
         runner = CliRunner()
         result = runner.invoke(main, ["verify", "blei", "--trials", "20", "--seed", "7"])
