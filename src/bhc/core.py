@@ -21,9 +21,6 @@ class SizeLimitError(ValueError):
     """An exact enumeration would exceed the configured size guard."""
 
 
-def digest_bytes(*chunks: bytes) -> str:
+def digest_bytes(data: bytes) -> str:
     """Short stable hex digest used to fingerprint check inputs in reports."""
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    return h.hexdigest()[:12]
+    return hashlib.sha256(data).hexdigest()[:12]

@@ -22,10 +22,11 @@ splits level m into two parts m = m1 + m2 and applies Blei's inequality at
 each part's own exponent s_i = 2m_i/(m_i+1).  ``_RULES`` holds one entry
 per rule (``one-step``, ``two-step``, ``even-halving``, ``odd-split``): its
 partition of m, whether the first part is folded into the shift a, and the
-shift.  Everything else follows from the partition: the children m_i are
-the other parts, each consumes A_{s_i}^(m - m_i), an integer power, and its
-weight is f_i = m_i/m (at q = 2 the Blei split is in closed form, so no
-Blei formula is evaluated).  One float update and one exact update, a
+shift as an int pair (num, den) for a = num/den.  Everything else follows
+from the partition: the children m_i are the other parts, each consumes
+A_{s_i}^(m - m_i), an integer power, and its weight is f_i = m_i/m (at
+q = 2 the Blei split is in closed form, so no Blei formula is evaluated).
+One float update, which builds no ``Fraction``, and one exact update, a
 single expression per exponent, read an entry, with the weights taken from
 m and the children, not from the split; the ladders derive their levels
 through both, and ``replay_trace`` recomputes a trace through the float
@@ -44,8 +45,8 @@ fields it is stated for with their base levels, and the rules that derive
 every other level (none for a baseline, whose levels are closed forms).  A
 new strategy needs its ``Strategy`` member and its entry there, no more.
 One ``_Ladder`` reads it and derives each level of a (field, strategy) once
-per call, with its float value, closed form and one :class:`TraceStep`.
-Every record reads these shared levels.  One post-order walk over the level
+per call as one :class:`TraceStep` that carries its value and closed form.
+Every record reads these shared steps.  One post-order walk over the level
 graph serves both; it takes each level's children once and yields them with
 the level.  The ladder derives the levels it yields from those children,
 passing over those already derived, and a record's trace, built when first
@@ -148,13 +149,14 @@ class KhinchineUse:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One derivation step; ``children`` refer to earlier steps' levels."""
+    """One level: its derivation step, value and closed form; ``children`` are earlier steps' levels."""
 
     rule: str  # "base" | "baseline" | a key of ``_RULES``
     m: int
     children: tuple[int, ...]
     khinchine: tuple[KhinchineUse, ...]
     value: float
+    closed_form: PowerProduct | None = None
 
     @functools.cached_property
     def split(self) -> ExponentSplit | None:
@@ -244,23 +246,24 @@ def _split(k: int, parts: tuple[int, int]) -> ExponentSplit:
 
 @dataclass(frozen=True)
 class _Rule:
-    """C_k <= 2^shift(k) * prod_i (C_{c_i} / A_{s_i}^(k - c_i))^{f_i}.
+    """C_k <= 2^(num/den) * prod_i (C_{c_i} / A_{s_i}^(k - c_i))^{f_i}, (num, den) = shift(k).
 
     ``parts`` splits level k into (m1, m2); the Blei split, taken at the
     parts' exponents s_i = 2m_i/(m_i+1), is the closed form w = 2k/(k+1),
     f_i = m_i/k.  With ``folded`` the first part is no child: its factor
-    is folded into ``shift``.  The children c_i are the other parts, equal
-    parts merged, each with its part's s_i and weight f_i (merged weights
-    add up).  The weights come from k and the children alone, not from the
-    split, which only ``explain`` reads: f_i = n_i/k with n_i the child's
-    parts summed.  The exact update takes them as ``Fraction``s; the float
-    update takes ``float_weights`` where set and n_i / k otherwise, the
-    correctly rounded quotient, so float(f_i) bit for bit.
+    is folded into ``shift``, a pair of ints.  The children c_i are the
+    other parts, equal parts merged, each with its part's s_i and weight
+    f_i (merged weights add up).  The weights come from k and the children
+    alone, not from the split, which only ``explain`` reads: f_i = n_i/k
+    with n_i the child's parts summed.  The exact update takes them, and
+    the shift, as ``Fraction``s; the float update takes ``float_weights``
+    where set and n_i / k otherwise, and the shift as num / den: int
+    quotients, correctly rounded as ``float(Fraction)`` is, so bit for bit.
     """
 
     parts: Callable[[int], tuple[int, int]]
     folded: bool = False
-    shift: Callable[[int], Fraction | int] = lambda k: 0
+    shift: Callable[[int], tuple[int, int]] = lambda k: (0, 1)
     float_weights: Callable[[int], tuple[float, ...]] | None = None
 
     def children(self, k: int) -> tuple[int, ...]:
@@ -273,23 +276,19 @@ class _Rule:
             return tuple(children)
         return tuple(2 * c for c in children)
 
-    def weights(self, k: int, children: Sequence[int]) -> tuple[Fraction, ...]:
-        """The exact f_i = c_i/k of the children, or 1 for merged equal parts."""
-        return tuple(Fraction(n, k) for n in self.numerators(children))
-
 
 _RULES = {
     # C_m = 2^((m-1)/2m) (C_{m-1} / A_{(2m-2)/m})^((m-1)/m)
     "one-step": _Rule(
         parts=lambda k: (1, k - 1),
         folded=True,
-        shift=lambda k: Fraction(k - 1, 2 * k),
+        shift=lambda k: (k - 1, 2 * k),
         # the published tables round f2 = (k-1)/k this way; float(f2)
         # differs in the last bit at k = 3, 7, 19, ...
         float_weights=lambda k: (1.0 - 1.0 / k,),
     ),
     # C_m = 2^(1/2) (C_{m-2} / A_{(2m-4)/(m-1)}^2)^((m-2)/m)
-    "two-step": _Rule(parts=lambda k: (2, k - 2), folded=True, shift=lambda k: Fraction(1, 2)),
+    "two-step": _Rule(parts=lambda k: (2, k - 2), folded=True, shift=lambda k: (1, 2)),
     # C_m = C_{m/2} / A_{2m/(m+2)}^(m/2)
     "even-halving": _Rule(parts=lambda k: (k // 2, k // 2)),
     # C_m = (C_{(m-1)/2} / A_{s1}^((m+1)/2))^f1 (C_{(m+1)/2} / A_{s2}^((m-1)/2))^f2
@@ -309,7 +308,8 @@ def _float_update(
         weights = rule.float_weights(k)
     else:
         weights = [n / k for n in rule.numerators(children)]
-    return 2.0 ** float(rule.shift(k)) * math.prod(
+    num, den = rule.shift(k)
+    return 2.0 ** (num / den) * math.prod(
         (value / use.value ** float(use.power)) ** w
         for value, use, w in zip(values, uses, weights)
     )
@@ -325,9 +325,9 @@ def _exact_update(
     """The closed form of level k, if every child has one and every constant is dyadic."""
     if None in closed or any(use.exponent is None for use in uses):
         return None
-    weights = rule.weights(k, children)
+    weights = [Fraction(n, k) for n in rule.numerators(children)]
     return PowerProduct(
-        rule.shift(k)
+        Fraction(*rule.shift(k))
         + sum(w * (form.two - use.power * use.exponent) for form, use, w in zip(closed, uses, weights)),
         sum(w * form.tosp for form, w in zip(closed, weights)),
         sum(w * form.kg for form, w in zip(closed, weights)),
@@ -400,10 +400,10 @@ def is_stated_for(field: Field, strategy: Strategy) -> bool:
 class _Ladder:
     """The levels of one (field, strategy), each derived once, on first use.
 
-    Level k is one :class:`TraceStep` and its exact closed form.  A ladder
-    lives for one call, and every record the call returns reads its value,
-    closed form and trace from these shared levels.  ``khinchine`` maps a
-    part size c to A_{2c/(c+1)}; the call's ladders share it.
+    Level k, base and baseline levels included, is one :class:`TraceStep`
+    in ``steps``.  A ladder lives for one call, and its records read their
+    value, closed form and trace from these shared steps.  ``khinchine``
+    maps a part size c to A_{2c/(c+1)}; the call's ladders share it.
     """
 
     def __init__(
@@ -417,20 +417,15 @@ class _Ladder:
             raise DomainError(f"the {strategy.value} strategy is stated for {stated} scalars only")
         self.field, self.strategy, self.rules = field, strategy, plan.rules
         self.khinchine = khinchine
-        self.steps: dict[int, TraceStep] = {}
-        self.closed: dict[int, PowerProduct | None] = {}
+        self.steps = {k: TraceStep("base", k, (), (), *base) for k, base in plan.bases[field].items()}
         self.view = MappingProxyType(self.steps)
-        for k, (value, closed) in plan.bases[field].items():
-            self.steps[k] = TraceStep("base", k, (), (), value)
-            self.closed[k] = closed
 
     def children(self, k: int) -> tuple[int, ...]:
         return _RULES[self.rules[k % 2]].children(k) if self.rules else ()
 
-    def derive(self, k: int, children: Sequence[int]) -> tuple[TraceStep, PowerProduct | None]:
+    def derive(self, k: int, children: Sequence[int]) -> TraceStep:
         if not self.rules:
-            value, closed = _classical(self.strategy, k)
-            return TraceStep("baseline", k, (), (), value), closed
+            return TraceStep("baseline", k, (), (), *_classical(self.strategy, k))
         name = self.rules[k % 2]
         rule = _RULES[name]
         uses = []
@@ -438,22 +433,22 @@ class _Ladder:
             a = self.khinchine(c)  # at the child's part's s_i = 2c/(c+1)
             uses.append(KhinchineUse(a.p, a.a_p, k - c, a.branch, a.a_exponent))
         value = _float_update(rule, k, children, [self.steps[c].value for c in children], uses)
-        closed = _exact_update(rule, k, children, [self.closed[c] for c in children], uses)
-        return TraceStep(name, k, children, tuple(uses), value), closed
+        closed = _exact_update(rule, k, children, [self.steps[c].closed_form for c in children], uses)
+        return TraceStep(name, k, children, tuple(uses), value, closed)
 
     def value(self, m: int) -> float:
         """Value of level m, deriving first the levels it rests on."""
         _require_level(m)  # ahead of the lookup: 2.0 and 3.0 hash like levels 2 and 3
         if m not in self.steps:
             for k, children in _post_order(m, self.children, self.steps):
-                self.steps[k], self.closed[k] = self.derive(k, children)
+                self.steps[k] = self.derive(k, children)
         return self.steps[m].value
 
     def record(self, m: int) -> ConstantRecord:
         value = self.value(m)
         if math.isinf(value):
             raise DomainError(f"the {self.strategy.value} constant at m={m} exceeds the double range")
-        return ConstantRecord(m, self.field, self.strategy, value, self.closed[m], self.view)
+        return ConstantRecord(m, self.field, self.strategy, value, self.steps[m].closed_form, self.view)
 
 
 # --------------------------------------------------------------------------
@@ -527,17 +522,22 @@ def replay_trace(trace: tuple[TraceStep, ...]) -> float:
     Base and baseline values are taken as recorded (they are the axioms of
     the derivation); every other step is recomputed by the float update of
     its rule from previously replayed levels and the recorded Khinchine
-    constants, without deriving splits or constants anew.
+    constants, without deriving splits or constants anew.  An empty trace,
+    an unknown rule or a level read before it is derived raises ValueError.
     """
+    if not trace:
+        raise ValueError("an empty trace has no value")
     values: dict[int, float] = {}
-    result = math.nan
     for step in trace:
         if step.rule in ("base", "baseline"):
-            result = step.value
+            values[step.m] = step.value
         elif step.rule in _RULES:
-            children = [values[c] for c in step.children]
-            result = _float_update(_RULES[step.rule], step.m, step.children, children, step.khinchine)
+            try:
+                children = [values[c] for c in step.children]
+            except KeyError as c:
+                raise ValueError(f"level {step.m} reads level {c}, which no earlier step derives") from None
+            rule = _RULES[step.rule]
+            values[step.m] = _float_update(rule, step.m, step.children, children, step.khinchine)
         else:
             raise ValueError(f"unknown trace rule {step.rule!r}")
-        values[step.m] = result
-    return result
+    return values[trace[-1].m]

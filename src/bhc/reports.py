@@ -273,14 +273,14 @@ def run_constants(cfg: RunConfig) -> ReportDocument:
 def run_explain(cfg: RunConfig) -> ReportDocument:
     record = compute_constant(cfg.m, cfg.field, cfg.strategy)
     rows = [trace_row(step) for step in record.trace]
-    title = _explain_text(record, cfg.precision) if cfg.format == "table" else ""  # only a table prints it
+    title = _explain_text(record, rows, cfg.precision) if cfg.format == "table" else ""  # tables only
     return ReportDocument(cfg, rows, title=title)
 
 
-def _explain_text(record: ConstantRecord, precision: int) -> str:
+def _explain_text(record: ConstantRecord, rows: list[dict[str, Any]], precision: int) -> str:
     tag = "C_R" if record.field is Field.REAL else "C_C"
     lines = [f"derivation of {tag}({record.m}), strategy {record.strategy.value}"]
-    for step in record.trace:
+    for step, row in zip(record.trace, rows):
         approx = f"{step.value:.{precision + 2}g}"
         if step.rule in ("base", "baseline"):
             lines.append(f"  [{step.rule}] {tag}({step.m}) = {approx}")
@@ -290,10 +290,8 @@ def _explain_text(record: ConstantRecord, precision: int) -> str:
             f"A({use.p:.6g})={use.value:.6g} [{use.branch.value}] ^{use.power}"
             for use in step.khinchine
         )
-        split = step.split
-        split_text = (
-            f"s1={split.s1}, s2={split.s2}, w={split.w}, f1={split.f1}, f2={split.f2}"
-        )
+        split = row["split"]  # rendered once, by _split_json, for the trace rows and this text
+        split_text = ", ".join(f"{key}={split[key]}" for key in ("s1", "s2", "w", "f1", "f2"))
         lines.append(
             f"  [{step.rule}] {tag}({step.m}) from {children}: {split_text}; {used} -> {approx}"
         )

@@ -91,6 +91,8 @@ _TINY = np.finfo(float).tiny  # the smallest normal double
 
 def _frozen(values, field: Field, what: str) -> np.ndarray:
     """A read-only copy of ``values`` in the field's dtype; ``what`` names them in errors."""
+    if not isinstance(field, Field):
+        raise DomainError(f"unknown field {field!r}")
     arr = np.asarray(values, dtype=np.complex128 if field is Field.COMPLEX else np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
@@ -925,6 +927,8 @@ def extremal_search(
 
 def _draw(shape: tuple[int, ...], field: Field, rng: np.random.Generator) -> np.ndarray:
     """Entries uniform on [-1, 1] (real) or the unit disk (complex)."""
+    if not isinstance(field, Field):
+        raise DomainError(f"unknown field {field!r}")
     if field is Field.REAL:
         return rng.uniform(-1.0, 1.0, size=shape)
     radius = np.sqrt(rng.random(shape))

@@ -351,6 +351,16 @@ class TestRecordConsistency:
                 assert current >= previous * (1.0 - 1e-12)
                 previous = current
 
+    @pytest.mark.parametrize("field, strategy", STATED)
+    def test_every_step_carries_its_closed_form(self, field, strategy):
+        # a level is one step, base and baseline levels included: each step's
+        # closed form is the one its level's own record reports
+        (column,) = constants_columns(field, (strategy,), 300)
+        steps = {id(step): step for rec in column for step in rec.trace}
+        assert any(step.rule in ("base", "baseline") for step in steps.values())
+        for step in steps.values():
+            assert step.closed_form == compute_constant(step.m, field, strategy).closed_form
+
 
 class TestTraces:
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 9, 12, 24, 25, 26, 37, 50])
@@ -498,6 +508,32 @@ class TestTraces:
         forged = (*trace[:-1], dataclasses.replace(trace[-1], rule="tripling"))
         with pytest.raises(ValueError, match="unknown trace rule 'tripling'"):
             replay_trace(forged)
+
+    def test_replay_rejects_an_empty_trace(self):
+        with pytest.raises(ValueError, match="an empty trace has no value"):
+            replay_trace(())
+
+    def test_replay_rejects_a_level_read_before_it_is_derived(self):
+        # real halving at 12 rests on 6, which rests on the base 3: drop the base
+        trace = compute_constant(12, Field.REAL, Strategy.HALVING).trace
+        assert [step.m for step in trace] == [3, 6, 12]
+        with pytest.raises(ValueError, match="level 6 reads level 3, which no earlier step derives"):
+            replay_trace(trace[1:])
+
+    def test_replay_builds_no_fraction(self, monkeypatch):
+        # every rule's shift is an int pair, so the float update needs no Fraction
+        records = [
+            compute_constant(500, Field.REAL, strategy)
+            for strategy in (Strategy.ONE_STEP, Strategy.TWO_STEP, Strategy.HALVING)
+        ]
+        traces = [(rec.trace, rec.value) for rec in records]
+
+        def broken(*args):
+            raise AssertionError("the float update built a Fraction")
+
+        monkeypatch.setattr(bhc.recursion, "Fraction", broken)
+        for trace, value in traces:
+            assert replay_trace(trace) == value
 
 
 class TestTableAndDispatch:
@@ -706,3 +742,24 @@ class TestRealLowerBound:
         # the real bilinear form that attains the ratio 2^(1/2)
         report = bh_check(littlewood_form(2), compute_constant(2, Field.REAL, strategy))
         assert report.passed
+
+
+class TestProductPremise:
+    def test_one_step_product_is_the_smallest_of_its_family(self):
+        # the rule family C_m = C_k A_{2k/(k+1)}^-(m-k), k = 1..m-1 (k = m/2 is
+        # even-halving's formula): from D_1 = 1 its minimum is at k = m - 1 at every
+        # level, so D_m is the Bayart-Pellegrino-Seoane-Sepulveda product
+        # prod_{j=2}^{m} A_{(2j-2)/j}^-1
+        a = {k: khinchine_a(F(2 * k, k + 1)).a_p for k in range(1, 200)}
+        d = {1: 1.0}
+        for m in range(2, 201):
+            (smallest, k), *others = sorted((d[k] / a[k] ** (m - k), k) for k in range(1, m))
+            assert k == m - 1
+            if others:  # the gap is smallest at m = 200, about 9.2e-6
+                assert others[0][0] >= smallest * (1 + 9e-6)
+            d[m] = smallest
+        # on the dyadic branch it is 2^(H_{m-1}/2), H_k the k-th harmonic number
+        for m in range(2, 14):
+            exact = 2.0 ** float(sum(F(1, j) for j in range(1, m)) / 2)
+            assert abs(d[m] - exact) <= 2 * math.ulp(exact)
+        assert [round(d[m], 4) for m in (3, 4, 10, 100)] == [1.6818, 1.8877, 2.6656, 6.1493]

@@ -1102,3 +1102,23 @@ class TestSuites:
             MultilinearForm(np.array([[np.inf, 1.0]]), Field.REAL)
         with pytest.raises(DomainError):
             MultilinearForm(np.float64(3.0), Field.REAL)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field", ["real", None], ids=repr)
+    def test_field_that_is_not_a_field_is_refused(self, field):
+        # "real" was once taken for a complex form: its draws lost their imaginary
+        # parts after a ComplexWarning, and the oracles called it complex
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        refused = [
+            lambda: MultilinearForm(np.ones((2, 2)), field),
+            lambda: VectorFamily(np.ones((2, 2)), field),
+            lambda: random_form((2, 2), field, rng),
+            lambda: random_family(2, 2, field, rng),
+            lambda: littlewood_form(2, field),
+            lambda: extremal_search(2, 2, field),
+        ]
+        for call in refused:
+            with pytest.raises(DomainError, match=f"unknown field {re.escape(repr(field))}"):
+                call()
+        assert rng.bit_generator.state == state  # refused before any draw
