@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 from enum import Enum
 
+# The variables OpenBLAS reads for its thread count, in the order it reads them.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 class Field(Enum):
     """Scalar field of a form or constant."""

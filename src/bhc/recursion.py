@@ -523,7 +523,9 @@ def replay_trace(trace: tuple[TraceStep, ...]) -> float:
     the derivation); every other step is recomputed by the float update of
     its rule from previously replayed levels and the recorded Khinchine
     constants, without deriving splits or constants anew.  An empty trace,
-    an unknown rule or a level read before it is derived raises ValueError.
+    an unknown rule, a level read before it is derived or a rule step whose
+    Khinchine uses do not pair one to one with its children raises
+    ValueError.
     """
     if not trace:
         raise ValueError("an empty trace has no value")
@@ -536,6 +538,11 @@ def replay_trace(trace: tuple[TraceStep, ...]) -> float:
                 children = [values[c] for c in step.children]
             except KeyError as c:
                 raise ValueError(f"level {step.m} reads level {c}, which no earlier step derives") from None
+            if len(step.khinchine) != len(step.children):
+                raise ValueError(
+                    f"level {step.m} has {len(step.children)} children but "
+                    f"{len(step.khinchine)} Khinchine uses"
+                )
             rule = _RULES[step.rule]
             values[step.m] = _float_update(rule, step.m, step.children, children, step.khinchine)
         else:

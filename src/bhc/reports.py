@@ -16,10 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import sys
 from dataclasses import dataclass, field as dataclass_field, fields
 from typing import TYPE_CHECKING, Any
 
-from .core import DomainError, Field
+from .core import _BLAS_THREAD_VARIABLES, DomainError, Field
 from .recursion import (
     ConstantRecord,
     Strategy,
@@ -317,6 +319,15 @@ def run_baselines(cfg: RunConfig) -> ReportDocument:
 _VERIFY_FLAGS = {"khinchine": ("n", "p"), "blei": (), "bh": ("m", "dim"), "summing": ("m", "dim")}
 
 
+def _one_blas_thread() -> None:
+    """Pin OpenBLAS to one thread before numpy loads, unless numpy is loaded already
+    or one of the variables it reads its thread count from is set: the oracles'
+    gemms are small, run faster on one BLAS thread, and so leave the CPUs to the
+    oracle's own threads."""
+    if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def run_verify(cfg: RunConfig) -> ReportDocument:
     if cfg.subtarget not in _VERIFY_FLAGS:
         raise DomainError(f"unknown verify subtarget {cfg.subtarget!r}")
@@ -330,6 +341,7 @@ def run_verify(cfg: RunConfig) -> ReportDocument:
     unread = [f"--{name}" for name in given if name not in _VERIFY_FLAGS[cfg.subtarget]]
     if unread:
         raise DomainError(f"verify {cfg.subtarget} does not read {', '.join(unread)}")
+    _one_blas_thread()
     from . import verify
 
     reports = getattr(verify, f"{cfg.subtarget}_suite")(cfg.trials, cfg.seed, **given)
@@ -354,6 +366,7 @@ def _suite_summary(name: str, reports: list[VerificationReport]) -> dict[str, An
 
 
 def run_search(cfg: RunConfig) -> ReportDocument:
+    _one_blas_thread()
     from . import verify
 
     report = verify.extremal_search(cfg.m, cfg.dim, cfg.field, budget=cfg.budget, seed=cfg.seed)

@@ -16,7 +16,12 @@ Everything here certifies at desk scale, by exhaustion rather than sampling:
   forms of one shape; the sign tables of narrow slots are cached.  A large
   call spreads over threads when the BLAS leaves CPUs idle, each thread
   walking one range of a slot's sign vectors, with the same norms to the
-  bit.
+  bit.  A lone form with one middle slot of 64 rows or more is pruned
+  instead, where that measured faster: a vectorised bound pass gives each
+  of that slot's rows a certified upper bound on the vertex values the walk
+  would compute for it, and the rows are scored in descending bound until
+  none left can reach the running norm (717 of the 6 144 rows of three
+  random (12,12,12) forms), again with the same norms to the bit.
 * The weak-(1) norm on l_inf^N is the max coordinate-wise absolute column
   sum (the extreme points of the dual l1 ball are coordinate functionals).
 
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Field, SizeLimitError, digest_bytes
+from .core import _BLAS_THREAD_VARIABLES, DomainError, Field, SizeLimitError, digest_bytes
 from .exponents import blei_f, blei_w
 from .recursion import ConstantRecord, Strategy, compute_constant
 from .special import _khinchine_exponent, khinchine_a, khinchine_b
@@ -236,6 +241,35 @@ _CHUNK_VALUES = 2**17
 _PARALLEL_VALUES = 2**20
 _LEAF_VALUES = 2**12
 
+# A lone form with one middle slot of _PRUNE_ROWS rows or more has its rows ranked
+# by a certified bound and only those that can still reach the running norm
+# scored (_pruned_walk), where that measured faster than the walk (_prune_pays):
+# with a last slot split in two, for N_1 <= _PRUNE_SLOT1, since the halves'
+# bound loosens as slot 1 grows; with a last slot taken whole, for leaves of
+# _LEAF_VALUES vertex values or fewer, since its bound pass makes every product
+# the walk makes and gains only the walk's Python step per row.
+_PRUNE_ROWS = 2**6
+_PRUNE_SLOT1 = 16
+# a last slot this wide or narrower is bounded whole, not in two halves: at most
+# twice the work of the halves, and the bound is each row's largest vertex value
+_WHOLE_LAST_SLOT = 4
+
+
+def _prune_pays(k: int, n1: int, n2: int, nm: int) -> bool:
+    """Whether a stack of ``k`` forms of shape (N_1, N_2, N_m) is pruned form by form.
+
+    On 2 CPUs with a one-thread BLAS, random forms of the 406 shapes so
+    pruned with N_2 of 7, 10, 13 or 16 ran from about as fast as the walk
+    over two threads at the rule's edge ((16,7,5), (12,7,5): 0.9x-1.1x) to
+    40x as fast ((1,10,14)); (12,12,12) 4x-11x, (8,8,8) 2x-3x, (2,17,2) 15x.
+    Past the rule, (32,10,10), (64,12,7), (1024,9,4) and (5,5,5) ran 0.66x
+    to 0.91x as fast.  A stack keeps the walk, whose Python step per middle
+    row serves all of its forms.
+    """
+    if k > 1 or 2 ** (n2 - 1) < _PRUNE_ROWS:
+        return False
+    return n1 * 2 ** (nm - 1) <= _LEAF_VALUES if nm <= _WHOLE_LAST_SLOT else n1 <= _PRUNE_SLOT1
+
 
 def _sign_vectors(n: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows start..stop-1 of the 2^(n-1) length-n sign vectors whose first sign
@@ -361,6 +395,50 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
       the maximum over all (:func:`_fan_out`).  Every product is one the
       serial walk makes and a maximum is exact in any order, so the norms do
       not depend on the thread count; one worker runs inline, with no thread.
+    * A form with one middle slot is pruned (:func:`_pruned_walk`) where that
+      measured faster (:func:`_prune_pays`), its middle slot's sign table is
+      cached, and its last slot has two coordinates or more and fits one
+      block.  A bound pass (:func:`_row_reach`) gives each middle row r a
+      reach R(r) = B(r) (1 + c) + (c ||U||_1 + tiny), with B(r) the computed
+      bound over two halves of the last slot (or, up to _WHOLE_LAST_SLOT
+      coordinates, over the whole slot), c = 4 (N_1 + N_2 + N_3) u,
+      u = 2^-53 and tiny the smallest normal double; the rows are scored in
+      descending reach, one row first and then twice as many per chunk up to
+      a full chunk, and those whose reach is below the running norm are
+      dropped.  A scored row is scored as in the walk, and the norm is a
+      maximum, so only a dropped row could change it, and none does: R(r) is
+      at or above every vertex value V^(r, t) the walk would compute for r.
+      A stack that :func:`_prune_pays` lets through is pruned form by form,
+      each norm being the form's own.
+
+    Proof that R(r) >= V^(r, t) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., §3.1 and §4.2; gamma_n = n u / (1 - n u)).  Every
+    multiplication in the walk and the bound pass is by +-1, so exact, and
+    an addition rounds by a factor (1 + d), |d| <= u, with no underflow
+    term; a sum of n terms x_j computed in any order is off by at most
+    gamma_(n-1) sum |x_j|.  Write A = ||U||_1, A_i for its part in slot-1 row
+    i and A_h for its part over half h of the last slot.
+    The leaf entry L^_ic = sum_j U_ijc e_j is off by gamma_N2 sum_j |U_ijc|,
+    and the product P^_i = sum_c L^_ic t_c by gamma_N3 sum_c |L^_ic|, so
+    |P^_i - P_i| <= gamma_(N2+N3) A_i (Lemma 3.3), and the vertex value
+    V^ = fl(sum_i |P^_i|) <= (1 + gamma_N1) (V + gamma_(N2+N3) A), with V the
+    exact value.  Split the last slot into halves a and b: V <= B_a + B_b,
+    B_h = max over the half's sign vectors t_h of sum_i |sum_jc U_ijc e_j t_c|
+    (triangle inequality; the sum is even in t_h, so t_h may start with +1);
+    a last slot taken whole is a half a with b empty, and B_b = 0.
+    The bound pass computes each such sum, for every t_h, within the same
+    error from below: B^_h >= (1 - gamma_N1) (B_h - gamma_(N2+N3) A_h), and
+    B^ = fl(B^_a + B^_b) >= (1 - u) (B^_a + B^_b).  So, with n = N_1 + N_2 +
+    N_3 and n u <= 2^-20,
+        V^ <= (1 + gamma_N1) / ((1 - u) (1 - gamma_N1)) B^ + 2 (1 + gamma_N1) gamma_(N2+N3) A
+           <= (1 + 2 n u) B^ + 2 n u (1 + 2^-18) A^,
+    A^ the computed ||U||_1, A <= A^ / (1 - gamma_(N1 N2 N3)).  R(r) is computed
+    with four roundings, each losing at most a factor (1 - u) and, for a
+    product, an underflow of 2^-1075, which tiny covers; 1 + c rounds to no
+    less than 1 + (4n - 1) u.  That leaves R(r) >= (1 + (4n - 5) u) B^ +
+    4 n u (1 - 3u) A^, at or above the bound for n >= 3.  Every partial sum
+    above, and R(r), is below 4A in magnitude, so none overflows while 4A^ is
+    finite; when it is not, every R(r) is inf and every row is scored.
     """
     dims = stack.shape[1:]
     _check_enumerable(dims)
@@ -375,6 +453,16 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
     # forms' rows differently at some partial block widths (above 192, not a
     # multiple of 8), so only a last slot that fits one block gets one gemm
     one_gemm = n1 > 1 and block >= vertices
+    # one middle slot whose sign table is cached, and a last slot of more than one
+    # vertex (the walk doubles a lone one) that fits one block for a lone form
+    if (
+        len(middle) == 1
+        and 1 < nm
+        and 2 ** (middle[0] - 1) <= _SIGN_BLOCK
+        and vertices <= min(_SIGN_BLOCK, _CHUNK_VALUES // n1)
+        and _prune_pays(k, n1, middle[0], nm)
+    ):
+        return np.array([_pruned_walk(form) for form in stack])
     # a worker walks a range of the first middle slot's rows, else of the last slot's blocks
     units = 2 ** (middle[0] - 1) if middle else -(-vertices // block)
     leaf_values = k * n1 * vertices  # the vertex values of one middle combination
@@ -432,16 +520,107 @@ def _walk(
             count = min(chunk, combinations - start)
             for i, leaf in zip(range(count), walk):
                 leaves[i] = leaf
-            forms = count * k  # one per (combination, slice)
-            matrices, values = leaves[:count].reshape(forms, n1, nm), product[:forms]
-            if one_gemm:
-                np.matmul(matrices.reshape(-1, nm), last.T, out=values.reshape(-1, width))
-            else:
-                np.matmul(matrices, last.T, out=values)
-            np.abs(values, out=values)
-            np.add.reduce(values, axis=1, out=sums[:forms])
-            np.maximum(best, np.maximum.reduce(sums[:forms].reshape(count, k, width), axis=(0, 2)), out=best)
+            _score_chunk(leaves, product, sums, last, count, one_gemm, best)
     return best
+
+
+def _score_chunk(
+    leaves: np.ndarray,
+    product: np.ndarray,
+    sums: np.ndarray,
+    last: np.ndarray,
+    count: int,
+    one_gemm: bool,
+    best: np.ndarray,
+) -> None:
+    """Score the first ``count`` middle combinations in ``leaves``, each K x N_1 rows
+    over the last slot, against the last-slot block ``last`` into the K running
+    norms ``best``, through the buffers ``product`` and ``sums``: one product, one
+    ``abs``, one ``add.reduce`` over slot 1 and one ``maximum``.  A combination's
+    values do not depend on which others share its chunk."""
+    k, (n1, width), nm = len(best), product.shape[1:], last.shape[1]
+    forms = count * k  # one per (combination, slice)
+    matrices, values = leaves[:count].reshape(forms, n1, nm), product[:forms]
+    if one_gemm:
+        np.matmul(matrices.reshape(-1, nm), last.T, out=values.reshape(-1, width))
+    else:
+        np.matmul(matrices, last.T, out=values)
+    np.abs(values, out=values)
+    np.add.reduce(values, axis=1, out=sums[:forms])
+    np.maximum(best, np.maximum.reduce(sums[:forms].reshape(count, k, width), axis=(0, 2)), out=best)
+
+
+def _pruned_walk(form: np.ndarray) -> float:
+    """The norm of :func:`_sup_norms_real` for one form of shape (N_1, N_2, N_m)
+    whose last slot fits one block.
+
+    The middle slot's rows are taken in descending order of their reach
+    (:func:`_row_reach`) and scored a chunk at a time, as :func:`_walk` scores
+    them: one row, then two, four and so on up to a full chunk, so the
+    running norm is near its final value before many rows are scored.  Once
+    a row's reach is below the running norm, it and every row after it are
+    dropped unscored.  A row's leaf is the one :func:`_middle_leaves` yields
+    for it.
+    """
+    n1, n2, nm = form.shape
+    signs, last = _cached_sign_vectors(n2), _cached_sign_vectors(nm)
+    reach = _row_reach(form)
+    order = np.argsort(-reach, kind="stable")
+    chunk = min(len(signs), _CHUNK_VALUES // (n1 * len(last)))
+    leaves = np.empty((chunk, n1, nm))
+    product = np.empty((chunk, n1, len(last)))
+    sums = np.empty((chunk, len(last)))
+    at = np.moveaxis(form, 1, -1).reshape(-1, n2)
+    best = np.zeros(1)
+    start, size = 0, 1
+    while start < len(order):
+        rows = order[start : start + size]
+        rows = rows[reach[rows] >= best[0]]
+        if not len(rows):
+            break
+        for i, row in enumerate(rows):
+            leaves[i] = np.dot(at, signs[row].reshape(-1, 1)).reshape(n1, nm)
+        _score_chunk(leaves, product, sums, last, len(rows), n1 > 1, best)
+        start, size = start + size, min(2 * size, chunk)
+    return best[0]
+
+
+def _row_reach(form: np.ndarray) -> np.ndarray:
+    """For each row of the middle slot's sign table of a form of shape (N_1, N_2, N_m),
+    a float at or above every vertex value the walk computes for that row, or inf.
+
+    A last slot wider than _WHOLE_LAST_SLOT is split into halves a and b, and
+    the row's bound is max_{t_a} sum_i |L_i[a] . t_a| + max_{t_b} sum_i
+    |L_i[b] . t_b|, L its leaf; a narrower one is taken whole.  Each part is
+    contracted with its own sign table, then one product with a block of
+    middle rows gives all their part-values.  The reach adds the margin of
+    :func:`_sup_norms_real` to the bound; it is inf for every row of a form
+    whose ||U||_1 times 4 is not finite.
+    """
+    n1, n2, nm = form.shape
+    signs = _cached_sign_vectors(n2)
+    norm1 = float(np.abs(form).sum())
+    if not math.isfinite(4.0 * norm1):
+        return np.full(len(signs), math.inf)
+    bound = np.zeros(len(signs))
+    halves = (slice(0, (nm + 1) // 2), slice((nm + 1) // 2, nm))
+    for half in (slice(0, nm),) if nm <= _WHOLE_LAST_SLOT else halves:
+        table = _cached_sign_vectors(half.stop - half.start)
+        # w[(i, t), j]: sum over the half's coordinates c of form[i, j, c] t[c]
+        w = np.matmul(form[..., half], table.T).transpose(0, 2, 1).reshape(-1, n2)
+        # an eighth of a chunk per product: it stays in cache, measured as fast
+        # as a whole chunk or faster, and the call's peak stays the walk's
+        step = max(1, _CHUNK_VALUES // 8 // len(w))
+        product = np.empty(len(w) * min(step, len(signs)))
+        for at in range(0, len(signs), step):
+            block = signs[at : at + step]
+            values = product[: len(w) * len(block)].reshape(len(w), len(block))
+            np.matmul(w, block.T, out=values)
+            np.abs(values, out=values)
+            sums = np.add.reduce(values.reshape(n1, len(table), len(block)), axis=0)
+            bound[at : at + len(block)] += np.maximum.reduce(sums, axis=0)
+    slack = 4 * (n1 + n2 + nm) * 2.0**-53
+    return bound * (1.0 + slack) + (slack * norm1 + _TINY)
 
 
 def _workers(units: int, values: int, leaf_values: int) -> int:
@@ -463,7 +642,7 @@ def _workers(units: int, values: int, leaf_values: int) -> int:
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
     blas = cpus
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+    for name in _BLAS_THREAD_VARIABLES:
         value = os.environ.get(name, "").strip()
         if value.isdigit() and int(value) > 0:
             blas = int(value)

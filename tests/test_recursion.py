@@ -520,6 +520,22 @@ class TestTraces:
         with pytest.raises(ValueError, match="level 6 reads level 3, which no earlier step derives"):
             replay_trace(trace[1:])
 
+    @pytest.mark.parametrize(
+        "m, keep, message",
+        [(12, 0, "level 12 has 1 children but 0 Khinchine uses"),
+         (7, 1, "level 7 has 2 children but 1 Khinchine uses")],
+    )
+    def test_replay_rejects_khinchine_uses_that_do_not_match_the_children(self, m, keep, message):
+        # the float update zips children with uses: real halving at 12 with no
+        # use replayed 1.0 instead of 3.5636, and at 7 with one of its two uses
+        # 1.5614 instead of 2.6918
+        trace = compute_constant(m, Field.REAL, Strategy.HALVING).trace
+        last = trace[-1]
+        forged = (*trace[:-1], dataclasses.replace(last, khinchine=last.khinchine[:keep]))
+        with pytest.raises(ValueError, match=message):
+            replay_trace(forged)
+        assert replay_trace(trace) == pytest.approx({12: 3.5636, 7: 2.6918}[m], abs=5e-5)
+
     def test_replay_builds_no_fraction(self, monkeypatch):
         # every rule's shift is an int pair, so the float update needs no Fraction
         records = [

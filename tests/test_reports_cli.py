@@ -302,6 +302,37 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
         assert json.loads(done.stdout) == loaded
 
+    @pytest.mark.parametrize(
+        "setup, argv, preset, pinned",
+        [
+            ("", ["verify", "blei", "--trials", "1"], {}, "1"),
+            ("", ["search", "--m", "2", "--dim", "2", "--budget", "10"], {}, "1"),
+            ("", ["verify", "blei", "--trials", "1"], {"OMP_NUM_THREADS": "2"}, None),
+            ("", ["verify", "blei", "--trials", "1"], {"GOTO_NUM_THREADS": ""}, None),
+            ("", ["verify", "blei", "--trials", "1"], {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+            ("import numpy\n", ["verify", "blei", "--trials", "1"], {}, None),
+            ("import bhc.verify\n", [], {}, None),
+            ("", ["constants", "--max-m", "3"], {}, None),
+        ],
+        ids=["verify", "search", "omp-set", "goto-set-empty", "openblas-set", "numpy-loaded", "library-import",
+             "constants"],
+    )
+    def test_verify_and_search_pin_an_unset_blas_to_one_thread(self, setup, argv, preset, pinned):
+        # a fresh interpreter: this one has imported numpy already
+        script = (
+            f"{setup}import contextlib, io, json, os\n"
+            "from bhc.cli import main\n"
+            f"if {argv!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert main({argv!r}, standalone_mode=False) == 0\n"
+            "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+        )
+        blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {name: value for name, value in os.environ.items() if name not in blas}
+        env.update(preset, PYTHONPATH=str(Path(bhc.__file__).parents[1]))  # this bhc
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert json.loads(done.stdout) == pinned
+
     def test_seed_env_override(self):
         runner = CliRunner()
         result = runner.invoke(

@@ -375,11 +375,13 @@ class TestSupNormReal:
             reference = self._full_enumeration(MultilinearForm(coeffs, Field.REAL))
             assert float(norm).hex() == reference.hex()
 
-    def test_middle_leaves_go_straight_into_the_chunk(self):
+    def test_middle_leaves_go_straight_into_the_chunk(self, monkeypatch):
         # (2, 16, 2): 2^15 leaves of 2 x 2 values each; gathering a chunk's
         # leaves as a list of small arrays before concatenating peaked at
         # 16.3 MiB, copying each into the chunk buffer at 7.3 MiB.  A warm
-        # width-16 sign table would hide part of the peak.
+        # width-16 sign table would hide part of the peak.  The form would be
+        # pruned (TestPrunedOracle.test_pruned_walk_in_bounded_memory).
+        monkeypatch.setattr(verify, "_prune_pays", lambda k, n1, n2, nm: False)
         vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
         form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
         verify._cached_sign_vectors.cache_clear()
@@ -466,8 +468,10 @@ class TestSupNormReal:
 class TestThreadedOracle:
     @staticmethod
     def _force(monkeypatch, cpus):
-        # `cpus` usable CPUs under a one-thread BLAS, and every call and middle
-        # combination large enough for threads; returns the worker counts used
+        # `cpus` usable CPUs under a one-thread BLAS, every call and middle
+        # combination large enough for threads, and no form pruned; returns
+        # the worker counts used
+        monkeypatch.setattr(verify, "_prune_pays", lambda k, n1, n2, nm: False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -593,6 +597,186 @@ class TestThreadedOracle:
         assert verify._workers(2**11, 5 * verify._PARALLEL_VALUES - 1, 2**20) == min(4, workers)
         assert verify._workers(2**11, 2 * verify._PARALLEL_VALUES - 1, 2**20) == 1
         assert verify._workers(2**11, 2**40, verify._LEAF_VALUES - 1) == 1
+
+
+class TestPrunedOracle:
+    @staticmethod
+    def _force(monkeypatch):
+        # every form with one middle slot is pruned, stacks form by form;
+        # returns the forms pruned
+        monkeypatch.setattr(verify, "_prune_pays", lambda k, n1, n2, nm: True)
+        return TestPrunedOracle._count_pruned(monkeypatch)
+
+    @staticmethod
+    def _count_pruned(monkeypatch):
+        pruned = []
+        walk = verify._pruned_walk
+
+        def counted(form):
+            pruned.append(form.shape)
+            return walk(form)
+
+        monkeypatch.setattr(verify, "_pruned_walk", counted)
+        return pruned
+
+    @staticmethod
+    def _count_scored(monkeypatch):
+        # the middle combinations each chunk scores
+        scored = []
+        score = verify._score_chunk
+
+        def counted(leaves, product, sums, last, count, one_gemm, best):
+            scored.append(count)
+            score(leaves, product, sums, last, count, one_gemm, best)
+
+        monkeypatch.setattr(verify, "_score_chunk", counted)
+        return scored
+
+    @pytest.mark.parametrize(
+        "shape, chunk",
+        [((3, 3, 3), None), ((2, 4, 5), None), ((1, 5, 6), None), ((4, 5, 3), None), ((6, 3, 2), None),
+         ((2, 7, 9), None), ((3, 6, 4), 1), ((3, 6, 4), 3)],
+        ids=["3x3x3", "2x4x5", "1x5x6", "4x5x3", "6x3x2", "2x7x9", "3x6x4-chunks-of-1", "3x6x4-chunks-of-3"],
+    )
+    def test_pruned_walk_matches_full_enumeration(self, shape, chunk, monkeypatch):
+        # the stacked walk rounds some middle leaves of a 1x5x6 stack of 4
+        # differently from the lone form's; pruned form by form, each norm is
+        # the form's own
+        pruned = self._force(monkeypatch)
+        if chunk is not None:
+            monkeypatch.setattr(verify, "_CHUNK_VALUES", chunk * shape[0] * 2 ** (shape[-1] - 1))
+        rng = np.random.default_rng(len(shape) * sum(shape))
+        for k in range(1, 9):
+            stack = rng.uniform(-1.0, 1.0, size=(k, *shape))
+            stack[k // 2] = rng.choice([-1.0, 1.0], size=shape)
+            if k > 2:
+                stack[-1] = 0.0
+            if k > 3:
+                stack[1] *= 2.0**-1000
+                stack[2] *= 2.0**1000
+            pruned.clear()
+            norms = _sup_norms_real(stack)
+            assert pruned == [shape] * k
+            for coeffs, norm in zip(stack, norms):
+                reference = TestSupNormReal._full_enumeration(MultilinearForm(coeffs, Field.REAL))
+                assert float(norm).hex() == reference.hex()
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [np.zeros((3, 4, 5)), np.ones((3, 3, 3)), -np.ones((2, 5, 4)),
+         np.pad([[[1.0], [1.0]], [[1.0], [-1.0]]], ((0, 2), (0, 2), (0, 3))),
+         np.pad([[[1.0, 1.0], [1.0, -1.0]]], ((0, 3), (0, 3), (0, 2)))],
+        ids=["zero", "all-ones-3x3x3", "minus-ones", "littlewood-padded-4x4x4", "littlewood-padded-4x5x4"],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 2.0**1000], ids=["1", "2^-1000", "2^1000"])
+    def test_known_forms_pruned_to_the_bit(self, coeffs, scale, monkeypatch):
+        # all ones: every row with its signs all +1 or all -1 ties for the norm
+        pruned = self._force(monkeypatch)
+        form = MultilinearForm(coeffs * scale, Field.REAL)
+        assert sup_norm_real(form).hex() == TestSupNormReal._full_enumeration(form).hex()
+        assert pruned == [coeffs.shape]
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 4, 5), (2, 6, 6), (5, 3, 8), (1, 7, 3), (6, 5, 4), (9, 4, 2)], ids=lambda s: "x".join(map(str, s))
+    )
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 2.0**1000], ids=["1", "2^-1000", "2^1000"])
+    def test_reach_covers_every_vertex_value_of_its_row(self, shape, scale):
+        # the reach of each middle row against the largest vertex value the walk
+        # computes for it, leaf and product as the walk makes them; each half's
+        # maximum is at most the row's, so the reach is at most twice it plus
+        # its margin, and a last slot of _WHOLE_LAST_SLOT or fewer, taken
+        # whole, gives the row's maximum plus its margin
+        rng = np.random.default_rng(sum(shape))
+        n1, n2, nm = shape
+        last = verify._cached_sign_vectors(nm)
+        for _ in range(4):
+            form = rng.uniform(-1.0, 1.0, size=shape) * scale
+            at = np.moveaxis(form, 1, -1).reshape(-1, n2)
+            margin = 1e-12 * float(np.abs(form).sum()) + verify._TINY
+            parts = 1.0 if nm <= verify._WHOLE_LAST_SLOT else 2.0
+            reach = verify._row_reach(form)
+            assert reach.shape == (2 ** (n2 - 1),)
+            for row, eps in enumerate(verify._cached_sign_vectors(n2)):
+                leaf = np.dot(at, eps.reshape(-1, 1)).reshape(n1, nm)
+                top = float(np.add.reduce(np.abs(leaf @ last.T), axis=0).max())
+                assert top <= reach[row] <= parts * top * (1.0 + 1e-12) + margin
+
+    def test_reach_of_a_form_near_the_double_range_is_infinite(self):
+        form = np.full((2, 3, 4), 2.0**1018)
+        assert np.all(verify._row_reach(form) == math.inf)
+        assert np.all(np.isfinite(verify._row_reach(form / 4)))
+
+    def test_scored_rows_pinned_at_the_guard_cube(self, monkeypatch):
+        # the three seed-42 forms of `verify bh --m 3 --dim 12 --trials 3`: 717 of
+        # their 3 x 2048 middle rows are scored, each form's norm as the walk's
+        pruned = self._count_pruned(monkeypatch)
+        scored = self._count_scored(monkeypatch)
+        rng = np.random.default_rng(42)
+        forms = [random_form((12, 12, 12), Field.REAL, rng) for _ in range(3)]
+        counts = []
+        for form in forms:
+            scored.clear()
+            sup_norm_real(form)
+            counts.append(sum(scored))
+        assert counts == [66, 615, 36]
+        assert len(pruned) == 3
+        norms = [sup_norm_real(form).hex() for form in forms]
+        monkeypatch.setattr(verify, "_prune_pays", lambda k, n1, n2, nm: False)
+        assert [sup_norm_real(form).hex() for form in forms] == norms
+        assert len(pruned) == 6
+
+    @pytest.mark.parametrize(
+        "shape, k, pruned",
+        [((12, 12, 12), 1, True), ((12, 12, 12), 2, False), ((8, 8, 8), 1, True), ((3, 3, 3), 8, False),
+         ((6, 6, 6), 1, False), ((2, 7, 2), 1, True), ((2, 17, 2), 1, True), ((2, 18, 2), 1, False),
+         ((16, 7, 12), 1, True), ((17, 7, 12), 1, False), ((512, 7, 4), 1, True), ((513, 7, 4), 1, False),
+         ((2, 7, 17), 1, True), ((3, 7, 17), 1, False), ((4, 4, 4, 4), 1, False), ((4096, 8, 1), 1, False)],
+        ids=["12x12x12", "12x12x12-stack", "8x8x8", "search-3x3x3", "6x6x6-32-rows", "2x7x2-64-rows", "2x17x2",
+             "2x18x2-uncached", "16x7x12-halves", "17x7x12-halves", "512x7x4-whole", "513x7x4-whole",
+             "2x7x17-one-block", "3x7x17-two-blocks", "four-slots", "last-slot-of-one"],
+    )
+    def test_engage_rule(self, shape, k, pruned, monkeypatch):
+        # a lone form is pruned when its middle table is cached and has 64 rows
+        # or more, and its last slot fits one block and either splits in two
+        # with N_1 <= 16 or is taken whole with leaves of 4096 values or fewer;
+        # never with m != 3
+        counted = self._count_pruned(monkeypatch)
+        stack = np.zeros((k, *shape))
+        stack[(slice(None), *(0,) * len(shape))] = 1.0
+        assert _sup_norms_real(stack).tolist() == [1.0] * k
+        assert counted == ([shape] * k if pruned else [])
+
+    def test_bound_pass_in_bounded_memory(self):
+        # (16, 17, 7): 2^16 middle rows of 16 x (8 + 8) half-values; one product
+        # for all rows would hold 64 MiB, the capped ones 128 KiB
+        form = np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 17, 7))
+        verify._cached_sign_vectors(17)
+        tracemalloc.start()
+        try:
+            reach = verify._row_reach(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reach.shape == (2**16,) and np.all(np.isfinite(reach))
+        assert peak < 6 * 2**20
+
+    def test_pruned_walk_in_bounded_memory(self, monkeypatch):
+        # the (2, 16, 2) form of test_middle_leaves_go_straight_into_the_chunk,
+        # pruned: the walk's chunk buffer, the 2^15 reaches and their order,
+        # and the bound pass's small products
+        pruned = self._count_pruned(monkeypatch)
+        vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
+        form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
+        verify._cached_sign_vectors.cache_clear()
+        tracemalloc.start()
+        try:
+            norm = sup_norm_real(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pruned == [(2, 16, 2)]
+        assert norm == 3 * 136 * 3
+        assert peak < 12 * 2**20
 
 
 class TestSupNormComplexLb:
