@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field as dataclass_field, fields
 from typing import TYPE_CHECKING, Any
 
-from .core import _BLAS_THREAD_VARIABLES, DomainError, Field
+from .core import DomainError, Field, _blas_threads
 from .recursion import (
     ConstantRecord,
     Strategy,
@@ -321,10 +321,12 @@ _VERIFY_FLAGS = {"khinchine": ("n", "p"), "blei": (), "bh": ("m", "dim"), "summi
 
 def _one_blas_thread() -> None:
     """Pin OpenBLAS to one thread before numpy loads, unless numpy is loaded already
-    or one of the variables it reads its thread count from is set: the oracles'
-    gemms are small, run faster on one BLAS thread, and so leave the CPUs to the
-    oracle's own threads."""
-    if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+    or the environment sets a thread count (:func:`bhc.core._blas_threads`, the
+    rule the oracle's worker count reads too): the oracles' gemms are small, run
+    faster on one BLAS thread, and so leave the CPUs to the oracle's own threads.
+    A variable that sets no count, such as ``OMP_NUM_THREADS=0``, is read as
+    unset by OpenBLAS too, so pinning changes no count that was chosen."""
+    if "numpy" not in sys.modules and _blas_threads() is None:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 

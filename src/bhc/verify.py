@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLAS_THREAD_VARIABLES, DomainError, Field, SizeLimitError, digest_bytes
+from .core import DomainError, Field, SizeLimitError, _blas_threads, digest_bytes
 from .exponents import blei_f, blei_w
 from .recursion import ConstantRecord, Strategy, compute_constant
 from .special import _khinchine_exponent, khinchine_a, khinchine_b
@@ -244,31 +244,24 @@ _LEAF_VALUES = 2**12
 # A lone form with one middle slot of _PRUNE_ROWS rows or more has its rows ranked
 # by a certified bound and only those that can still reach the running norm
 # scored (_pruned_walk), where that measured faster than the walk (_prune_pays):
-# with a last slot split in two, for N_1 <= _PRUNE_SLOT1, since the halves'
-# bound loosens as slot 1 grows; with a last slot taken whole, for leaves of
-# _LEAF_VALUES vertex values or fewer, since its bound pass makes every product
-# the walk makes and gains only the walk's Python step per row.
+# for N_1 <= _PRUNE_SLOT1, since the bound over two halves of the last slot
+# loosens as slot 1 grows.
 _PRUNE_ROWS = 2**6
 _PRUNE_SLOT1 = 16
-# a last slot this wide or narrower is bounded whole, not in two halves: at most
-# twice the work of the halves, and the bound is each row's largest vertex value
-_WHOLE_LAST_SLOT = 4
 
 
-def _prune_pays(k: int, n1: int, n2: int, nm: int) -> bool:
-    """Whether a stack of ``k`` forms of shape (N_1, N_2, N_m) is pruned form by form.
+def _prune_pays(n1: int, n2: int, nm: int) -> bool:
+    """Whether a lone form of shape (N_1, N_2, N_m) is pruned.
 
-    On 2 CPUs with a one-thread BLAS, random forms of the 406 shapes so
-    pruned with N_2 of 7, 10, 13 or 16 ran from about as fast as the walk
-    over two threads at the rule's edge ((16,7,5), (12,7,5): 0.9x-1.1x) to
-    40x as fast ((1,10,14)); (12,12,12) 4x-11x, (8,8,8) 2x-3x, (2,17,2) 15x.
-    Past the rule, (32,10,10), (64,12,7), (1024,9,4) and (5,5,5) ran 0.66x
-    to 0.91x as fast.  A stack keeps the walk, whose Python step per middle
-    row serves all of its forms.
+    On 2 CPUs with a one-thread BLAS, random forms of the shapes so pruned
+    with N_2 of 7, 10, 13 or 16 ran from about as fast as the walk over two
+    threads at the rule's edge ((16,7,5), (12,7,5): 0.9x-1.1x) to 40x as fast
+    ((1,10,14)); (12,12,12) 4x-11x, (8,8,8) 2x-3x.  Past the rule, (32,10,10),
+    (64,12,7) and (5,5,5) ran 0.66x to 0.91x as fast.  A last slot of 4 or
+    fewer keeps the walk: no CLI cube has one with _PRUNE_ROWS middle rows,
+    so no workload measures pruning there.
     """
-    if k > 1 or 2 ** (n2 - 1) < _PRUNE_ROWS:
-        return False
-    return n1 * 2 ** (nm - 1) <= _LEAF_VALUES if nm <= _WHOLE_LAST_SLOT else n1 <= _PRUNE_SLOT1
+    return nm > 4 and 2 ** (n2 - 1) >= _PRUNE_ROWS and n1 <= _PRUNE_SLOT1
 
 
 def _sign_vectors(n: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -395,21 +388,18 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
       the maximum over all (:func:`_fan_out`).  Every product is one the
       serial walk makes and a maximum is exact in any order, so the norms do
       not depend on the thread count; one worker runs inline, with no thread.
-    * A form with one middle slot is pruned (:func:`_pruned_walk`) where that
-      measured faster (:func:`_prune_pays`), its middle slot's sign table is
-      cached, and its last slot has two coordinates or more and fits one
+    * A lone form with one middle slot is pruned (:func:`_pruned_walk`) where
+      that measured faster (:func:`_prune_pays`), its middle slot's sign table
+      is cached, and its last slot has two coordinates or more and fits one
       block.  A bound pass (:func:`_row_reach`) gives each middle row r a
       reach R(r) = B(r) (1 + c) + (c ||U||_1 + tiny), with B(r) the computed
-      bound over two halves of the last slot (or, up to _WHOLE_LAST_SLOT
-      coordinates, over the whole slot), c = 4 (N_1 + N_2 + N_3) u,
+      bound over two halves of the last slot, c = 4 (N_1 + N_2 + N_3) u,
       u = 2^-53 and tiny the smallest normal double; the rows are scored in
       descending reach, one row first and then twice as many per chunk up to
       a full chunk, and those whose reach is below the running norm are
       dropped.  A scored row is scored as in the walk, and the norm is a
       maximum, so only a dropped row could change it, and none does: R(r) is
       at or above every vertex value V^(r, t) the walk would compute for r.
-      A stack that :func:`_prune_pays` lets through is pruned form by form,
-      each norm being the form's own.
 
     Proof that R(r) >= V^(r, t) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., §3.1 and §4.2; gamma_n = n u / (1 - n u)).  Every
@@ -424,8 +414,7 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
     V^ = fl(sum_i |P^_i|) <= (1 + gamma_N1) (V + gamma_(N2+N3) A), with V the
     exact value.  Split the last slot into halves a and b: V <= B_a + B_b,
     B_h = max over the half's sign vectors t_h of sum_i |sum_jc U_ijc e_j t_c|
-    (triangle inequality; the sum is even in t_h, so t_h may start with +1);
-    a last slot taken whole is a half a with b empty, and B_b = 0.
+    (triangle inequality; the sum is even in t_h, so t_h may start with +1).
     The bound pass computes each such sum, for every t_h, within the same
     error from below: B^_h >= (1 - gamma_N1) (B_h - gamma_(N2+N3) A_h), and
     B^ = fl(B^_a + B^_b) >= (1 - u) (B^_a + B^_b).  So, with n = N_1 + N_2 +
@@ -453,16 +442,18 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
     # forms' rows differently at some partial block widths (above 192, not a
     # multiple of 8), so only a last slot that fits one block gets one gemm
     one_gemm = n1 > 1 and block >= vertices
+    # a lone form (a stack's Python step per middle row serves all its forms),
     # one middle slot whose sign table is cached, and a last slot of more than one
-    # vertex (the walk doubles a lone one) that fits one block for a lone form
+    # vertex (the walk doubles a lone one) that fits one block
     if (
-        len(middle) == 1
+        k == 1
+        and len(middle) == 1
         and 1 < nm
         and 2 ** (middle[0] - 1) <= _SIGN_BLOCK
         and vertices <= min(_SIGN_BLOCK, _CHUNK_VALUES // n1)
-        and _prune_pays(k, n1, middle[0], nm)
+        and _prune_pays(n1, middle[0], nm)
     ):
-        return np.array([_pruned_walk(form) for form in stack])
+        return np.array([_pruned_walk(stack[0])])
     # a worker walks a range of the first middle slot's rows, else of the last slot's blocks
     units = 2 ** (middle[0] - 1) if middle else -(-vertices // block)
     leaf_values = k * n1 * vertices  # the vertex values of one middle combination
@@ -589,13 +580,12 @@ def _row_reach(form: np.ndarray) -> np.ndarray:
     """For each row of the middle slot's sign table of a form of shape (N_1, N_2, N_m),
     a float at or above every vertex value the walk computes for that row, or inf.
 
-    A last slot wider than _WHOLE_LAST_SLOT is split into halves a and b, and
-    the row's bound is max_{t_a} sum_i |L_i[a] . t_a| + max_{t_b} sum_i
-    |L_i[b] . t_b|, L its leaf; a narrower one is taken whole.  Each part is
-    contracted with its own sign table, then one product with a block of
-    middle rows gives all their part-values.  The reach adds the margin of
-    :func:`_sup_norms_real` to the bound; it is inf for every row of a form
-    whose ||U||_1 times 4 is not finite.
+    The last slot is split into halves a and b, and the row's bound is
+    max_{t_a} sum_i |L_i[a] . t_a| + max_{t_b} sum_i |L_i[b] . t_b|, L its
+    leaf.  Each half is contracted with its own sign table, then one product
+    with a block of middle rows gives all their half-values.  The reach adds
+    the margin of :func:`_sup_norms_real` to the bound; it is inf for every
+    row of a form whose ||U||_1 times 4 is not finite.
     """
     n1, n2, nm = form.shape
     signs = _cached_sign_vectors(n2)
@@ -603,8 +593,7 @@ def _row_reach(form: np.ndarray) -> np.ndarray:
     if not math.isfinite(4.0 * norm1):
         return np.full(len(signs), math.inf)
     bound = np.zeros(len(signs))
-    halves = (slice(0, (nm + 1) // 2), slice((nm + 1) // 2, nm))
-    for half in (slice(0, nm),) if nm <= _WHOLE_LAST_SLOT else halves:
+    for half in (slice(0, (nm + 1) // 2), slice((nm + 1) // 2, nm)):
         table = _cached_sign_vectors(half.stop - half.start)
         # w[(i, t), j]: sum over the half's coordinates c of form[i, j, c] t[c]
         w = np.matmul(form[..., half], table.T).transpose(0, 2, 1).reshape(-1, n2)
@@ -629,10 +618,9 @@ def _workers(units: int, values: int, leaf_values: int) -> int:
     more than the usable CPUs over the BLAS's own threads; one if a middle
     combination has fewer than _LEAF_VALUES vertex values (``leaf_values``).
 
-    The BLAS threads are read as OpenBLAS reads them: OPENBLAS_NUM_THREADS, then
-    GOTO_NUM_THREADS, then OMP_NUM_THREADS, a value that is not a positive integer
-    counting as unset; with none set the BLAS takes one thread per usable CPU, and
-    every call stays in one thread, since threads over a threaded BLAS run slower.
+    The BLAS threads are read as OpenBLAS reads them (:func:`bhc.core._blas_threads`);
+    with none set the BLAS takes one thread per usable CPU, and every call stays
+    in one thread, since threads over a threaded BLAS run slower.
     """
     workers = min(units, values // _PARALLEL_VALUES)
     if workers < 2 or leaf_values < _LEAF_VALUES:
@@ -641,13 +629,7 @@ def _workers(units: int, values: int, leaf_values: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    blas = cpus
-    for name in _BLAS_THREAD_VARIABLES:
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            blas = int(value)
-            break
-    return max(1, min(workers, cpus // blas))
+    return max(1, min(workers, cpus // (_blas_threads() or cpus)))
 
 
 _NEVER_SET = threading.Event()  # the stop signal of a walk that runs inline, in one worker

@@ -308,16 +308,20 @@ class TestCli:
             ("", ["verify", "blei", "--trials", "1"], {}, "1"),
             ("", ["search", "--m", "2", "--dim", "2", "--budget", "10"], {}, "1"),
             ("", ["verify", "blei", "--trials", "1"], {"OMP_NUM_THREADS": "2"}, None),
-            ("", ["verify", "blei", "--trials", "1"], {"GOTO_NUM_THREADS": ""}, None),
+            ("", ["verify", "blei", "--trials", "1"], {"GOTO_NUM_THREADS": "3"}, None),
             ("", ["verify", "blei", "--trials", "1"], {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+            ("", ["verify", "blei", "--trials", "1"], {"OMP_NUM_THREADS": "0", "GOTO_NUM_THREADS": ""}, "1"),
+            ("", ["verify", "blei", "--trials", "1"], {"OPENBLAS_NUM_THREADS": " "}, "1"),
             ("import numpy\n", ["verify", "blei", "--trials", "1"], {}, None),
             ("import bhc.verify\n", [], {}, None),
             ("", ["constants", "--max-m", "3"], {}, None),
         ],
-        ids=["verify", "search", "omp-set", "goto-set-empty", "openblas-set", "numpy-loaded", "library-import",
-             "constants"],
+        ids=["verify", "search", "omp-set", "goto-set", "openblas-set", "omp-zero-goto-empty", "openblas-blank",
+             "numpy-loaded", "library-import", "constants"],
     )
     def test_verify_and_search_pin_an_unset_blas_to_one_thread(self, setup, argv, preset, pinned):
+        # a variable that holds no positive integer sets no count, for OpenBLAS
+        # and for the oracle's worker count alike, and is read as unset
         # a fresh interpreter: this one has imported numpy already
         script = (
             f"{setup}import contextlib, io, json, os\n"

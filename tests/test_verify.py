@@ -375,13 +375,11 @@ class TestSupNormReal:
             reference = self._full_enumeration(MultilinearForm(coeffs, Field.REAL))
             assert float(norm).hex() == reference.hex()
 
-    def test_middle_leaves_go_straight_into_the_chunk(self, monkeypatch):
+    def test_middle_leaves_go_straight_into_the_chunk(self):
         # (2, 16, 2): 2^15 leaves of 2 x 2 values each; gathering a chunk's
         # leaves as a list of small arrays before concatenating peaked at
         # 16.3 MiB, copying each into the chunk buffer at 7.3 MiB.  A warm
-        # width-16 sign table would hide part of the peak.  The form would be
-        # pruned (TestPrunedOracle.test_pruned_walk_in_bounded_memory).
-        monkeypatch.setattr(verify, "_prune_pays", lambda k, n1, n2, nm: False)
+        # width-16 sign table would hide part of the peak.
         vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
         form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
         verify._cached_sign_vectors.cache_clear()
@@ -471,7 +469,7 @@ class TestThreadedOracle:
         # `cpus` usable CPUs under a one-thread BLAS, every call and middle
         # combination large enough for threads, and no form pruned; returns
         # the worker counts used
-        monkeypatch.setattr(verify, "_prune_pays", lambda k, n1, n2, nm: False)
+        monkeypatch.setattr(verify, "_prune_pays", lambda n1, n2, nm: False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -602,9 +600,8 @@ class TestThreadedOracle:
 class TestPrunedOracle:
     @staticmethod
     def _force(monkeypatch):
-        # every form with one middle slot is pruned, stacks form by form;
-        # returns the forms pruned
-        monkeypatch.setattr(verify, "_prune_pays", lambda k, n1, n2, nm: True)
+        # every lone form with one middle slot is pruned; returns the forms pruned
+        monkeypatch.setattr(verify, "_prune_pays", lambda n1, n2, nm: True)
         return TestPrunedOracle._count_pruned(monkeypatch)
 
     @staticmethod
@@ -639,9 +636,7 @@ class TestPrunedOracle:
         ids=["3x3x3", "2x4x5", "1x5x6", "4x5x3", "6x3x2", "2x7x9", "3x6x4-chunks-of-1", "3x6x4-chunks-of-3"],
     )
     def test_pruned_walk_matches_full_enumeration(self, shape, chunk, monkeypatch):
-        # the stacked walk rounds some middle leaves of a 1x5x6 stack of 4
-        # differently from the lone form's; pruned form by form, each norm is
-        # the form's own
+        # the forms of stacks of 1 to 8, each pruned alone: a stack keeps the walk
         pruned = self._force(monkeypatch)
         if chunk is not None:
             monkeypatch.setattr(verify, "_CHUNK_VALUES", chunk * shape[0] * 2 ** (shape[-1] - 1))
@@ -654,12 +649,14 @@ class TestPrunedOracle:
             if k > 3:
                 stack[1] *= 2.0**-1000
                 stack[2] *= 2.0**1000
+            for coeffs in stack:
+                reference = TestSupNormReal._full_enumeration(MultilinearForm(coeffs, Field.REAL))
+                assert float(verify._pruned_walk(coeffs)).hex() == reference.hex()
             pruned.clear()
             norms = _sup_norms_real(stack)
-            assert pruned == [shape] * k
-            for coeffs, norm in zip(stack, norms):
-                reference = TestSupNormReal._full_enumeration(MultilinearForm(coeffs, Field.REAL))
-                assert float(norm).hex() == reference.hex()
+            assert pruned == ([shape] if k == 1 else [])
+            if k == 1:
+                assert float(norms[0]).hex() == reference.hex()
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -684,8 +681,7 @@ class TestPrunedOracle:
         # the reach of each middle row against the largest vertex value the walk
         # computes for it, leaf and product as the walk makes them; each half's
         # maximum is at most the row's, so the reach is at most twice it plus
-        # its margin, and a last slot of _WHOLE_LAST_SLOT or fewer, taken
-        # whole, gives the row's maximum plus its margin
+        # its margin
         rng = np.random.default_rng(sum(shape))
         n1, n2, nm = shape
         last = verify._cached_sign_vectors(nm)
@@ -693,13 +689,12 @@ class TestPrunedOracle:
             form = rng.uniform(-1.0, 1.0, size=shape) * scale
             at = np.moveaxis(form, 1, -1).reshape(-1, n2)
             margin = 1e-12 * float(np.abs(form).sum()) + verify._TINY
-            parts = 1.0 if nm <= verify._WHOLE_LAST_SLOT else 2.0
             reach = verify._row_reach(form)
             assert reach.shape == (2 ** (n2 - 1),)
             for row, eps in enumerate(verify._cached_sign_vectors(n2)):
                 leaf = np.dot(at, eps.reshape(-1, 1)).reshape(n1, nm)
                 top = float(np.add.reduce(np.abs(leaf @ last.T), axis=0).max())
-                assert top <= reach[row] <= parts * top * (1.0 + 1e-12) + margin
+                assert top <= reach[row] <= 2.0 * top * (1.0 + 1e-12) + margin
 
     def test_reach_of_a_form_near_the_double_range_is_infinite(self):
         form = np.full((2, 3, 4), 2.0**1018)
@@ -721,25 +716,24 @@ class TestPrunedOracle:
         assert counts == [66, 615, 36]
         assert len(pruned) == 3
         norms = [sup_norm_real(form).hex() for form in forms]
-        monkeypatch.setattr(verify, "_prune_pays", lambda k, n1, n2, nm: False)
+        monkeypatch.setattr(verify, "_prune_pays", lambda n1, n2, nm: False)
         assert [sup_norm_real(form).hex() for form in forms] == norms
         assert len(pruned) == 6
 
     @pytest.mark.parametrize(
         "shape, k, pruned",
         [((12, 12, 12), 1, True), ((12, 12, 12), 2, False), ((8, 8, 8), 1, True), ((3, 3, 3), 8, False),
-         ((6, 6, 6), 1, False), ((2, 7, 2), 1, True), ((2, 17, 2), 1, True), ((2, 18, 2), 1, False),
-         ((16, 7, 12), 1, True), ((17, 7, 12), 1, False), ((512, 7, 4), 1, True), ((513, 7, 4), 1, False),
+         ((6, 6, 6), 1, False), ((2, 7, 5), 1, True), ((2, 17, 5), 1, True), ((2, 18, 5), 1, False),
+         ((16, 7, 12), 1, True), ((17, 7, 12), 1, False), ((16, 12, 4), 1, False), ((2, 16, 2), 1, False),
          ((2, 7, 17), 1, True), ((3, 7, 17), 1, False), ((4, 4, 4, 4), 1, False), ((4096, 8, 1), 1, False)],
-        ids=["12x12x12", "12x12x12-stack", "8x8x8", "search-3x3x3", "6x6x6-32-rows", "2x7x2-64-rows", "2x17x2",
-             "2x18x2-uncached", "16x7x12-halves", "17x7x12-halves", "512x7x4-whole", "513x7x4-whole",
+        ids=["12x12x12", "12x12x12-stack", "8x8x8", "search-3x3x3", "6x6x6-32-rows", "2x7x5-64-rows", "2x17x5",
+             "2x18x5-uncached", "16x7x12", "17x7x12", "16x12x4-narrow-last-slot", "2x16x2-narrow-last-slot",
              "2x7x17-one-block", "3x7x17-two-blocks", "four-slots", "last-slot-of-one"],
     )
     def test_engage_rule(self, shape, k, pruned, monkeypatch):
         # a lone form is pruned when its middle table is cached and has 64 rows
-        # or more, and its last slot fits one block and either splits in two
-        # with N_1 <= 16 or is taken whole with leaves of 4096 values or fewer;
-        # never with m != 3
+        # or more, its last slot has 5 coordinates or more and fits one block,
+        # and N_1 <= 16; never with m != 3
         counted = self._count_pruned(monkeypatch)
         stack = np.zeros((k, *shape))
         stack[(slice(None), *(0,) * len(shape))] = 1.0
@@ -762,9 +756,9 @@ class TestPrunedOracle:
 
     def test_pruned_walk_in_bounded_memory(self, monkeypatch):
         # the (2, 16, 2) form of test_middle_leaves_go_straight_into_the_chunk,
-        # pruned: the walk's chunk buffer, the 2^15 reaches and their order,
-        # and the bound pass's small products
-        pruned = self._count_pruned(monkeypatch)
+        # forced to be pruned: the walk's chunk buffer, the 2^15 reaches and
+        # their order, and the bound pass's small products
+        pruned = self._force(monkeypatch)
         vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
         form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
         verify._cached_sign_vectors.cache_clear()
