@@ -55,6 +55,9 @@ def _cases() -> list[tuple[str, ...]]:
             "verify khinchine --trials 5 --format json",
             "verify khinchine --p 1.5 --n 6 --trials 5 --format table",
             "verify blei --trials 20 --seed 7 --format json",
+            # every report's lhs, rhs and ratio, so a last-bit change in any trial shows
+            "verify blei --trials 300 --seed 3 --verbose --format json",
+            "verify khinchine --n 16 --trials 20 --seed 3 --verbose --format json",
             "verify bh --trials 5 --format json",
             "verify bh --m 3 --dim 3 --trials 5 --verbose --format json",
             "verify summing --m 2 --dim 3 --trials 5 --format json",
