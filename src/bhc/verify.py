@@ -186,10 +186,15 @@ def rademacher_moment(a, p: float) -> float:
         raise DomainError("coefficients must be finite")
     if a.size > MAX_RADEMACHER_N:
         raise SizeLimitError(f"exact enumeration limited to N <= {MAX_RADEMACHER_N}, got {a.size}")
-    sums = np.zeros(1, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+    # pattern sums double in one buffer: the first half adds coef, the second subtracts it
+    sums = np.empty(1 << a.size, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+    sums[0] = 0.0
+    n = 1
     for coef in a:
-        sums = np.concatenate([sums + coef, sums - coef])
-    sums = np.abs(sums)
+        np.subtract(sums[:n], coef, out=sums[n : 2 * n])
+        sums[:n] += coef
+        n *= 2
+    sums = np.abs(sums, out=None if np.iscomplexobj(sums) else sums)
     if p < 1.0 and (top := sums.max()) > 0:
         # the power 1/p multiplies the mean's rounding error by 1/p; the mean
         # of |s/top|^p - 1 keeps the small terms, and n = 1 gives top exactly
@@ -902,46 +907,81 @@ def multiple_summing_check(
 # --------------------------------------------------------------------------
 
 def blei_check(matrix, q: float, s1: float, s2: float) -> VerificationReport:
-    """Check Blei's mixed-norm inequality on a positive matrix.
+    """Check Blei's mixed-norm inequality on a nonempty positive matrix.
 
     lhs = (sum a_ij^w)^(1/w); rhs combines row l_q norms to the s1-th power
     with weight f(s1,s2)/s1 and column l_q norms to the s2-th power with
     weight f(s2,s1)/s2.  Both sides have degree 1 in the matrix, so when a
     direct sum under- or overflows the check is decided on a / max(a).
     """
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2:
+    [report] = _blei_checks(np.asarray(matrix, dtype=np.float64)[None], q, [s1], [s2])
+    return report
+
+
+def _powers(stack: np.ndarray, exps: list[float]) -> np.ndarray:
+    """stack[k] ** exps[k] for each k, each to the bit of its scalar power.  numpy's ``**``
+    squares for a scalar exponent 2, and its pow loop does not always give those bits; every
+    exponent here is at least 1, and of those only 2 takes such a path of its own."""
+    out = stack ** np.array(exps).reshape(-1, *(1,) * (stack.ndim - 1))
+    if 2.0 in exps:
+        for k, e in enumerate(exps):
+            if e == 2.0:
+                out[k] = stack[k] ** e
+    return out
+
+
+def _blei_checks(stack, q: float, s1s: list[float], s2s: list[float]) -> list[VerificationReport]:
+    """Blei's check of each matrix stack[k] of one shape, at q, s1s[k] and s2s[k].
+
+    Each array step is one numpy call over the whole stack, and every sum runs
+    along the axis and in the order a lone matrix's would, so each report is to
+    the bit what :func:`blei_check` gives the matrix alone.  A matrix whose sums
+    leave the normal double range is decided on a / max(a), as a stack of one.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3:
         raise DomainError("Blei's inequality is stated for matrices")
-    if not np.all(np.isfinite(a)):
+    if 0 in stack.shape[1:]:
+        raise DomainError(f"Blei's inequality needs a nonempty matrix, got shape {stack.shape[1:]}")
+    if not np.isfinite(stack).all():
         raise DomainError("Blei matrix entries must be finite")
-    if not np.all(a > 0):
+    if not (stack > 0).all():
         raise DomainError("Blei's inequality requires strictly positive entries")
-    w = blei_w(q, s1, s2)
-    f1 = blei_f(q, s1, s2)
-    f2 = blei_f(q, s2, s1)
+    s1s, s2s = list(s1s), list(s2s)
+    ws = [blei_w(q, s1, s2) for s1, s2 in zip(s1s, s2s)]
+    f1s = [blei_f(q, s1, s2) for s1, s2 in zip(s1s, s2s)]
+    f2s = [blei_f(q, s2, s1) for s1, s2 in zip(s1s, s2s)]
 
-    def sides(a: np.ndarray) -> tuple[float, float, bool]:
-        """lhs, rhs, and whether every sum behind them is a normal float."""
+    def sides(a: np.ndarray, ks: slice) -> tuple[list[float], list[float], list[bool]]:
+        """lhs, rhs, and whether every sum behind them is a normal float, of each matrix of a
+        at the exponents of the matrices ks."""
         with np.errstate(over="ignore"):
-            total = float(np.sum(a**w))
+            totals = np.add.reduce(_powers(a, ws[ks]).reshape(len(a), -1), axis=1)
             powers = a**q
-            row_sums, col_sums = np.sum(powers, axis=1), np.sum(powers, axis=0)
-            row_total = float(np.sum((row_sums ** (1.0 / q)) ** s1))
-            col_total = float(np.sum((col_sums ** (1.0 / q)) ** s2))
-        # an infinite row or column sum makes its total infinite
-        low = min(total, row_total, col_total, row_sums.min(), col_sums.min())
-        normal = _TINY <= low and max(total, row_total, col_total) < math.inf
-        return total ** (1.0 / w), row_total ** (f1 / s1) * col_total ** (f2 / s2), normal
+            row_sums, col_sums = np.add.reduce(powers, axis=2), np.add.reduce(powers, axis=1)
+            row_totals = np.add.reduce(_powers(row_sums ** (1.0 / q), s1s[ks]), axis=1)
+            col_totals = np.add.reduce(_powers(col_sums ** (1.0 / q), s2s[ks]), axis=1)
+        sums = np.concatenate((totals[:, None], row_totals[:, None], col_totals[:, None], row_sums, col_sums), 1)
+        normal = ((_TINY <= sums) & (sums < math.inf)).all(axis=1).tolist()
+        lhs = [total ** (1.0 / w) for total, w in zip(totals.tolist(), ws[ks])]
+        factors = zip(row_totals.tolist(), col_totals.tolist(), f1s[ks], s1s[ks], f2s[ks], s2s[ks])
+        rhs = [row ** (f1 / s1) * col ** (f2 / s2) for row, col, f1, s1, f2, s2 in factors]
+        return lhs, rhs, normal
 
-    lhs, rhs, normal = sides(a)
-    scale = 1.0
-    if not normal:
-        # the same check on a / max(a), whose largest entry makes each total >= 1
-        scale = float(a.max())
-        lhs, rhs, _ = sides(a / scale)
-    passed = lhs <= rhs * (1.0 + CERTIFIED_SLACK)
-    params = f"shape={a.shape[0]}x{a.shape[1]};q={q!r};s1={s1!r};s2={s2!r};{digest_bytes(a.tobytes())}"
-    return VerificationReport("blei", params, scale * lhs, scale * rhs, lhs / rhs, None, passed)
+    lhs, rhs, normal = sides(stack, slice(None))
+    rows, cols = stack.shape[1:]
+    reports = []
+    for k, a in enumerate(stack):
+        scale = 1.0
+        if not normal[k]:
+            # the same check on a / max(a), whose largest entry makes each total >= 1
+            scale = float(a.max())
+            [lhs[k]], [rhs[k]], _ = sides((a / scale)[None], slice(k, k + 1))
+        passed = lhs[k] <= rhs[k] * (1.0 + CERTIFIED_SLACK)
+        params = f"shape={rows}x{cols};q={q!r};s1={s1s[k]!r};s2={s2s[k]!r};{digest_bytes(a.tobytes())}"
+        ratio = lhs[k] / rhs[k]
+        reports.append(VerificationReport("blei", params, scale * lhs[k], scale * rhs[k], ratio, None, passed))
+    return reports
 
 
 # --------------------------------------------------------------------------
@@ -1170,17 +1210,23 @@ def blei_suite(trials: int, seed: int) -> list[VerificationReport]:
     """Random positive matrices with random Blei parameters at q = 2.
 
     Each matrix has 1..6 rows and 1..8 columns; s1 and s2 are uniform on
-    [1, 1.9).
+    [1, 1.9).  The draws of each shape are checked as one stack, each report
+    to the bit what its matrix gives alone, and returned in trial order.
     """
     rng = np.random.default_rng(seed)
-    reports = []
-    for _ in range(trials):
+    groups: dict[tuple[int, int], tuple[list, list, list, list]] = {}
+    for t in range(trials):
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 9))
         matrix = 1.0 - rng.random((rows, cols))  # entries in (0, 1]
         s1 = float(rng.uniform(1.0, 1.9))
         s2 = float(rng.uniform(1.0, 1.9))
-        reports.append(blei_check(matrix, 2.0, s1, s2))
+        for column, value in zip(groups.setdefault(matrix.shape, ([], [], [], [])), (t, matrix, s1, s2)):
+            column.append(value)
+    reports: list = [None] * trials
+    for ts, matrices, s1s, s2s in groups.values():
+        for t, report in zip(ts, _blei_checks(np.stack(matrices), 2.0, s1s, s2s)):
+            reports[t] = report
     return reports
 
 

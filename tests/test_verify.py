@@ -22,6 +22,8 @@ from bhc.reports import ReportDocument, RunConfig, report_row
 from bhc.verify import (
     MultilinearForm,
     VectorFamily,
+    _blei_checks,
+    _powers,
     _moves,
     _search_ratios,
     _sup_norms_real,
@@ -1147,6 +1149,108 @@ class TestBleiCheck:
             rhs = float(np.sum(rows**s1)) ** (f1 / s1) * float(np.sum(cols**s2)) ** (f2 / s2)
             assert (report.lhs.hex(), report.rhs.hex()) == (lhs.hex(), rhs.hex())
             assert report.ratio.hex() == (lhs / rhs).hex()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)], ids=["no-rows", "no-columns"])
+    def test_empty_matrix_is_rejected(self, shape):
+        with pytest.raises(DomainError, match="nonempty"):
+            blei_check(np.ones(shape), 2.0, 1.2, 1.7)
+
+    def test_empty_suite(self):
+        assert blei_suite(0, seed=3) == []
+
+
+def _hexes(report):
+    return report.params, report.lhs.hex(), report.rhs.hex(), report.ratio.hex()
+
+
+def _blei_formula(a, q, s1, s2):
+    """Blei's lhs and rhs of one matrix by the scalar-exponent formula, on a / max(a) where a
+    sum leaves the normal double range; the bits blei_check gives."""
+    w, f1, f2 = blei_w(q, s1, s2), blei_f(q, s1, s2), blei_f(q, s2, s1)
+
+    def sides(a):
+        with np.errstate(over="ignore"):
+            total = float(np.sum(a**w))
+            rows, cols = np.sum(a**q, axis=1), np.sum(a**q, axis=0)
+            row_total = float(np.sum((rows ** (1.0 / q)) ** s1))
+            col_total = float(np.sum((cols ** (1.0 / q)) ** s2))
+        sums = [total, row_total, col_total, *rows, *cols]
+        normal = all(np.finfo(float).tiny <= s < math.inf for s in sums)
+        return total ** (1.0 / w), row_total ** (f1 / s1) * col_total ** (f2 / s2), normal
+
+    lhs, rhs, normal = sides(a)
+    if normal:
+        return lhs.hex(), rhs.hex(), (lhs / rhs).hex()
+    scale = float(a.max())
+    lhs, rhs, _ = sides(a / scale)
+    return (scale * lhs).hex(), (scale * rhs).hex(), (lhs / rhs).hex()
+
+
+class TestBleiStack:
+    """_blei_checks of a stack gives each matrix, to the bit, what blei_check gives it alone."""
+
+    @staticmethod
+    def _assert_alone(stack, q, s1s, s2s):
+        reports = _blei_checks(stack, q, s1s, s2s)
+        assert len(reports) == len(stack)
+        for a, s1, s2, report in zip(stack, s1s, s2s, reports):
+            alone = blei_check(a, q, s1, s2)
+            assert _hexes(report) == _hexes(alone)
+            assert _hexes(alone)[1:] == _blei_formula(a, q, s1, s2)
+
+    def test_normal_and_rescaled_matrices_in_one_stack(self):
+        rng = np.random.default_rng(11)
+        stack = 1.0 - rng.random((9, 4, 5))
+        stack[[1, 5]] *= 1e-200  # a^q underflows
+        stack[[2, 7]] *= 1e200  # a^w overflows
+        stack[3, 0, 0] = 1e200  # one huge entry
+        s1s = rng.uniform(1.0, 1.9, 9).tolist()
+        s2s = rng.uniform(1.0, 1.9, 9).tolist()
+        self._assert_alone(stack, 2.0, s1s, s2s)
+
+    def test_exponent_two_keeps_the_scalar_square(self):
+        # at q = 3, s1 = s2 = 1.5 gives w = 2, and s1 = 2 squares the row norms:
+        # numpy squares for a scalar 2, and its pow loop rounds otherwise
+        rng = np.random.default_rng(12)
+        stack = rng.uniform(0.1, 10.0, (6, 5, 7))
+        s1s = [1.5, 1.3, 2.0, 1.5, 2.5, 1.1]
+        s2s = [1.5, 1.7, 1.2, 1.5, 1.01, 2.0]
+        assert blei_w(3.0, 1.5, 1.5) == 2.0
+        self._assert_alone(stack, 3.0, s1s, s2s)
+
+    def test_powers_keep_each_scalar_power(self):
+        # numpy's pow loop gives 11 of the 105 entries raised to 2 here other bits than its square
+        stack = np.random.default_rng(12).uniform(0.1, 10.0, (6, 5, 7))
+        exps = [2.0, 1.5, 2.0, 1.0, 3.0, 2.0]
+        out = _powers(stack, exps)
+        for k, e in enumerate(exps):
+            assert out[k].tobytes() == (stack[k] ** e).tobytes()
+
+    def test_stack_of_one(self):
+        a = 1.0 - np.random.default_rng(13).random((1, 6, 8))
+        self._assert_alone(a, 2.0, [1.25], [1.75])
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2024])
+    def test_suite_reports_are_each_matrix_alone(self, seed):
+        # the suite's draws, in its order
+        rng = np.random.default_rng(seed)
+        alone = []
+        for _ in range(1000):
+            shape = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            matrix = 1.0 - rng.random(shape)
+            s1, s2 = float(rng.uniform(1.0, 1.9)), float(rng.uniform(1.0, 1.9))
+            alone.append(_hexes(blei_check(matrix, 2.0, s1, s2)))
+        assert [_hexes(r) for r in blei_suite(1000, seed)] == alone
+
+    def test_every_check_is_kept(self):
+        with pytest.raises(DomainError, match="matrices"):
+            _blei_checks(np.ones((2, 3)), 2.0, [1.2, 1.2], [1.2, 1.2])
+        with pytest.raises(DomainError, match="finite"):
+            _blei_checks(np.array([[[1.0]], [[math.inf]]]), 2.0, [1.2, 1.2], [1.2, 1.2])
+        with pytest.raises(DomainError, match="positive"):
+            _blei_checks(np.array([[[1.0]], [[0.0]]]), 2.0, [1.2, 1.2], [1.2, 1.2])
+        with pytest.raises(DomainError, match="q > max"):
+            _blei_checks(np.ones((2, 1, 1)), 2.0, [1.2, 1.9], [1.2, 2.5])
 
 
 class TestExtremalSearch:
