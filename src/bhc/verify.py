@@ -914,11 +914,11 @@ def blei_check(matrix, q: float, s1: float, s2: float) -> VerificationReport:
     weight f(s2,s1)/s2.  Both sides have degree 1 in the matrix, so when a
     direct sum under- or overflows the check is decided on a / max(a).
     """
-    [report] = _blei_checks(np.asarray(matrix, dtype=np.float64)[None], q, [s1], [s2])
+    [report] = _blei_checks(np.asarray(matrix, dtype=np.float64)[None], q, (s1,), (s2,))
     return report
 
 
-def _powers(stack: np.ndarray, exps: list[float]) -> np.ndarray:
+def _powers(stack: np.ndarray, exps: tuple[float, ...]) -> np.ndarray:
     """stack[k] ** exps[k] for each k, each to the bit of its scalar power.  numpy's ``**``
     squares for a scalar exponent 2, and its pow loop does not always give those bits; every
     exponent here is at least 1, and of those only 2 takes such a path of its own."""
@@ -930,7 +930,9 @@ def _powers(stack: np.ndarray, exps: list[float]) -> np.ndarray:
     return out
 
 
-def _blei_checks(stack, q: float, s1s: list[float], s2s: list[float]) -> list[VerificationReport]:
+def _blei_checks(
+    stack, q: float, s1s: tuple[float, ...], s2s: tuple[float, ...]
+) -> list[VerificationReport]:
     """Blei's check of each matrix stack[k] of one shape, at q, s1s[k] and s2s[k].
 
     Each array step is one numpy call over the whole stack, and every sum runs
@@ -947,7 +949,6 @@ def _blei_checks(stack, q: float, s1s: list[float], s2s: list[float]) -> list[Ve
         raise DomainError("Blei matrix entries must be finite")
     if not (stack > 0).all():
         raise DomainError("Blei's inequality requires strictly positive entries")
-    s1s, s2s = list(s1s), list(s2s)
     ws = [blei_w(q, s1, s2) for s1, s2 in zip(s1s, s2s)]
     f1s = [blei_f(q, s1, s2) for s1, s2 in zip(s1s, s2s)]
     f2s = [blei_f(q, s2, s1) for s1, s2 in zip(s1s, s2s)]
@@ -961,7 +962,8 @@ def _blei_checks(stack, q: float, s1s: list[float], s2s: list[float]) -> list[Ve
             row_sums, col_sums = np.add.reduce(powers, axis=2), np.add.reduce(powers, axis=1)
             row_totals = np.add.reduce(_powers(row_sums ** (1.0 / q), s1s[ks]), axis=1)
             col_totals = np.add.reduce(_powers(col_sums ** (1.0 / q), s2s[ks]), axis=1)
-        sums = np.concatenate((totals[:, None], row_totals[:, None], col_totals[:, None], row_sums, col_sums), 1)
+        sums = (totals[:, None], row_totals[:, None], col_totals[:, None], row_sums, col_sums)
+        sums = np.concatenate(sums, axis=1)
         normal = ((_TINY <= sums) & (sums < math.inf)).all(axis=1).tolist()
         lhs = [total ** (1.0 / w) for total, w in zip(totals.tolist(), ws[ks])]
         factors = zip(row_totals.tolist(), col_totals.tolist(), f1s[ks], s1s[ks], f2s[ks], s2s[ks])
@@ -972,15 +974,16 @@ def _blei_checks(stack, q: float, s1s: list[float], s2s: list[float]) -> list[Ve
     rows, cols = stack.shape[1:]
     reports = []
     for k, a in enumerate(stack):
-        scale = 1.0
+        scale, lhs_k, rhs_k = 1.0, lhs[k], rhs[k]
         if not normal[k]:
             # the same check on a / max(a), whose largest entry makes each total >= 1
             scale = float(a.max())
-            [lhs[k]], [rhs[k]], _ = sides((a / scale)[None], slice(k, k + 1))
-        passed = lhs[k] <= rhs[k] * (1.0 + CERTIFIED_SLACK)
+            [lhs_k], [rhs_k], _ = sides((a / scale)[None], slice(k, k + 1))
+        passed = lhs_k <= rhs_k * (1.0 + CERTIFIED_SLACK)
         params = f"shape={rows}x{cols};q={q!r};s1={s1s[k]!r};s2={s2s[k]!r};{digest_bytes(a.tobytes())}"
-        ratio = lhs[k] / rhs[k]
-        reports.append(VerificationReport("blei", params, scale * lhs[k], scale * rhs[k], ratio, None, passed))
+        reports.append(
+            VerificationReport("blei", params, scale * lhs_k, scale * rhs_k, lhs_k / rhs_k, None, passed)
+        )
     return reports
 
 
@@ -1214,17 +1217,17 @@ def blei_suite(trials: int, seed: int) -> list[VerificationReport]:
     to the bit what its matrix gives alone, and returned in trial order.
     """
     rng = np.random.default_rng(seed)
-    groups: dict[tuple[int, int], tuple[list, list, list, list]] = {}
+    groups: dict[tuple[int, int], list[tuple[int, np.ndarray, float, float]]] = {}
     for t in range(trials):
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 9))
         matrix = 1.0 - rng.random((rows, cols))  # entries in (0, 1]
         s1 = float(rng.uniform(1.0, 1.9))
         s2 = float(rng.uniform(1.0, 1.9))
-        for column, value in zip(groups.setdefault(matrix.shape, ([], [], [], [])), (t, matrix, s1, s2)):
-            column.append(value)
+        groups.setdefault(matrix.shape, []).append((t, matrix, s1, s2))
     reports: list = [None] * trials
-    for ts, matrices, s1s, s2s in groups.values():
+    for group in groups.values():
+        ts, matrices, s1s, s2s = zip(*group)
         for t, report in zip(ts, _blei_checks(np.stack(matrices), 2.0, s1s, s2s)):
             reports[t] = report
     return reports

@@ -1240,6 +1240,7 @@ class TestBleiStack:
             matrix = 1.0 - rng.random(shape)
             s1, s2 = float(rng.uniform(1.0, 1.9)), float(rng.uniform(1.0, 1.9))
             alone.append(_hexes(blei_check(matrix, 2.0, s1, s2)))
+            assert alone[-1][1:] == _blei_formula(matrix, 2.0, s1, s2)
         assert [_hexes(r) for r in blei_suite(1000, seed)] == alone
 
     def test_every_check_is_kept(self):
