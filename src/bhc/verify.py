@@ -931,16 +931,15 @@ def _powers(stack: np.ndarray, exps: tuple[float, ...]) -> np.ndarray:
 
 
 def _blei_checks(
-    stack, q: float, s1s: tuple[float, ...], s2s: tuple[float, ...]
+    stack: np.ndarray, q: float, s1s: tuple[float, ...], s2s: tuple[float, ...]
 ) -> list[VerificationReport]:
-    """Blei's check of each matrix stack[k] of one shape, at q, s1s[k] and s2s[k].
+    """Blei's check of each float64 matrix stack[k] of one shape, at q, s1s[k] and s2s[k].
 
     Each array step is one numpy call over the whole stack, and every sum runs
     along the axis and in the order a lone matrix's would, so each report is to
     the bit what :func:`blei_check` gives the matrix alone.  A matrix whose sums
     leave the normal double range is decided on a / max(a), as a stack of one.
     """
-    stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3:
         raise DomainError("Blei's inequality is stated for matrices")
     if 0 in stack.shape[1:]:
