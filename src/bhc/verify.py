@@ -13,11 +13,8 @@ Everything here certifies at desk scale, by exhaustion rather than sampling:
   vertices, one ``abs`` and one sum over slot 1 per chunk.  Every slot is
   read a block of sign vectors at a time and every product is capped, so
   memory stays flat up to the size guard.  One call can take a stack of
-  forms of one shape; the sign tables of narrow slots are cached.  A large
-  call spreads over threads when the BLAS leaves CPUs idle, each thread
-  walking one range of a slot's sign vectors, with the same norms to the
-  bit.  A lone form with one middle slot of 64 rows or more is pruned
-  instead, where that measured faster: a vectorised bound pass gives each
+  forms of one shape; the sign tables of narrow slots are cached.  A lone
+  form with one middle slot of 64 rows or more is pruned instead, where that measured faster: a vectorised bound pass gives each
   of that slot's rows a certified upper bound on the vertex values the walk
   would compute for it, and the rows are scored in descending bound until
   none left can reach the running norm (717 of the 6 144 rows of three
@@ -44,13 +41,11 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Field, SizeLimitError, _blas_threads, digest_bytes
+from .core import DomainError, Field, SizeLimitError, digest_bytes
 from .exponents import blei_f, blei_w
 from .recursion import ConstantRecord, Strategy, compute_constant
 from .special import _khinchine_exponent, khinchine_a, khinchine_b
@@ -237,15 +232,6 @@ def khinchine_check(a, p: float) -> VerificationReport:
 _SIGN_BLOCK = 2**16
 _CHUNK_VALUES = 2**17
 
-# A call takes one more thread per _PARALLEL_VALUES vertex values (see _workers),
-# and a call with middle slots takes threads only if each middle combination
-# meets _LEAF_VALUES vertex values or more: below that, the walk's Python step
-# per combination holds the GIL for most of the call, and a second thread only
-# waits for it.  With a one-thread BLAS on 2 CPUs, two threads saved 12-30 % of
-# a call from 2^21 values on, and broke even at 2^11 values per combination.
-_PARALLEL_VALUES = 2**20
-_LEAF_VALUES = 2**12
-
 # A lone form with one middle slot of _PRUNE_ROWS rows or more has its rows ranked
 # by a certified bound and only those that can still reach the running norm
 # scored (_pruned_walk), where that measured faster than the walk (_prune_pays):
@@ -289,28 +275,25 @@ def _cached_sign_vectors(n: int) -> np.ndarray:
     return table
 
 
-def _sign_blocks(n: int, block: int, start: int = 0, stop: int | None = None):
-    """Yield rows start..stop-1 of :func:`_sign_vectors` in order, ``block`` at a time (all
-    rows by default): slices of the cached table when the whole table fits one sign block;
-    else each block is built into one buffer, over the block before it, so a wide slot
-    holds one block at a time."""
+def _sign_blocks(n: int, block: int):
+    """Yield the rows of :func:`_sign_vectors` in order, ``block`` at a time: slices of
+    the cached table when the whole table fits one sign block; else each block is built
+    into one buffer, over the block before it, so a wide slot holds one block at a time."""
     total = 2 ** (n - 1)
-    stop = total if stop is None else min(stop, total)
     if total <= _SIGN_BLOCK:
         table = _cached_sign_vectors(n)
-        for at in range(start, stop, block):
-            yield table[at : min(at + block, stop)]
+        for at in range(0, total, block):
+            yield table[at : at + block]
         return
-    buffer = np.empty((min(block, stop - start), n))
-    for at in range(start, stop, block):
-        yield _sign_vectors(n, at, min(at + block, stop), buffer)
+    buffer = np.empty((min(block, total), n))
+    for at in range(0, total, block):
+        yield _sign_vectors(n, at, min(at + block, total), buffer)
 
 
-def _middle_leaves(w: np.ndarray, widths: tuple[int, ...], start: int = 0, stop: int | None = None):
+def _middle_leaves(w: np.ndarray, widths: tuple[int, ...]):
     """Yield w with axis 1 contracted by a sign vector of width widths[0], the next
     axis 1 by one of width widths[1], and so on: every combination, depth first,
-    each slot's sign vectors read a sign block at a time, the first slot's only
-    from rows start..stop-1.
+    each slot's sign vectors read a sign block at a time.
 
     Each leaf is its combination's chain of ``np.tensordot(w, eps, axes=([1], [0]))``
     to the bit: a prefix's transpose, the operand ``tensordot`` builds, is taken
@@ -322,7 +305,7 @@ def _middle_leaves(w: np.ndarray, widths: tuple[int, ...], start: int = 0, stop:
         return
     at = np.moveaxis(w, 1, -1).reshape(-1, w.shape[1])
     shape = w.shape[:1] + w.shape[2:]
-    for signs in _sign_blocks(widths[0], _SIGN_BLOCK, start, stop):
+    for signs in _sign_blocks(widths[0], _SIGN_BLOCK):
         for eps in signs:
             yield from _middle_leaves(np.dot(at, eps.reshape(-1, 1)).reshape(shape), widths[1:])
 
@@ -386,13 +369,6 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
       one product per form, as for a lone form.
     * The sign tables of slots that fit one sign block are cached; a wider
       slot's blocks are built in turn into one buffer (:func:`_sign_blocks`).
-    * A large call is walked by :func:`_workers` threads: each takes one
-      contiguous range of the first middle slot's rows, or with no middle
-      slot of the last slot's blocks, and walks it with its own buffers and
-      running norms (:func:`_walk`); the caller takes the first range and
-      the maximum over all (:func:`_fan_out`).  Every product is one the
-      serial walk makes and a maximum is exact in any order, so the norms do
-      not depend on the thread count; one worker runs inline, with no thread.
     * A lone form with one middle slot is pruned (:func:`_pruned_walk`) where
       that measured faster (:func:`_prune_pays`), its middle slot's sign table
       is cached, and its last slot has two coordinates or more and fits one
@@ -459,40 +435,15 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
         and _prune_pays(n1, middle[0], nm)
     ):
         return np.array([_pruned_walk(stack[0])])
-    # a worker walks a range of the first middle slot's rows, else of the last slot's blocks
-    units = 2 ** (middle[0] - 1) if middle else -(-vertices // block)
-    leaf_values = k * n1 * vertices  # the vertex values of one middle combination
-    # the call's vertex values: leaf_values times 2^(N_j - 1) per middle slot
-    workers = _workers(units, leaf_values * 2 ** (sum(middle) - len(middle)), leaf_values)
-    if workers == 1:
-        return _walk(rows, k, n1, middle, block, one_gemm, 0, units, _NEVER_SET)
-    for n in dims[1:]:
-        if 2 ** (n - 1) <= _SIGN_BLOCK:
-            _cached_sign_vectors(n)  # built once, before the workers read it
-    return _fan_out(functools.partial(_walk, rows, k, n1, middle, block, one_gemm), units, workers)
+    return _walk(rows, k, n1, middle, block, one_gemm)
 
 
-def _walk(
-    rows: np.ndarray,
-    k: int,
-    n1: int,
-    middle: tuple[int, ...],
-    block: int,
-    one_gemm: bool,
-    lo: int,
-    hi: int,
-    stop: threading.Event,
-) -> np.ndarray:
-    """The running norms of :func:`_sup_norms_real` over rows lo..hi-1 of the first
-    middle slot's sign table, or with no middle slot over the last slot's blocks
-    lo..hi-1; ``rows`` is the stack seen as one form of K x N_1 rows.  Returns
-    early, with the norms so far, once ``stop`` is set."""
+def _walk(rows: np.ndarray, k: int, n1: int, middle: tuple[int, ...], block: int, one_gemm: bool) -> np.ndarray:
+    """The norms of :func:`_sup_norms_real` by the walk over every middle combination
+    and last-slot block; ``rows`` is the stack seen as one form of K x N_1 rows."""
     nm = rows.shape[-1]
     best = np.zeros(k)
-    blocks = _sign_blocks(nm, block) if middle else _sign_blocks(nm, block, lo * block, hi * block)
-    for last in blocks:
-        if stop.is_set():
-            break
+    for last in _sign_blocks(nm, block):
         if len(last) == 1:
             # numpy sums a lone column pairwise; with the vertex twice, slot 1
             # is summed row by row, as in every wider block
@@ -503,16 +454,13 @@ def _walk(
             sums = np.add.reduce(np.abs(product, out=product).reshape(k, n1, width), axis=1)
             np.maximum(best, np.maximum.reduce(sums, axis=1), out=best)
             continue
-        # the middle combinations that extend rows lo..hi-1 of the first middle slot
-        combinations = 2 ** (sum(middle[1:]) - len(middle[1:])) * (hi - lo)
+        combinations = 2 ** (sum(middle) - len(middle))
         chunk = min(combinations, max(1, _CHUNK_VALUES // (k * n1 * width)))
         leaves = np.empty((chunk, k * n1, nm))
         product = np.empty((chunk * k, n1, width))
         sums = np.empty((chunk * k, width))
-        walk = _middle_leaves(rows, middle, lo, hi)
+        walk = _middle_leaves(rows, middle)
         for start in range(0, combinations, chunk):
-            if stop.is_set():
-                break
             count = min(chunk, combinations - start)
             for i, leaf in zip(range(count), walk):
                 leaves[i] = leaf
@@ -615,67 +563,6 @@ def _row_reach(form: np.ndarray) -> np.ndarray:
             bound[at : at + len(block)] += np.maximum.reduce(sums, axis=0)
     slack = 4 * (n1 + n2 + nm) * 2.0**-53
     return bound * (1.0 + slack) + (slack * norm1 + _TINY)
-
-
-def _workers(units: int, values: int, leaf_values: int) -> int:
-    """The threads one oracle call of ``values`` vertex values spreads over, splitting
-    ``units`` rows: at most one per _PARALLEL_VALUES values and one per row, and no
-    more than the usable CPUs over the BLAS's own threads; one if a middle
-    combination has fewer than _LEAF_VALUES vertex values (``leaf_values``).
-
-    The BLAS threads are read as OpenBLAS reads them (:func:`bhc.core._blas_threads`);
-    with none set the BLAS takes one thread per usable CPU, and every call stays
-    in one thread, since threads over a threaded BLAS run slower.
-    """
-    workers = min(units, values // _PARALLEL_VALUES)
-    if workers < 2 or leaf_values < _LEAF_VALUES:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(workers, cpus // (_blas_threads() or cpus)))
-
-
-_NEVER_SET = threading.Event()  # the stop signal of a walk that runs inline, in one worker
-
-
-def _fan_out(task, units: int, workers: int) -> np.ndarray:
-    """The elementwise maximum of ``task(lo, hi, stop)`` over ``workers`` contiguous
-    ranges lo..hi-1 that cover rows 0..units-1, the first walked by the caller and
-    the others by one thread each.
-
-    If a task raises, or the caller is interrupted, ``stop`` is set and every
-    task returns at its next chunk; the error is raised once every thread is
-    joined, so no thread outlives the call.
-    """
-    bounds = [units * i // workers for i in range(workers + 1)]
-    stop = threading.Event()
-    results, errors, threads = [None] * workers, [], []
-
-    def run(i: int) -> None:
-        try:
-            results[i] = task(bounds[i], bounds[i + 1], stop)
-        except BaseException as exc:
-            errors.append(exc)
-            stop.set()
-
-    try:
-        for i in range(1, workers):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        results[0] = task(bounds[0], bounds[1], stop)
-        for thread in threads:
-            thread.join()
-    except BaseException:
-        stop.set()
-        for thread in threads:
-            thread.join()
-        raise
-    if errors:
-        raise errors[0]
-    return np.maximum.reduce(results)
 
 
 def _contraction_chains(coeffs: np.ndarray) -> list[tuple[np.ndarray, list[tuple]]]:

@@ -3,10 +3,7 @@
 import functools
 import itertools
 import math
-import os
 import re
-import sys
-import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -329,11 +326,12 @@ class TestSupNormReal:
          ((8, 2, 1), {}, None), ((1, 3, 4), {}, None), ((1, 3, 4), {}, 3), ((1, 2, 2, 5), {}, 3),
          ((2, 3, 2, 4), {}, None), ((2, 3, 2, 4), {}, 1), ((2, 3, 2, 4), {}, 2), ((2, 3, 2, 4), {}, 3),
          ((2, 5, 3), {"_SIGN_BLOCK": 4}, None), ((3, 4, 5, 2), {"_SIGN_BLOCK": 4}, None),
-         ((5, 5), {}, None), ((8, 8), {}, None), ((3, 10), {}, None)],
+         ((5, 5), {}, None), ((8, 8), {}, None), ((3, 10), {}, None), ((3, 10), {"_CHUNK_VALUES": 3 * 200}, None),
+         ((2, 1, 3), {}, None)],
         ids=["5", "1x6", "6x1", "3x3x3", "2x2x2x2x2x2", "70x3", "70x4-small-blocks", "70x4-lone-blocks",
              "70x1", "9x1", "8x2x1", "1x3x4", "1x3x4-chunks-of-3", "1x2x2x5-chunks-of-3", "2x3x2x4",
              "2x3x2x4-chunks-of-1", "2x3x2x4-chunks-of-2", "2x3x2x4-chunks-of-3", "2x5x3-sign-blocks-of-4",
-             "3x4x5x2-sign-blocks-of-4", "5x5", "8x8", "3x10"],
+             "3x4x5x2-sign-blocks-of-4", "5x5", "8x8", "3x10", "3x10-small-blocks", "2x1x3"],
     )
     def test_stacked_kernel_matches_full_enumeration(self, shape, patch, chunk, monkeypatch):
         # 70x4: the 8 last-slot vertices go in one block at K = 1, 2, then in
@@ -344,7 +342,9 @@ class TestSupNormReal:
         # 5x5, 8x8 and 1x6 also take the stacks of 16, 64 and 128 forms that a
         # widened search climb sends: one gemm for the stack, a gemv per form at
         # 1x6.  At K = 128, 3x10 splits its 512 last-slot vertices into blocks
-        # of 341 and 171, where one gemm for the whole stack rounds differently
+        # of 341 and 171, where one gemm for the whole stack rounds differently;
+        # with 3 * 200 values per product it reads them in blocks of 200 down to
+        # 25 as K goes from 1 to 8.  2x1x3: a middle slot of one row
         for name, value in patch.items():
             monkeypatch.setattr(verify, name, value)
         rng = np.random.default_rng(len(shape) * sum(shape))
@@ -463,140 +463,6 @@ class TestSupNormReal:
             assert mixed_norm_lhs(permuted) == pytest.approx(
                 mixed_norm_lhs(MultilinearForm(a, Field.REAL)), rel=1e-12
             )
-
-
-class TestThreadedOracle:
-    @staticmethod
-    def _force(monkeypatch, cpus):
-        # `cpus` usable CPUs under a one-thread BLAS, every call and middle
-        # combination large enough for threads, and no form pruned; returns
-        # the worker counts used
-        monkeypatch.setattr(verify, "_prune_pays", lambda n1, n2, nm: False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(verify, "_PARALLEL_VALUES", 1)
-        monkeypatch.setattr(verify, "_LEAF_VALUES", 1)
-        used = []
-        workers = verify._workers
-
-        def counted(*args):
-            used.append(workers(*args))
-            return used[-1]
-
-        monkeypatch.setattr(verify, "_workers", counted)
-        return used
-
-    @pytest.mark.parametrize(
-        "shape, patch, cpus, workers",
-        [((3, 3, 3), {}, 2, {2}), ((2, 3, 2, 4), {}, 2, {2}), ((2, 5, 3), {"_SIGN_BLOCK": 4}, 3, {3}),
-         ((70, 4), {"_CHUNK_VALUES": 70 * 7}, 3, {2, 3}), ((3, 10), {"_CHUNK_VALUES": 3 * 200}, 2, {2}),
-         ((8, 2, 1), {}, 3, {2}), ((1, 3, 4), {}, 3, {3}), ((2, 1, 3), {}, 2, {1})],
-        ids=["3x3x3", "2x3x2x4", "2x5x3-ranges-start-mid-block", "70x4-split-on-blocks", "3x10-split-on-blocks",
-             "8x2x1", "1x3x4-4-rows-3-ways", "2x1x3-unsplit-width-1"],
-    )
-    def test_threaded_walk_matches_full_enumeration(self, shape, patch, cpus, workers, monkeypatch):
-        # each worker walks one range of the first middle slot's rows, or of the
-        # last slot's blocks; 2x5x3 reads 16 middle rows in sign blocks of 4 as
-        # 5 + 5 + 6, so two ranges start mid-block; 70x4 reads its 8 last-slot
-        # vertices in 2 blocks at K = 1 (7 + 1), then in 3 or more, and 3x10 its
-        # 512 in blocks of 200 down to 25; a width-1 middle slot has one row, so
-        # 2x1x3 stays in one thread
-        for name, value in patch.items():
-            monkeypatch.setattr(verify, name, value)
-        used = self._force(monkeypatch, cpus)
-        rng = np.random.default_rng(len(shape) * sum(shape))
-        for k in range(1, 9):
-            stack = rng.uniform(-1.0, 1.0, size=(k, *shape))
-            stack[k // 2] = rng.choice([-1.0, 1.0], size=shape)
-            if k > 2:
-                stack[-1] = 0.0
-            norms = _sup_norms_real(stack)
-            for coeffs, norm in zip(stack, norms):
-                reference = TestSupNormReal._full_enumeration(MultilinearForm(coeffs, Field.REAL))
-                assert float(norm).hex() == reference.hex()
-        assert set(used) == workers
-
-    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
-        # 8 workers on any host, the interpreter switching threads every
-        # microsecond: a worker's norms that were lost or overwritten would
-        # change the maximum
-        stack = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 3, 5, 4))
-        serial = _sup_norms_real(stack)
-        used = self._force(monkeypatch, 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = _sup_norms_real(stack)
-        finally:
-            sys.setswitchinterval(interval)
-        assert used == [8]
-        assert [float(x).hex() for x in threaded] == [float(x).hex() for x in serial]
-
-    @pytest.mark.parametrize("caller", [False, True], ids=["worker-raises", "caller-raises"])
-    def test_error_stops_every_thread(self, caller, monkeypatch):
-        self._force(monkeypatch, 2)
-        leaves = verify._middle_leaves
-
-        def failing(w, widths, start=0, stop=None):
-            if (start == 0) == caller:
-                raise RuntimeError("walk failed")
-            return leaves(w, widths, start, stop)
-
-        monkeypatch.setattr(verify, "_middle_leaves", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="walk failed"):
-            _sup_norms_real(np.ones((1, 3, 6, 3)))
-        assert threading.active_count() == before
-
-    def test_two_workers_in_bounded_memory(self, monkeypatch):
-        # (2, 16, 2) as in test_middle_leaves_go_straight_into_the_chunk, its
-        # 2^15 middle rows split between two workers with a chunk buffer each
-        used = self._force(monkeypatch, 2)
-        vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
-        form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
-        verify._cached_sign_vectors.cache_clear()
-        tracemalloc.start()
-        try:
-            norm = sup_norm_real(form)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert used == [2]
-        assert norm == 3 * 136 * 3
-        assert peak < 12 * 2**20
-
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_an_unpinned_blas_takes_one_worker(self, cpus, monkeypatch):
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert verify._workers(2**11, 2**40, 2**20) == 1
-
-    @pytest.mark.parametrize(
-        "env, workers",
-        [({"OPENBLAS_NUM_THREADS": "1"}, 8), ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
-         ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2), ({"OMP_NUM_THREADS": "3"}, 2),
-         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8), ({"OPENBLAS_NUM_THREADS": "x"}, 1),
-         ({"OPENBLAS_NUM_THREADS": "16"}, 1)],
-    )
-    def test_workers_share_the_cpus_with_the_blas(self, env, workers, monkeypatch):
-        # the first of OpenBLAS's three variables that holds a positive integer
-        # counts; 8 usable CPUs
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert verify._workers(2**11, 2**40, 2**20) == workers
-        # at most one worker per row and one per _PARALLEL_VALUES values, and
-        # one for middle combinations of fewer than _LEAF_VALUES values
-        assert verify._workers(3, 2**40, 2**20) == min(3, workers)
-        assert verify._workers(2**11, 5 * verify._PARALLEL_VALUES - 1, 2**20) == min(4, workers)
-        assert verify._workers(2**11, 2 * verify._PARALLEL_VALUES - 1, 2**20) == 1
-        assert verify._workers(2**11, 2**40, verify._LEAF_VALUES - 1) == 1
 
 
 class TestPrunedOracle:
