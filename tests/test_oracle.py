@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 
 from bhc.core import Field, SizeLimitError
+from bhc.oracle import _sup_norms_real
 from bhc.recursion import Strategy, compute_constant, constants_columns, is_stated_for
 from bhc.special import a_gamma, crossover_p0, log_gamma
-from bhc.verify import CERTIFIED_SLACK, MAX_ENUM_BITS, _cube, _sup_norms_real, rademacher_moment
+from bhc.verify import CERTIFIED_SLACK, MAX_ENUM_BITS, _cube, rademacher_moment
 
 mpmath = pytest.importorskip("mpmath")
 mpf = mpmath.mpf

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from bhc.core import DomainError, Field, SizeLimitError, digest_bytes
-from bhc import verify
+from bhc import oracle, verify
 from bhc.exponents import blei_f, blei_w
+from bhc.oracle import _sup_norms_real
 from bhc.recursion import Strategy, compute_constant
 from bhc.reports import ReportDocument, RunConfig, report_row
 from bhc.verify import (
@@ -23,7 +24,6 @@ from bhc.verify import (
     _powers,
     _moves,
     _search_ratios,
-    _sup_norms_real,
     bh_check,
     bh_suite,
     blei_check,
@@ -346,7 +346,7 @@ class TestSupNormReal:
         # with 3 * 200 values per product it reads them in blocks of 200 down to
         # 25 as K goes from 1 to 8.  2x1x3: a middle slot of one row
         for name, value in patch.items():
-            monkeypatch.setattr(verify, name, value)
+            monkeypatch.setattr(oracle, name, value)
         rng = np.random.default_rng(len(shape) * sum(shape))
         wide = (16, 64, 128) if shape in ((5, 5), (8, 8), (1, 6), (3, 10)) else ()
         for k in (*range(1, 9), *wide):
@@ -354,7 +354,7 @@ class TestSupNormReal:
                 # all last-slot vertices fit one block, so a chunk holds
                 # `chunk` middle combinations: 8 of them in 3+3+2 at
                 # 2x3x2x4, and 4 in 3+1 at 1x3x4 and 1x2x2x5
-                monkeypatch.setattr(verify, "_CHUNK_VALUES", chunk * k * shape[0] * 2 ** (shape[-1] - 1))
+                monkeypatch.setattr(oracle, "_CHUNK_VALUES", chunk * k * shape[0] * 2 ** (shape[-1] - 1))
             stack = rng.uniform(-1.0, 1.0, size=(k, *shape))
             stack[k // 2] = rng.choice([-1.0, 1.0], size=shape)
             if k > 2:
@@ -384,7 +384,7 @@ class TestSupNormReal:
         # width-16 sign table would hide part of the peak.
         vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
         form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
-        verify._cached_sign_vectors.cache_clear()
+        oracle._cached_sign_vectors.cache_clear()
         tracemalloc.start()
         try:
             norm = sup_norm_real(form)
@@ -395,14 +395,14 @@ class TestSupNormReal:
         assert peak < 12 * 2**20
 
     def test_sign_tables_are_cached_read_only(self):
-        cached = verify._cached_sign_vectors
+        cached = oracle._cached_sign_vectors
         form = random_form((8, 8, 8), Field.REAL, np.random.default_rng(0))
         sup_norm_real(form)
         misses = cached.cache_info().misses
         sup_norm_real(form)
         assert cached.cache_info().misses == misses
         assert not cached(8).flags.writeable
-        assert not next(verify._sign_blocks(8, 2)).flags.writeable
+        assert not next(oracle._sign_blocks(8, 2)).flags.writeable
         # 2^17 sign vectors exceed one sign block: built block by block, never cached
         cached.cache_clear()
         wide = MultilinearForm(np.ones((1, 18)), Field.REAL)
@@ -414,7 +414,7 @@ class TestSupNormReal:
         # full-size int64 bit arrays peaked at 18.5 MiB
         tracemalloc.start()
         try:
-            block = verify._sign_vectors(18, 0, 2**16)
+            block = oracle._sign_vectors(18, 0, 2**16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -469,32 +469,32 @@ class TestPrunedOracle:
     @staticmethod
     def _force(monkeypatch):
         # every lone form with one middle slot is pruned; returns the forms pruned
-        monkeypatch.setattr(verify, "_prune_pays", lambda n1, n2, nm: True)
+        monkeypatch.setattr(oracle, "_prune_pays", lambda n1, n2, nm: True)
         return TestPrunedOracle._count_pruned(monkeypatch)
 
     @staticmethod
     def _count_pruned(monkeypatch):
         pruned = []
-        walk = verify._pruned_walk
+        walk = oracle._pruned_walk
 
         def counted(form):
             pruned.append(form.shape)
             return walk(form)
 
-        monkeypatch.setattr(verify, "_pruned_walk", counted)
+        monkeypatch.setattr(oracle, "_pruned_walk", counted)
         return pruned
 
     @staticmethod
     def _count_scored(monkeypatch):
         # the middle combinations each chunk scores
         scored = []
-        score = verify._score_chunk
+        score = oracle._score_chunk
 
         def counted(leaves, product, sums, last, count, one_gemm, best):
             scored.append(count)
             score(leaves, product, sums, last, count, one_gemm, best)
 
-        monkeypatch.setattr(verify, "_score_chunk", counted)
+        monkeypatch.setattr(oracle, "_score_chunk", counted)
         return scored
 
     @pytest.mark.parametrize(
@@ -507,7 +507,7 @@ class TestPrunedOracle:
         # the forms of stacks of 1 to 8, each pruned alone: a stack keeps the walk
         pruned = self._force(monkeypatch)
         if chunk is not None:
-            monkeypatch.setattr(verify, "_CHUNK_VALUES", chunk * shape[0] * 2 ** (shape[-1] - 1))
+            monkeypatch.setattr(oracle, "_CHUNK_VALUES", chunk * shape[0] * 2 ** (shape[-1] - 1))
         rng = np.random.default_rng(len(shape) * sum(shape))
         for k in range(1, 9):
             stack = rng.uniform(-1.0, 1.0, size=(k, *shape))
@@ -519,7 +519,7 @@ class TestPrunedOracle:
                 stack[2] *= 2.0**1000
             for coeffs in stack:
                 reference = TestSupNormReal._full_enumeration(MultilinearForm(coeffs, Field.REAL))
-                assert float(verify._pruned_walk(coeffs)).hex() == reference.hex()
+                assert float(oracle._pruned_walk(coeffs)).hex() == reference.hex()
             pruned.clear()
             norms = _sup_norms_real(stack)
             assert pruned == ([shape] if k == 1 else [])
@@ -552,22 +552,22 @@ class TestPrunedOracle:
         # its margin
         rng = np.random.default_rng(sum(shape))
         n1, n2, nm = shape
-        last = verify._cached_sign_vectors(nm)
+        last = oracle._cached_sign_vectors(nm)
         for _ in range(4):
             form = rng.uniform(-1.0, 1.0, size=shape) * scale
             at = np.moveaxis(form, 1, -1).reshape(-1, n2)
-            margin = 1e-12 * float(np.abs(form).sum()) + verify._TINY
-            reach = verify._row_reach(form)
+            margin = 1e-12 * float(np.abs(form).sum()) + oracle._TINY
+            reach = oracle._row_reach(form)
             assert reach.shape == (2 ** (n2 - 1),)
-            for row, eps in enumerate(verify._cached_sign_vectors(n2)):
+            for row, eps in enumerate(oracle._cached_sign_vectors(n2)):
                 leaf = np.dot(at, eps.reshape(-1, 1)).reshape(n1, nm)
                 top = float(np.add.reduce(np.abs(leaf @ last.T), axis=0).max())
                 assert top <= reach[row] <= 2.0 * top * (1.0 + 1e-12) + margin
 
     def test_reach_of_a_form_near_the_double_range_is_infinite(self):
         form = np.full((2, 3, 4), 2.0**1018)
-        assert np.all(verify._row_reach(form) == math.inf)
-        assert np.all(np.isfinite(verify._row_reach(form / 4)))
+        assert np.all(oracle._row_reach(form) == math.inf)
+        assert np.all(np.isfinite(oracle._row_reach(form / 4)))
 
     def test_scored_rows_pinned_at_the_guard_cube(self, monkeypatch):
         # the three seed-42 forms of `verify bh --m 3 --dim 12 --trials 3`: 717 of
@@ -584,7 +584,7 @@ class TestPrunedOracle:
         assert counts == [66, 615, 36]
         assert len(pruned) == 3
         norms = [sup_norm_real(form).hex() for form in forms]
-        monkeypatch.setattr(verify, "_prune_pays", lambda n1, n2, nm: False)
+        monkeypatch.setattr(oracle, "_prune_pays", lambda n1, n2, nm: False)
         assert [sup_norm_real(form).hex() for form in forms] == norms
         assert len(pruned) == 6
 
@@ -612,10 +612,10 @@ class TestPrunedOracle:
         # (16, 17, 7): 2^16 middle rows of 16 x (8 + 8) half-values; one product
         # for all rows would hold 64 MiB, the capped ones 128 KiB
         form = np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 17, 7))
-        verify._cached_sign_vectors(17)
+        oracle._cached_sign_vectors(17)
         tracemalloc.start()
         try:
-            reach = verify._row_reach(form)
+            reach = oracle._row_reach(form)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -629,7 +629,7 @@ class TestPrunedOracle:
         pruned = self._force(monkeypatch)
         vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
         form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
-        verify._cached_sign_vectors.cache_clear()
+        oracle._cached_sign_vectors.cache_clear()
         tracemalloc.start()
         try:
             norm = sup_norm_real(form)
