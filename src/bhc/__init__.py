@@ -6,6 +6,8 @@
                    with exact dyadic exponents and derivation traces.
 ``bhc.verify``     Brute-force oracles for the Khinchine, Blei and
                    Bohnenblust-Hille inequalities at desk scale.
+``bhc.oracle``     The exact real operator norm by a serial cube-vertex
+                   walk (private; reached through ``bhc.verify``).
 ``bhc.reports``    Table/CSV/JSON serialization behind the ``bhc`` CLI.
 """
 

@@ -58,13 +58,15 @@ _PRUNE_SLOT1 = 16
 def _prune_pays(n1: int, n2: int, nm: int) -> bool:
     """Whether a lone form of shape (N_1, N_2, N_m) is pruned.
 
-    On 2 CPUs with a one-thread BLAS, random forms of the shapes so pruned
-    with N_2 of 7, 10, 13 or 16 ran from about as fast as the walk over two
-    threads at the rule's edge ((16,7,5), (12,7,5): 0.9x-1.1x) to 40x as fast
-    ((1,10,14)); (12,12,12) 4x-11x, (8,8,8) 2x-3x.  Past the rule, (32,10,10),
-    (64,12,7) and (5,5,5) ran 0.66x to 0.91x as fast.  A last slot of 4 or
-    fewer keeps the walk: no CLI cube has one with _PRUNE_ROWS middle rows,
-    so no workload measures pruning there.
+    On 2 CPUs with a one-thread BLAS, three random forms of each shape so
+    pruned ran from about as fast as the walk at the rule's edge ((16,7,5),
+    (12,7,5): 0.9x-1.6x) to 57x as fast ((1,10,14)); (12,12,12) 4x-11x,
+    (8,8,8) 2x-3x.  Past the rule, (64,12,7) and (5,5,5) ran 0.6x to 0.9x as
+    fast, while (32,10,10) ran 1.1x-1.6x and (24,10,5) 1.8x-3.3x: the rule
+    was drawn against a walk that took two threads at those shapes, and no
+    workload sends them.  A last slot of 4 or fewer keeps the walk: no CLI
+    cube has one with _PRUNE_ROWS middle rows, so no workload measures
+    pruning there.
     """
     return nm > 4 and 2 ** (n2 - 1) >= _PRUNE_ROWS and n1 <= _PRUNE_SLOT1
 
@@ -137,7 +139,17 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
 
     Each norm is bit for bit what a full enumeration through the chain
     ``tensordot`` per middle slot, ``matmul`` with the last-slot vertices,
-    ``abs`` and ``add.reduce`` over slot 1 would give the form alone:
+    ``abs`` and ``add.reduce`` over slot 1 would give the form alone, with one
+    exception: in a stack of forms with N_1 = 1 and a middle slot, OpenBLAS
+    may round the middle slot's leaf gemv over K x N_m rows differently from
+    the lone form's over N_m rows.  In stacks of 4, 8 and 16 random forms of
+    shapes (1,5,6), (1,4,7) and (1,6,5) (seed 1, one-thread BLAS), 83 of
+    2 100 forms got a last bit other than their stack of one; (1,6), (1,9),
+    (1,3,9), (2,5,6) and (3,3,3) showed none.  Such a norm is still within
+    gamma_n sum|U| (n = N_1 + ... + N_m) of the exact norm, a bound that holds
+    for any summation order, so it certifies as any other; correctly rounded
+    norms would remove the exception (ROADMAP item 2).  No search stack is
+    affected: a cube with N_1 = 1 has one coordinate per slot.
 
     * Every slot is read in blocks of at most _SIGN_BLOCK sign vectors, and
       every product holds at most _CHUNK_VALUES values: a last-slot block has

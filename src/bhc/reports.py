@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field as dataclass_field, fields
 from typing import TYPE_CHECKING, Any
 
-from .core import DomainError, Field, _blas_threads
+from .core import DomainError, Field
 from .recursion import (
     ConstantRecord,
     Strategy,
@@ -319,13 +319,28 @@ def run_baselines(cfg: RunConfig) -> ReportDocument:
 _VERIFY_FLAGS = {"khinchine": ("n", "p"), "blei": (), "bh": ("m", "dim"), "summing": ("m", "dim")}
 
 
+# The variables OpenBLAS reads for its thread count, in the order it reads them.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads() -> int | None:
+    """The BLAS thread count the environment sets, read as OpenBLAS reads it: the
+    first of _BLAS_THREAD_VARIABLES that holds a positive integer, a variable
+    that is unset, empty or holds anything else counting as unset; None if none
+    sets one, and OpenBLAS then takes one thread per usable CPU."""
+    for name in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
 def _one_blas_thread() -> None:
     """Pin OpenBLAS to one thread before numpy loads, unless numpy is loaded already
-    or the environment sets a thread count (:func:`bhc.core._blas_threads`, the
-    rule the oracle's worker count reads too): the oracles' gemms are small, run
-    faster on one BLAS thread, and so leave the CPUs to the oracle's own threads.
-    A variable that sets no count, such as ``OMP_NUM_THREADS=0``, is read as
-    unset by OpenBLAS too, so pinning changes no count that was chosen."""
+    or the environment sets a thread count (:func:`_blas_threads`): the oracles'
+    gemms are small and run faster on one BLAS thread.  A variable that sets no
+    count, such as ``OMP_NUM_THREADS=0``, is read as unset by OpenBLAS too, so
+    pinning changes no count that was chosen."""
     if "numpy" not in sys.modules and _blas_threads() is None:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

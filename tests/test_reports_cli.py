@@ -24,8 +24,10 @@ from bhc.cli import main
 from bhc.core import DomainError, Field
 from bhc.recursion import Strategy, compute_constant, replay_trace
 from bhc.reports import (
+    _BLAS_THREAD_VARIABLES,
     _VERIFY_FLAGS,
     RunConfig,
+    _blas_threads,
     run_baselines,
     run_constants,
     run_explain,
@@ -321,7 +323,7 @@ class TestCli:
     )
     def test_verify_and_search_pin_an_unset_blas_to_one_thread(self, setup, argv, preset, pinned):
         # a variable that holds no positive integer sets no count, for OpenBLAS
-        # and for the oracle's worker count alike, and is read as unset
+        # and for the pin alike, and is read as unset
         # a fresh interpreter: this one has imported numpy already
         script = (
             f"{setup}import contextlib, io, json, os\n"
@@ -336,6 +338,23 @@ class TestCli:
         env.update(preset, PYTHONPATH=str(Path(bhc.__file__).parents[1]))  # this bhc
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
         assert json.loads(done.stdout) == pinned
+
+    @pytest.mark.parametrize(
+        "env, threads",
+        [({}, None), ({"OPENBLAS_NUM_THREADS": "1"}, 1), ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+         ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4), ({"OMP_NUM_THREADS": "3"}, 3),
+         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1), ({"OPENBLAS_NUM_THREADS": "x"}, None),
+         ({"OPENBLAS_NUM_THREADS": "16"}, 16)],
+        ids=["unset", "openblas", "openblas-over-omp", "goto-over-omp", "omp", "openblas-zero-falls-through",
+             "openblas-not-a-number", "openblas-16"],
+    )
+    def test_blas_threads_read_as_openblas_reads_them(self, env, threads, monkeypatch):
+        # the first of OpenBLAS's three variables that holds a positive integer counts
+        for name in _BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert _blas_threads() == threads
 
     def test_seed_env_override(self):
         runner = CliRunner()
