@@ -35,8 +35,8 @@ import numpy as np
 from . import oracle
 from .core import DomainError, Field, SizeLimitError, digest_bytes
 from .exponents import blei_f, blei_w
-from .recursion import ConstantRecord, Strategy, compute_constant
 from .oracle import MAX_ENUM_BITS
+from .recursion import ConstantRecord, Strategy, compute_constant
 from .special import _khinchine_exponent, khinchine_a, khinchine_b
 
 __all__ = [
