@@ -3,7 +3,10 @@
 import functools
 import itertools
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -16,7 +19,7 @@ from bhc import oracle, verify
 from bhc.exponents import blei_f, blei_w
 from bhc.oracle import _sup_norms_real
 from bhc.recursion import Strategy, compute_constant
-from bhc.reports import ReportDocument, RunConfig, report_row
+from bhc.reports import _BLAS_THREAD_VARIABLES, ReportDocument, RunConfig, report_row
 from bhc.verify import (
     MultilinearForm,
     VectorFamily,
@@ -377,6 +380,30 @@ class TestSupNormReal:
             reference = self._full_enumeration(MultilinearForm(coeffs, Field.REAL))
             assert float(norm).hex() == reference.hex()
 
+    @pytest.mark.parametrize("shape", [(1, 5, 6), (1, 4, 7), (1, 6, 5)], ids=lambda shape: "x".join(map(str, shape)))
+    def test_stacked_norm_within_the_summation_bound(self, shape):
+        # a stack of one-row forms with a middle slot may round a form's norm
+        # differently from the form alone (the middle slot's leaf gemv over
+        # K x N_m rows), but each norm stays within gamma_n sum|U|, n = N_1 +
+        # ... + N_m, of the exact norm.  Every term of a vertex value is +-U
+        # exactly, so fsum rounds each vertex value, and their maximum, correctly
+        n, unit = sum(shape), Fraction(1, 2**53)
+        gamma = n * unit / (1 - n * unit)
+
+        def signs(width):
+            return np.array([(1.0, *rest) for rest in itertools.product((1.0, -1.0), repeat=width - 1)])
+
+        middle, last = signs(shape[1]), signs(shape[2])
+        rng = np.random.default_rng(1)
+        for k in (4, 8, 16):
+            for _ in range(4):
+                stack = rng.uniform(-1.0, 1.0, size=(k, *shape))
+                for coeffs, norm in zip(stack, _sup_norms_real(stack)):
+                    terms = coeffs[0] * middle[:, None, :, None] * last[None, :, None, :]
+                    exact = max(abs(math.fsum(row)) for row in terms.reshape(-1, shape[1] * shape[2]))
+                    l1 = sum(map(Fraction, np.abs(coeffs).flat))
+                    assert abs(Fraction(norm) - Fraction(exact)) <= gamma * l1 + unit * Fraction(exact)
+
     def test_middle_leaves_go_straight_into_the_chunk(self):
         # (2, 16, 2): 2^15 leaves of 2 x 2 values each; gathering a chunk's
         # leaves as a list of small arrays before concatenating peaked at
@@ -463,6 +490,136 @@ class TestSupNormReal:
             assert mixed_norm_lhs(permuted) == pytest.approx(
                 mixed_norm_lhs(MultilinearForm(a, Field.REAL)), rel=1e-12
             )
+
+
+class TestOracleModule:
+    def test_oracle_defines_no_public_function(self):
+        # perfbench's tracer wraps the public functions of the layer modules,
+        # and bhc.oracle is none of them: its calls count through bhc.verify's
+        public = [
+            name
+            for name, value in vars(oracle).items()
+            if callable(value) and getattr(value, "__module__", None) == oracle.__name__ and not name.startswith("_")
+        ]
+        assert public == []
+
+    def test_verify_binds_no_kernel_name(self, monkeypatch):
+        # a patch of a kernel name on bhc.verify would reach no oracle call,
+        # so it must raise instead of patching nothing; verify keeps its own
+        # _TINY for its other oracles
+        kernel = [name for name in vars(oracle) if name.startswith("_") and not name.startswith("__")]
+        assert "_CHUNK_VALUES" in kernel and "_sup_norms_real" in kernel
+        assert [name for name in kernel if hasattr(verify, name) and name != "_TINY"] == []
+        with pytest.raises(AttributeError):
+            monkeypatch.setattr(verify, "_CHUNK_VALUES", 1)
+        assert verify.MAX_ENUM_BITS == oracle.MAX_ENUM_BITS
+
+
+class TestThreadedOracle:
+    # The walk runs in its caller's thread, so callers in several threads walk
+    # at once; they share the cached, read-only sign tables and nothing else
+
+    @staticmethod
+    def _in_threads(count, call):
+        # call() in `count` threads released together; their results in order
+        results, errors = [None] * count, []
+        barrier = threading.Barrier(count, timeout=60)
+
+        def run(i):
+            try:
+                barrier.wait()
+                results[i] = call()
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        return results
+
+    @pytest.mark.parametrize(
+        "shape, patch, threads",
+        [((3, 3, 3), {}, 2), ((2, 3, 2, 4), {}, 2), ((2, 5, 3), {"_SIGN_BLOCK": 4}, 3),
+         ((70, 4), {"_CHUNK_VALUES": 70 * 7}, 3), ((3, 10), {"_CHUNK_VALUES": 3 * 200}, 2),
+         ((8, 2, 1), {}, 3), ((1, 3, 4), {}, 3), ((2, 1, 3), {}, 2)],
+        ids=["3x3x3", "2x3x2x4", "2x5x3-sign-blocks-of-4", "70x4-split-on-blocks", "3x10-split-on-blocks",
+             "8x2x1", "1x3x4", "2x1x3-unsplit-width-1"],
+    )
+    def test_threaded_walk_matches_full_enumeration(self, shape, patch, threads, monkeypatch):
+        # no lone form is pruned, and the sign tables are cleared before each
+        # stack, so the callers build them at once.  2x5x3 reads its 16 middle
+        # rows in sign blocks of 4; 70x4 its 8 last-slot vertices in 2 blocks
+        # at K = 1 (7 + 1), then in 3 or more, and 3x10 its 512 in blocks of
+        # 200 down to 25; a width-1 middle slot has one row
+        for name, value in patch.items():
+            monkeypatch.setattr(oracle, name, value)
+        monkeypatch.setattr(oracle, "_prune_pays", lambda n1, n2, nm: False)
+        rng = np.random.default_rng(len(shape) * sum(shape))
+        for k in range(1, 9):
+            stack = rng.uniform(-1.0, 1.0, size=(k, *shape))
+            stack[k // 2] = rng.choice([-1.0, 1.0], size=shape)
+            if k > 2:
+                stack[-1] = 0.0
+            references = [TestSupNormReal._full_enumeration(MultilinearForm(c, Field.REAL)).hex() for c in stack]
+            oracle._cached_sign_vectors.cache_clear()
+            for norms in self._in_threads(threads, functools.partial(_sup_norms_real, stack)):
+                assert [float(norm).hex() for norm in norms] == references
+
+    def test_more_workers_than_cores_under_fast_switching(self):
+        # 8 callers on any host, the interpreter switching threads every
+        # microsecond: a sign table read half built, or a buffer shared
+        # between calls, would change a maximum
+        stack = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 3, 5, 4))
+        serial = [float(norm).hex() for norm in _sup_norms_real(stack)]
+        oracle._cached_sign_vectors.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self._in_threads(8, functools.partial(_sup_norms_real, stack))
+        finally:
+            sys.setswitchinterval(interval)
+        for norms in threaded:
+            assert [float(norm).hex() for norm in norms] == serial
+
+    def test_two_workers_in_bounded_memory(self):
+        # (2, 16, 2) as in test_middle_leaves_go_straight_into_the_chunk, walked
+        # by two callers at once: each holds one walk's buffers, and the
+        # width-16 table is built at most once per caller
+        vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
+        form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
+        oracle._cached_sign_vectors.cache_clear()
+        tracemalloc.start()
+        try:
+            norms = self._in_threads(2, functools.partial(sup_norm_real, form))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norms == [3 * 136 * 3] * 2
+        assert peak < 2 * 12 * 2**20
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_an_unpinned_blas_takes_one_worker(self, cpus, monkeypatch):
+        # two forms of 2^8 middle rows, 2^21 vertex values in all, whatever
+        # the usable CPUs: the walk starts no thread
+        for name in _BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        stack = np.random.default_rng(cpus).uniform(-1.0, 1.0, size=(2, 1, 9, 13))
+        norms = _sup_norms_real(stack)
+        assert started == []
+        assert np.all((norms > 0.0) & (norms <= np.abs(stack).sum(axis=(1, 2, 3))))
 
 
 class TestPrunedOracle:
@@ -1200,6 +1357,23 @@ class TestExtremalSearch:
         assert report.trials == 8000
         assert len(calls) <= 600
         assert max(calls) > len(_moves(0.0, Field.REAL))
+
+    def test_batches_widen_up_to_the_oracle_chunk_cap(self, monkeypatch):
+        # 5x5: one coordinate's moves are 8 x 5 x 2^4 = 640 vertex values, so a
+        # cap below two coordinates' keeps every call at one coordinate, and
+        # the climb, the one-coordinate climb either way, ends where it did
+        calls = []
+
+        def counted(stack, *args, **kwargs):
+            calls.append(len(stack))
+            return _search_ratios(stack, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "_search_ratios", counted)
+        monkeypatch.setattr(oracle, "_CHUNK_VALUES", 2 * 640 - 1)
+        report = extremal_search(2, 5, Field.REAL, budget=8000, seed=42)
+        assert max(calls) == len(_moves(0.0, Field.REAL))
+        assert report.ratio.hex() == "0x1.16c19cdb26033p+0"
+        assert digest_bytes(report.witness.tobytes()) == "c5d4700fa36f"
 
     def test_domain(self):
         with pytest.raises(DomainError):
