@@ -9,9 +9,9 @@ at a time: one ``matmul`` against a block of last-slot vertices, one ``abs``
 and one sum over slot 1 per chunk.  Every slot is read a block of sign
 vectors at a time and every product is capped, so memory stays flat up to
 the size guard.  One call can take a stack of forms of one shape; the sign
-tables of narrow slots are cached.  A lone form with one middle slot of 64
-rows or more is pruned instead, where that measured faster: a vectorised
-bound pass gives each of that slot's rows a certified upper bound on the
+tables of narrow slots are cached.  A lone form with one middle slot is
+pruned instead, wherever the pruned walk can hold it: a vectorised bound
+pass gives each of the middle slot's rows a certified upper bound on the
 vertex values the walk would compute for it, and the rows are scored in
 descending bound until none left can reach the running norm (717 of the
 6 144 rows of three random (12,12,12) forms), with the same norms to the bit.
@@ -45,31 +45,6 @@ _TINY = np.finfo(float).tiny  # the smallest normal double
 # sum that follow.
 _SIGN_BLOCK = 2**16
 _CHUNK_VALUES = 2**17
-
-# A lone form with one middle slot of _PRUNE_ROWS rows or more has its rows ranked
-# by a certified bound and only those that can still reach the running norm
-# scored (_pruned_walk), where that measured faster than the walk (_prune_pays):
-# for N_1 <= _PRUNE_SLOT1, since the bound over two halves of the last slot
-# loosens as slot 1 grows.
-_PRUNE_ROWS = 2**6
-_PRUNE_SLOT1 = 16
-
-
-def _prune_pays(n1: int, n2: int, nm: int) -> bool:
-    """Whether a lone form of shape (N_1, N_2, N_m) is pruned.
-
-    On 2 CPUs with a one-thread BLAS, three random forms of each shape so
-    pruned ran from about as fast as the walk at the rule's edge ((16,7,5),
-    (12,7,5): 0.9x-1.6x) to 57x as fast ((1,10,14)); (12,12,12) 4x-11x,
-    (8,8,8) 2x-3x.  Past the rule, (64,12,7) and (5,5,5) ran 0.6x to 0.9x as
-    fast, while (32,10,10) ran 1.1x-1.6x and (24,10,5) 1.8x-3.3x: the rule
-    was drawn against a walk that took two threads at those shapes, and no
-    workload sends them.  A last slot of 4 or fewer keeps the walk: no CLI
-    cube has one with _PRUNE_ROWS middle rows, so no workload measures
-    pruning there.
-    """
-    return nm > 4 and 2 ** (n2 - 1) >= _PRUNE_ROWS and n1 <= _PRUNE_SLOT1
-
 
 def _sign_vectors(n: int, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows start..stop-1 of the 2^(n-1) length-n sign vectors whose first sign
@@ -166,18 +141,18 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
       one product per form, as for a lone form.
     * The sign tables of slots that fit one sign block are cached; a wider
       slot's blocks are built in turn into one buffer (:func:`_sign_blocks`).
-    * A lone form with one middle slot is pruned (:func:`_pruned_walk`) where
-      that measured faster (:func:`_prune_pays`), its middle slot's sign table
-      is cached, and its last slot has two coordinates or more and fits one
-      block.  A bound pass (:func:`_row_reach`) gives each middle row r a
-      reach R(r) = B(r) (1 + c) + (c ||U||_1 + tiny), with B(r) the computed
-      bound over two halves of the last slot, c = 4 (N_1 + N_2 + N_3) u,
-      u = 2^-53 and tiny the smallest normal double; the rows are scored in
-      descending reach, one row first and then twice as many per chunk up to
-      a full chunk, and those whose reach is below the running norm are
-      dropped.  A scored row is scored as in the walk, and the norm is a
-      maximum, so only a dropped row could change it, and none does: R(r) is
-      at or above every vertex value V^(r, t) the walk would compute for r.
+    * A lone form with one middle slot is pruned (:func:`_pruned_walk`) when
+      that slot's sign table is cached and its last slot has two coordinates
+      or more and fits one block.  A bound pass (:func:`_row_reach`) gives
+      each middle row r a reach R(r) = B(r) (1 + c) + (c ||U||_1 + tiny),
+      with B(r) the computed bound over two halves of the last slot, c = 4
+      (N_1 + N_2 + N_3) u, u = 2^-53 and tiny the smallest normal double;
+      the rows are scored in descending reach, one row first and then twice
+      as many per chunk up to a full chunk, and those whose reach is below
+      the running norm are dropped.  A scored row is scored as in the walk,
+      and the norm is a maximum, so only a dropped row could change it, and
+      none does: R(r) is at or above every vertex value V^(r, t) the walk
+      would compute for r.
 
     Proof that R(r) >= V^(r, t) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., §3.1 and §4.2; gamma_n = n u / (1 - n u)).  Every
@@ -211,34 +186,33 @@ def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
     _check_enumerable(dims)
     if len(dims) == 1:
         return np.abs(stack).sum(axis=1)
-    k, n1, nm = *stack.shape[:2], dims[-1]
-    rows = stack.reshape(k * n1, *dims[1:])
-    middle = dims[1:-1]
-    block = min(_SIGN_BLOCK, max(1, _CHUNK_VALUES // (k * n1)))
-    vertices = 2 ** (nm - 1)
-    # numpy makes a 1 x N_m form a gemv, and OpenBLAS rounds a gemm over many
-    # forms' rows differently at some partial block widths (above 192, not a
-    # multiple of 8), so only a last slot that fits one block gets one gemm
-    one_gemm = n1 > 1 and block >= vertices
+    n1, nm = dims[0], dims[-1]
     # a lone form (a stack's Python step per middle row serves all its forms),
     # one middle slot whose sign table is cached, and a last slot of more than one
     # vertex (the walk doubles a lone one) that fits one block
     if (
-        k == 1
-        and len(middle) == 1
+        len(stack) == 1
+        and len(dims) == 3
         and 1 < nm
-        and 2 ** (middle[0] - 1) <= _SIGN_BLOCK
-        and vertices <= min(_SIGN_BLOCK, _CHUNK_VALUES // n1)
-        and _prune_pays(n1, middle[0], nm)
+        and 2 ** (dims[1] - 1) <= _SIGN_BLOCK
+        and 2 ** (nm - 1) <= min(_SIGN_BLOCK, _CHUNK_VALUES // n1)
     ):
         return np.array([_pruned_walk(stack[0])])
-    return _walk(rows, k, n1, middle, block, one_gemm)
+    return _walk(stack)
 
 
-def _walk(rows: np.ndarray, k: int, n1: int, middle: tuple[int, ...], block: int, one_gemm: bool) -> np.ndarray:
-    """The norms of :func:`_sup_norms_real` by the walk over every middle combination
-    and last-slot block; ``rows`` is the stack seen as one form of K x N_1 rows."""
-    nm = rows.shape[-1]
+def _walk(stack: np.ndarray) -> np.ndarray:
+    """The norms of :func:`_sup_norms_real` for a stack of forms with two slots or
+    more, by the walk over every middle combination and last-slot block."""
+    k, n1, *_, nm = stack.shape
+    # the stack seen as one form of K x N_1 rows
+    rows = stack.reshape(k * n1, *stack.shape[2:])
+    middle = stack.shape[2:-1]
+    block = min(_SIGN_BLOCK, max(1, _CHUNK_VALUES // (k * n1)))
+    # numpy makes a 1 x N_m form a gemv, and OpenBLAS rounds a gemm over many
+    # forms' rows differently at some partial block widths (above 192, not a
+    # multiple of 8), so only a last slot that fits one block gets one gemm
+    one_gemm = n1 > 1 and block >= 2 ** (nm - 1)
     best = np.zeros(k)
     for last in _sign_blocks(nm, block):
         if len(last) == 1:

@@ -408,13 +408,14 @@ class TestSupNormReal:
         # (2, 16, 2): 2^15 leaves of 2 x 2 values each; gathering a chunk's
         # leaves as a list of small arrays before concatenating peaked at
         # 16.3 MiB, copying each into the chunk buffer at 7.3 MiB.  A warm
-        # width-16 sign table would hide part of the peak.
+        # width-16 sign table would hide part of the peak.  sup_norm_real
+        # prunes this lone form, so the walk is called directly
         vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
         form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
         oracle._cached_sign_vectors.cache_clear()
         tracemalloc.start()
         try:
-            norm = sup_norm_real(form)
+            norm = float(oracle._walk(form.coeffs[None])[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -550,14 +551,14 @@ class TestThreadedOracle:
              "8x2x1", "1x3x4", "2x1x3-unsplit-width-1"],
     )
     def test_threaded_walk_matches_full_enumeration(self, shape, patch, threads, monkeypatch):
-        # no lone form is pruned, and the sign tables are cleared before each
-        # stack, so the callers build them at once.  2x5x3 reads its 16 middle
-        # rows in sign blocks of 4; 70x4 its 8 last-slot vertices in 2 blocks
-        # at K = 1 (7 + 1), then in 3 or more, and 3x10 its 512 in blocks of
-        # 200 down to 25; a width-1 middle slot has one row
+        # the sign tables are cleared before each stack, so the callers build
+        # them at once.  A lone m = 3 form (K = 1) is pruned, but 2x5x3 reads
+        # its 16 middle rows in sign blocks of 4, so it walks; 70x4 reads its
+        # 8 last-slot vertices in 2 blocks at K = 1 (7 + 1), then in 3 or more,
+        # and 3x10 its 512 in blocks of 200 down to 25; a width-1 middle slot
+        # has one row
         for name, value in patch.items():
             monkeypatch.setattr(oracle, name, value)
-        monkeypatch.setattr(oracle, "_prune_pays", lambda n1, n2, nm: False)
         rng = np.random.default_rng(len(shape) * sum(shape))
         for k in range(1, 9):
             stack = rng.uniform(-1.0, 1.0, size=(k, *shape))
@@ -624,12 +625,6 @@ class TestThreadedOracle:
 
 class TestPrunedOracle:
     @staticmethod
-    def _force(monkeypatch):
-        # every lone form with one middle slot is pruned; returns the forms pruned
-        monkeypatch.setattr(oracle, "_prune_pays", lambda n1, n2, nm: True)
-        return TestPrunedOracle._count_pruned(monkeypatch)
-
-    @staticmethod
     def _count_pruned(monkeypatch):
         pruned = []
         walk = oracle._pruned_walk
@@ -657,12 +652,14 @@ class TestPrunedOracle:
     @pytest.mark.parametrize(
         "shape, chunk",
         [((3, 3, 3), None), ((2, 4, 5), None), ((1, 5, 6), None), ((4, 5, 3), None), ((6, 3, 2), None),
-         ((2, 7, 9), None), ((3, 6, 4), 1), ((3, 6, 4), 3)],
-        ids=["3x3x3", "2x4x5", "1x5x6", "4x5x3", "6x3x2", "2x7x9", "3x6x4-chunks-of-1", "3x6x4-chunks-of-3"],
+         ((2, 7, 9), None), ((3, 6, 4), 1), ((3, 6, 4), 3), ((2, 7, 2), None), ((16, 7, 3), None),
+         ((6, 6, 6), None), ((40, 6, 4), None)],
+        ids=["3x3x3", "2x4x5", "1x5x6", "4x5x3", "6x3x2", "2x7x9", "3x6x4-chunks-of-1", "3x6x4-chunks-of-3",
+             "2x7x2", "16x7x3", "6x6x6", "40x6x4"],
     )
     def test_pruned_walk_matches_full_enumeration(self, shape, chunk, monkeypatch):
         # the forms of stacks of 1 to 8, each pruned alone: a stack keeps the walk
-        pruned = self._force(monkeypatch)
+        pruned = self._count_pruned(monkeypatch)
         if chunk is not None:
             monkeypatch.setattr(oracle, "_CHUNK_VALUES", chunk * shape[0] * 2 ** (shape[-1] - 1))
         rng = np.random.default_rng(len(shape) * sum(shape))
@@ -693,13 +690,15 @@ class TestPrunedOracle:
     @pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 2.0**1000], ids=["1", "2^-1000", "2^1000"])
     def test_known_forms_pruned_to_the_bit(self, coeffs, scale, monkeypatch):
         # all ones: every row with its signs all +1 or all -1 ties for the norm
-        pruned = self._force(monkeypatch)
+        pruned = self._count_pruned(monkeypatch)
         form = MultilinearForm(coeffs * scale, Field.REAL)
         assert sup_norm_real(form).hex() == TestSupNormReal._full_enumeration(form).hex()
         assert pruned == [coeffs.shape]
 
     @pytest.mark.parametrize(
-        "shape", [(3, 4, 5), (2, 6, 6), (5, 3, 8), (1, 7, 3), (6, 5, 4), (9, 4, 2)], ids=lambda s: "x".join(map(str, s))
+        "shape",
+        [(3, 4, 5), (2, 6, 6), (5, 3, 8), (1, 7, 3), (6, 5, 4), (9, 4, 2), (40, 6, 4)],
+        ids=lambda s: "x".join(map(str, s)),
     )
     @pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 2.0**1000], ids=["1", "2^-1000", "2^1000"])
     def test_reach_covers_every_vertex_value_of_its_row(self, shape, scale):
@@ -741,24 +740,24 @@ class TestPrunedOracle:
         assert counts == [66, 615, 36]
         assert len(pruned) == 3
         norms = [sup_norm_real(form).hex() for form in forms]
-        monkeypatch.setattr(oracle, "_prune_pays", lambda n1, n2, nm: False)
-        assert [sup_norm_real(form).hex() for form in forms] == norms
+        assert [float(oracle._walk(form.coeffs[None])[0]).hex() for form in forms] == norms
         assert len(pruned) == 6
 
     @pytest.mark.parametrize(
         "shape, k, pruned",
         [((12, 12, 12), 1, True), ((12, 12, 12), 2, False), ((8, 8, 8), 1, True), ((3, 3, 3), 8, False),
-         ((6, 6, 6), 1, False), ((2, 7, 5), 1, True), ((2, 17, 5), 1, True), ((2, 18, 5), 1, False),
-         ((16, 7, 12), 1, True), ((17, 7, 12), 1, False), ((16, 12, 4), 1, False), ((2, 16, 2), 1, False),
+         ((6, 6, 6), 1, True), ((2, 7, 5), 1, True), ((2, 17, 5), 1, True), ((2, 18, 5), 1, False),
+         ((16, 7, 12), 1, True), ((17, 7, 12), 1, True), ((16, 12, 4), 1, True), ((2, 16, 2), 1, True),
          ((2, 7, 17), 1, True), ((3, 7, 17), 1, False), ((4, 4, 4, 4), 1, False), ((4096, 8, 1), 1, False)],
         ids=["12x12x12", "12x12x12-stack", "8x8x8", "search-3x3x3", "6x6x6-32-rows", "2x7x5-64-rows", "2x17x5",
              "2x18x5-uncached", "16x7x12", "17x7x12", "16x12x4-narrow-last-slot", "2x16x2-narrow-last-slot",
              "2x7x17-one-block", "3x7x17-two-blocks", "four-slots", "last-slot-of-one"],
     )
     def test_engage_rule(self, shape, k, pruned, monkeypatch):
-        # a lone form is pruned when its middle table is cached and has 64 rows
-        # or more, its last slot has 5 coordinates or more and fits one block,
-        # and N_1 <= 16; never with m != 3
+        # a lone form is pruned when the pruned walk can hold it: its middle
+        # slot's table is cached (2^(N_2 - 1) <= _SIGN_BLOCK) and its last slot
+        # has 2 coordinates or more and fits one block (2^(N_m - 1) <=
+        # _CHUNK_VALUES // N_1); never with m != 3
         counted = self._count_pruned(monkeypatch)
         stack = np.zeros((k, *shape))
         stack[(slice(None), *(0,) * len(shape))] = 1.0
@@ -780,22 +779,27 @@ class TestPrunedOracle:
         assert peak < 6 * 2**20
 
     def test_pruned_walk_in_bounded_memory(self, monkeypatch):
-        # the (2, 16, 2) form of test_middle_leaves_go_straight_into_the_chunk,
-        # forced to be pruned: the walk's chunk buffer, the 2^15 reaches and
-        # their order, and the bound pass's small products
-        pruned = self._force(monkeypatch)
-        vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in (2, 16, 2)]
-        form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
-        oracle._cached_sign_vectors.cache_clear()
-        tracemalloc.start()
-        try:
-            norm = sup_norm_real(form)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert pruned == [(2, 16, 2)]
-        assert norm == 3 * 136 * 3
-        assert peak < 12 * 2**20
+        # (2, 16, 2), the form of test_middle_leaves_go_straight_into_the_chunk:
+        # the walk's chunk buffer, the 2^15 reaches and their order, and the
+        # bound pass's small products.  (65536, 7, 2): a 7 MiB form whose slot
+        # 1 fills a chunk with one vertex pair.  Each peaks at or below the walk
+        pruned = self._count_pruned(monkeypatch)
+        for dims in ((2, 16, 2), (65536, 7, 2)):
+            vectors = [np.arange(1.0, n + 1) * (-1.0) ** np.arange(n) for n in dims]
+            form = MultilinearForm(functools.reduce(np.multiply.outer, vectors), Field.REAL)
+            peaks = []
+            for call in (sup_norm_real, lambda form: float(oracle._walk(form.coeffs[None])[0])):
+                oracle._cached_sign_vectors.cache_clear()
+                tracemalloc.start()
+                try:
+                    norm = call(form)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                # the product of the slots' l1 norms, exact for integer coefficients
+                assert norm == math.prod(n * (n + 1) // 2 for n in dims)
+            assert pruned.pop() == dims and not pruned
+            assert peaks[0] <= peaks[1] and peaks[0] < 12 * 2**20
 
 
 class TestSupNormComplexLb:
