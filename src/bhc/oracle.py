@@ -112,7 +112,8 @@ def _check_enumerable(dims: tuple[int, ...]) -> None:
 def _sup_norms_real(stack: np.ndarray) -> np.ndarray:
     """Exact operator norms of the finite real forms stack[0], stack[1], ... of one shape.
 
-    Each norm is bit for bit what a full enumeration through the chain
+    On OpenBLAS kernels that round like the SkylakeX ones (ROADMAP item 2),
+    each norm is bit for bit what a full enumeration through the chain
     ``tensordot`` per middle slot, ``matmul`` with the last-slot vertices,
     ``abs`` and ``add.reduce`` over slot 1 would give the form alone, with one
     exception: in a stack of forms with N_1 = 1 and a middle slot, OpenBLAS

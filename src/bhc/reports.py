@@ -319,29 +319,18 @@ def run_baselines(cfg: RunConfig) -> ReportDocument:
 _VERIFY_FLAGS = {"khinchine": ("n", "p"), "blei": (), "bh": ("m", "dim"), "summing": ("m", "dim")}
 
 
-# The variables OpenBLAS reads for its thread count, in the order it reads them.
+# The variables OpenBLAS reads for its thread count.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _blas_threads() -> int | None:
-    """The BLAS thread count the environment sets, read as OpenBLAS reads it: the
-    first of _BLAS_THREAD_VARIABLES that holds a positive integer, a variable
-    that is unset, empty or holds anything else counting as unset; None if none
-    sets one, and OpenBLAS then takes one thread per usable CPU."""
-    for name in _BLAS_THREAD_VARIABLES:
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return None
 
 
 def _one_blas_thread() -> None:
     """Pin OpenBLAS to one thread before numpy loads, unless numpy is loaded already
-    or the environment sets a thread count (:func:`_blas_threads`): the oracles'
-    gemms are small and run faster on one BLAS thread.  A variable that sets no
-    count, such as ``OMP_NUM_THREADS=0``, is read as unset by OpenBLAS too, so
-    pinning changes no count that was chosen."""
-    if "numpy" not in sys.modules and _blas_threads() is None:
+    or one of _BLAS_THREAD_VARIABLES holds a positive integer: the oracles' gemms
+    are small and run faster on one BLAS thread.  OpenBLAS reads a variable that
+    is unset, empty or holds anything else, such as ``OMP_NUM_THREADS=0``, as
+    unset too, so pinning changes no count that was chosen."""
+    values = (os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES)
+    if "numpy" not in sys.modules and not any(v.isdigit() and int(v) > 0 for v in values):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 

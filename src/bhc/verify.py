@@ -225,11 +225,15 @@ def sup_norm_real(form: MultilinearForm) -> float:
     reduces to an l1 sum.  Each enumerated slot fixes its first sign to +1:
     flipping every sign of one slot negates the slot-1 vector, and so leaves
     its l1 sum, and each flipped value is computed as the exact negation of
-    its partner, so the result is the full enumeration's to the bit.  This
-    is the one-form case of the stacked kernel
+    its partner, so the result is the full enumeration's to the bit on
+    OpenBLAS kernels that round like the SkylakeX ones (ROADMAP item 2).
+    This is the one-form case of the stacked kernel
     :func:`bhc.oracle._sup_norms_real`, which contracts the middle slots depth
-    first and scores their combinations a chunk at a time.  Raises when slots
-    2..m span more than 2^MAX_ENUM_BITS sign vectors.
+    first and scores their combinations a chunk at a time; an m = 3 form
+    whose middle slot's sign table is cached and whose last slot has two
+    coordinates or more and fits one block is pruned instead, scoring only
+    the middle rows a certified bound lets reach the running norm.  Raises
+    when slots 2..m span more than 2^MAX_ENUM_BITS sign vectors.
     """
     if form.field is not Field.REAL:
         raise DomainError("sup_norm_real handles real forms only; use sup_norm_complex_lb")
@@ -607,7 +611,6 @@ def extremal_search(
     dims = _cube(m, n)
     if budget < 1:
         raise DomainError(f"the evaluation budget must be positive, got {budget}")
-    coords = list(np.ndindex(*dims))
     # the vertex values the oracle scores for one coordinate's moves
     coordinate_values = len(_moves(0.0, field)) * n * 2 ** ((n - 1) * (m - 1))
     rng = np.random.default_rng(seed)
@@ -617,38 +620,38 @@ def extremal_search(
     for _ in range(max(1, budget // 1000)):
         if evals >= budget:
             break
-        arr = _draw(dims, field, rng)
-        [current] = _search_ratios(arr[None], field, seed)
+        arr = _draw(dims, field, rng).reshape(-1)  # coordinate i is flat index i in C order
+        [current] = _search_ratios(arr.reshape(1, *dims), field, seed)
         evals += 1
         improved = True
         while improved and evals < budget:
             improved = False
             at, width = 0, 1
-            while at < len(coords) and evals < budget:
+            while at < arr.size and evals < budget:
                 # the next `width` coordinates' moves, each cut to the budget left
                 # when its turn comes: until a move is accepted the tensor is arr
                 plan, planned = [], evals
-                for idx in coords[at : at + width]:
-                    moves = _moves(arr[idx], field)[: budget - planned]
+                for i in range(at, min(at + width, arr.size)):
+                    moves = _moves(arr[i], field)[: budget - planned]
                     if not moves:
                         break
-                    plan.append((idx, moves))
+                    plan.append((i, moves))
                     planned += len(moves)
                 stack = np.repeat(arr[None], planned - evals, axis=0)
                 row = 0
-                for idx, moves in plan:
-                    stack[(slice(row, row + len(moves)), *idx)] = moves
+                for i, moves in plan:
+                    stack[row : row + len(moves), i] = moves
                     row += len(moves)
-                ratios = iter(_search_ratios(stack, field, seed))
+                ratios = iter(_search_ratios(stack.reshape(-1, *dims), field, seed))
                 accepted = False
-                for idx, moves in plan:
+                for i, moves in plan:
                     at += 1
                     evals += len(moves)
-                    kept = arr[idx]
+                    kept = arr[i]
                     for move, ratio in zip(moves, ratios):
                         if ratio > current + 1e-15:
                             current, kept, accepted = ratio, move, True
-                    arr[idx] = kept
+                    arr[i] = kept
                     if accepted:
                         break  # the later coordinates were scored against the old tensor
                 improved |= accepted
@@ -659,15 +662,15 @@ def extremal_search(
             if not improved and evals < budget:
                 safe = np.where(arr == 0, 1.0, arr)
                 vertex = safe / np.abs(safe)
-                [ratio] = _search_ratios(vertex[None], field, seed)
+                [ratio] = _search_ratios(vertex.reshape(1, *dims), field, seed)
                 evals += 1
                 if ratio > current + 1e-15:
                     arr, current, improved = vertex, ratio, True
         if current > best_ratio:
             best_ratio = current
-            best_tensor = arr.copy()
+            best_tensor = arr  # each restart draws a fresh arr
 
-    best_form = MultilinearForm(best_tensor, field)
+    best_form = MultilinearForm(best_tensor.reshape(dims), field)
     [ratio] = _search_ratios(best_form.coeffs[None], field, seed, restarts=16)  # final re-evaluation
     reference = compute_constant(m, field, Strategy.BEST) if m >= 2 else None
     certified = field is Field.REAL

@@ -29,7 +29,6 @@ from bhc.verify import (
     rademacher_moment,
     random_family,
     random_form,
-    sup_norm_real,
     VectorFamily,
 )
 

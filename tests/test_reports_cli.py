@@ -27,7 +27,6 @@ from bhc.reports import (
     _BLAS_THREAD_VARIABLES,
     _VERIFY_FLAGS,
     RunConfig,
-    _blas_threads,
     run_baselines,
     run_constants,
     run_explain,
@@ -314,11 +313,14 @@ class TestCli:
             ("", ["verify", "blei", "--trials", "1"], {"OPENBLAS_NUM_THREADS": "2"}, "2"),
             ("", ["verify", "blei", "--trials", "1"], {"OMP_NUM_THREADS": "0", "GOTO_NUM_THREADS": ""}, "1"),
             ("", ["verify", "blei", "--trials", "1"], {"OPENBLAS_NUM_THREADS": " "}, "1"),
+            ("", ["verify", "blei", "--trials", "1"], {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, "0"),
+            ("", ["verify", "blei", "--trials", "1"], {"OPENBLAS_NUM_THREADS": "x"}, "1"),
             ("import numpy\n", ["verify", "blei", "--trials", "1"], {}, None),
             ("import bhc.verify\n", [], {}, None),
             ("", ["constants", "--max-m", "3"], {}, None),
         ],
         ids=["verify", "search", "omp-set", "goto-set", "openblas-set", "omp-zero-goto-empty", "openblas-blank",
+             "openblas-zero-omp-set", "openblas-not-a-number",
              "numpy-loaded", "library-import", "constants"],
     )
     def test_verify_and_search_pin_an_unset_blas_to_one_thread(self, setup, argv, preset, pinned):
@@ -333,28 +335,10 @@ class TestCli:
             f"        assert main({argv!r}, standalone_mode=False) == 0\n"
             "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
         )
-        blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-        env = {name: value for name, value in os.environ.items() if name not in blas}
+        env = {name: value for name, value in os.environ.items() if name not in _BLAS_THREAD_VARIABLES}
         env.update(preset, PYTHONPATH=str(Path(bhc.__file__).parents[1]))  # this bhc
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
         assert json.loads(done.stdout) == pinned
-
-    @pytest.mark.parametrize(
-        "env, threads",
-        [({}, None), ({"OPENBLAS_NUM_THREADS": "1"}, 1), ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-         ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4), ({"OMP_NUM_THREADS": "3"}, 3),
-         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1), ({"OPENBLAS_NUM_THREADS": "x"}, None),
-         ({"OPENBLAS_NUM_THREADS": "16"}, 16)],
-        ids=["unset", "openblas", "openblas-over-omp", "goto-over-omp", "omp", "openblas-zero-falls-through",
-             "openblas-not-a-number", "openblas-16"],
-    )
-    def test_blas_threads_read_as_openblas_reads_them(self, env, threads, monkeypatch):
-        # the first of OpenBLAS's three variables that holds a positive integer counts
-        for name in _BLAS_THREAD_VARIABLES:
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        assert _blas_threads() == threads
 
     def test_seed_env_override(self):
         runner = CliRunner()

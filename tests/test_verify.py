@@ -1295,6 +1295,19 @@ class TestExtremalSearch:
         report = extremal_search(1, 4, Field.REAL, budget=2000, seed=3)
         assert report.ratio == 1.0
 
+    def test_wide_linear_search_in_bounded_memory(self):
+        # the sweep reads coordinate i as flat index i and keeps no list of
+        # coordinates: the draw, its one-row stacks and the final form are
+        # 1.6 MB each at width 2 x 10^5
+        tracemalloc.start()
+        try:
+            report = extremal_search(1, 200_000, Field.REAL, budget=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ratio == 1.0
+        assert peak < 12 * 2**20
+
     def test_bilinear_recovers_littlewood(self):
         report = extremal_search(2, 2, Field.REAL, budget=20000, seed=0)
         assert report.ratio >= SQRT2 - 1e-6
