@@ -27,6 +27,7 @@ from bhc.reports import (
     _BLAS_THREAD_VARIABLES,
     _VERIFY_FLAGS,
     RunConfig,
+    _one_blas_thread,
     run_baselines,
     run_constants,
     run_explain,
@@ -339,6 +340,28 @@ class TestCli:
         env.update(preset, PYTHONPATH=str(Path(bhc.__file__).parents[1]))  # this bhc
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
         assert json.loads(done.stdout) == pinned
+
+    @pytest.mark.parametrize(
+        "env, pinned",
+        [({}, "1"), ({"OPENBLAS_NUM_THREADS": "1"}, "1"), ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "2"),
+         ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, None), ({"OMP_NUM_THREADS": "3"}, None),
+         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, "0"), ({"OPENBLAS_NUM_THREADS": "x"}, "1"),
+         ({"OPENBLAS_NUM_THREADS": "16"}, "16")],
+        ids=["unset", "openblas", "openblas-over-omp", "goto-over-omp", "omp", "openblas-zero-falls-through",
+             "openblas-not-a-number", "openblas-16"],
+    )
+    def test_blas_threads_read_as_openblas_reads_them(self, env, pinned, monkeypatch):
+        # the pin leaves alone any count that OpenBLAS would take from one of its
+        # three variables, and pins every other environment to one thread; numpy
+        # is hidden from sys.modules, as before its first import
+        monkeypatch.delitem(sys.modules, "numpy")
+        for name in _BLAS_THREAD_VARIABLES:
+            monkeypatch.setenv(name, "")  # so that teardown restores what the pin sets
+            monkeypatch.delenv(name)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        _one_blas_thread()
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == pinned
 
     def test_seed_env_override(self):
         runner = CliRunner()
